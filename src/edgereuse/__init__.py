@@ -16,7 +16,7 @@ from .fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport, RouterN
                      ServerNode, UnknownServiceError, device_offload, partition_hash_space,
                      rebalance, router_forward, server_handle)
 from .hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, LshSignature,
-                      feature_hash, forwarding_hash, probe_sequence)
+                      feature_hash, forwarding_hash, probe_masks, probe_sequence)
 from .services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
                        execute_stage, label_of, oracle)
 from .simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
@@ -75,6 +75,7 @@ __all__ = [
     "load_experiment",
     "oracle",
     "partition_hash_space",
+    "probe_masks",
     "probe_sequence",
     "rebalance",
     "results_equal",

@@ -116,6 +116,13 @@ def _expect(obj, key, kind, where, default=_SENTINEL):
     return value
 
 
+def _optional_int(obj, key, where) -> int | None:
+    """An int field that may be absent or null (meaning: inherit)."""
+    if obj.get(key) is None:
+        return None
+    return _expect(obj, key, int, where)
+
+
 def _load_json(path: Path, what: str) -> dict:
     if not path.exists():
         raise ConfigError(f"{what}: file not found: {path}")
@@ -138,14 +145,15 @@ def _parse_store(obj, where) -> StoreConfig | None:
         capacity_entries=_expect(obj, "capacity_entries", int, where),
         capacity_bytes=_expect(obj, "capacity_bytes", int, where),
         policy=_expect(obj, "policy", str, where, default="lru"),
-        probe_radius=obj.get("probe_radius"),
+        probe_radius=_optional_int(obj, "probe_radius", where),
     )
     if cfg.capacity_entries < 0 or cfg.capacity_bytes < 0:
         raise ConfigError(f"{where}: capacities must be non-negative")
     if cfg.policy not in ("lru", "lfu"):
         raise ConfigError(f"{where}.policy: unknown policy {cfg.policy!r}")
-    if cfg.probe_radius is not None and (not isinstance(cfg.probe_radius, int) or cfg.probe_radius < 0):
-        raise ConfigError(f"{where}.probe_radius: must be a non-negative integer")
+    # load_experiment pins lsh.k to FORWARDING_BITS, so that bounds the radius.
+    if cfg.probe_radius is not None and not 0 <= cfg.probe_radius <= FORWARDING_BITS:
+        raise ConfigError(f"{where}.probe_radius: must be in [0, {FORWARDING_BITS}]")
     return cfg
 
 
@@ -160,7 +168,7 @@ def parse_topology(data: dict, where: str = "topology") -> TopologyConfig:
             router=_expect(d, "router", str, w),
             delay_us=_expect(d, "delay_us", int, w),
             can_hash=_expect(d, "can_hash", bool, w, default=True),
-            hash_time_us=d.get("hash_time_us"),
+            hash_time_us=_optional_int(d, "hash_time_us", w),
             store=_parse_store(d.get("store"), f"{w}.store"),
         ))
     routers = []
@@ -175,7 +183,7 @@ def parse_topology(data: dict, where: str = "topology") -> TopologyConfig:
         routers.append(RouterConfig(
             node_id=_expect(r, "id", str, w),
             server_delays=dict(delays),
-            hash_time_us=r.get("hash_time_us"),
+            hash_time_us=_optional_int(r, "hash_time_us", w),
             store=_parse_store(r.get("store"), f"{w}.store"),
         ))
     servers = []

@@ -8,6 +8,7 @@ partition among servers, so its value range is [0, 65535].
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -84,6 +85,21 @@ class LshFamily:
     def signature(self, v, table: int = 0) -> LshSignature:
         return LshSignature(self.signature_bits(v, table), table, self.k)
 
+    def table_signature_bits(self, v) -> list[int]:
+        """Every table's k-bit fingerprint of one vector, table 0 first."""
+        v = as_feature_vector(v, self.dim)
+        if not np.any(v):
+            raise ValueError("cannot fingerprint an all-zero vector")
+        return self._table_bits(v)
+
+    def _table_bits(self, v: np.ndarray) -> list[int]:
+        # For callers that already hold a validated, non-zero float64 vector
+        # of length dim. The stacked matmul runs one (k, dim) product per
+        # table, the same arithmetic as signature_bits, so the bits agree
+        # exactly; one flat (tables*k, dim) product can round differently
+        # when tables*k changes which BLAS kernel computes a row.
+        return ((self.hyperplanes @ v > 0) @ self._bit_weights).tolist()
+
     def batch_signature_bits(self, vectors: np.ndarray, table: int = 0) -> np.ndarray:
         """Fingerprints for a (n, dim) matrix of row vectors, as uint64."""
         self._check_table(table)
@@ -111,25 +127,29 @@ def forwarding_hash(family: LshFamily, v) -> int:
     return family.signature_bits(v, 0)
 
 
-def probe_sequence(sig: LshSignature, radius: int) -> list[LshSignature]:
-    """Multi-probe order: sig itself, then everything at Hamming distance
-    1, 2, ... up to radius.
+@functools.lru_cache(maxsize=None)
+def probe_masks(k: int, radius: int) -> tuple[int, ...]:
+    """XOR masks of the multi-probe order over k-bit signatures: 0, then
+    every mask of Hamming weight 1, 2, ... up to radius.
 
-    Within one distance class, probes are ordered lexicographically by the
+    Within one weight class, masks are ordered lexicographically by the
     tuple of flipped bit indices. Total length is sum over d of C(k, d); at
-    radius == k the sequence enumerates the whole signature space, which
-    turns bucketed lookup into exact search.
+    radius == k the masks enumerate the whole signature space, which turns
+    bucketed lookup into exact search. Computed once per (k, radius).
     """
-    if not 0 <= radius <= sig.k:
-        raise ValueError(f"radius must be in [0, {sig.k}], got {radius}")
-    out = []
-    for d in range(radius + 1):
-        for flips in itertools.combinations(range(sig.k), d):
-            bits = sig.bits
-            for i in flips:
-                bits ^= 1 << i
-            out.append(LshSignature(bits, sig.table_index, sig.k))
-    return out
+    if not 1 <= k <= 32:
+        raise ValueError(f"signature width must be in [1, 32], got {k}")
+    if not 0 <= radius <= k:
+        raise ValueError(f"radius must be in [0, {k}], got {radius}")
+    return tuple(sum(1 << i for i in flips)
+                 for d in range(radius + 1)
+                 for flips in itertools.combinations(range(k), d))
+
+
+def probe_sequence(sig: LshSignature, radius: int) -> list[LshSignature]:
+    """Multi-probe order for one signature: sig XOR each of probe_masks."""
+    return [LshSignature(sig.bits ^ m, sig.table_index, sig.k)
+            for m in probe_masks(sig.k, radius)]
 
 
 def _token_hash(token: str, seed: int, person: bytes) -> int:

@@ -2,10 +2,11 @@
 
 Simulated time is integer microseconds; events are processed in (time, seq)
 order where seq is the enqueue counter, so identical configs and seeds give
-byte-identical outputs. Node decisions run synchronously when a task reaches
-the node, but their deferred effects (a server's entry insert, its load
-counters) apply at the simulated completion time, so an in-flight result is
-never reusable before it would exist.
+byte-identical outputs; the heap holds plain (time_us, seq, event) tuples.
+Node decisions run synchronously when a task reaches the node, but their
+deferred effects (a server's entry insert, its load counters) apply at the
+simulated completion time, so an in-flight result is never reusable before
+it would exist.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SimulationError(Exception):
     """The trace or its referenced data cannot be replayed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Event:
     time_us: int
     seq: int
@@ -62,9 +63,6 @@ class _Event:
     cost_us: int
     action: str
     journey: "_Journey | None" = None
-
-    def __lt__(self, other):
-        return (self.time_us, self.seq) < (other.time_us, other.seq)
 
 
 @dataclass
@@ -149,7 +147,7 @@ class Simulation:
         self._build_nodes()
         self.table = partition_hash_space([s.node_id for s in self.servers.values()])
         self._load_inputs(threshold_override)
-        self.heap: list[_Event] = []
+        self.heap: list[tuple[int, int, _Event]] = []
         self.seq = 0
         self.clock = 0
         self.records: list[TaskRecord] = []
@@ -224,15 +222,25 @@ class Simulation:
     def _push(self, time_us: int, kind: str, node_id: str, task_id: int | None,
               detail: str, cost_us: int, action: str, journey=None) -> None:
         ev = _Event(time_us, self.seq, kind, node_id, task_id, detail, cost_us, action, journey)
+        heapq.heappush(self.heap, (time_us, self.seq, ev))
         self.seq += 1
-        heapq.heappush(self.heap, ev)
 
     def _schedule_steps(self, journey, node_id: str, t0: int, steps, final_action: str) -> None:
-        """Audit events for each costed step; the last one carries the move."""
+        """One event per costed step; the last one carries the move.
+
+        The earlier steps only advance time, so their "audit" events are
+        pushed only to be written to the event log.
+        """
         t = t0
+        last = len(steps) - 1
         for i, step in enumerate(steps):
             t += step.cost_us
-            action = final_action if i == len(steps) - 1 else "audit"
+            if i == last:
+                action = final_action
+            elif self.event_rows is not None:
+                action = "audit"
+            else:
+                continue
             self._push(t, _STEP_EVENT_KIND[step.kind], node_id, journey.task_id,
                        step.detail, step.cost_us, action, journey)
 
@@ -432,7 +440,7 @@ class Simulation:
             "audit": lambda ev: None,
         }
         while self.heap:
-            ev = heapq.heappop(self.heap)
+            _, _, ev = heapq.heappop(self.heap)
             if ev.time_us < self.clock:
                 raise SimulationError("event queue violated clock monotonicity")
             self.clock = ev.time_us

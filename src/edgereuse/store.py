@@ -1,9 +1,10 @@
 """Similarity-indexed reuse cache shared by devices, routers, and servers.
 
-Entries are indexed under their LSH signature in every table; lookup gathers
-the buckets along the multi-probe sequence, scores candidates by exact cosine
-similarity, and accepts the best one only if it clears the caller's
-threshold. Eviction is LRU by default, LFU optionally, both pluggable.
+Entries are indexed under their LSH signature in every table; lookup signs
+the query once for all tables, gathers the buckets at the signature XOR each
+multi-probe mask, scores candidates by exact cosine similarity, and accepts
+the best one only if it clears the caller's threshold. Eviction is LRU by
+default, LFU optionally, both pluggable.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SELF_SIMILARITY_SNAP, as_feature_vector, check_threshold
-from .hashing import LshFamily, probe_sequence
+from .hashing import LshFamily, probe_masks
 
 BYTES_PER_ELEMENT = 8
 VECTOR_OVERHEAD_BYTES = 64
+# The eviction heap may hold at most 2 items per live entry plus this many.
+HEAP_SLACK = 64
 
 
 def vector_bytes(v) -> int:
@@ -125,6 +128,7 @@ class ReuseStore:
         self.capacity_bytes = capacity_bytes
         self.policy = _resolve_policy(policy)
         self.probe_radius = probe_radius
+        self._masks = probe_masks(family.k, probe_radius)
         self._entries: dict[int, ReuseEntry] = {}
         self._tables: list[dict[int, list[int]]] = [{} for _ in range(family.tables)]
         self._sig_bits: dict[int, tuple[int, ...]] = {}
@@ -152,6 +156,15 @@ class ReuseStore:
 
     def _touch(self, entry_id: int, entry: ReuseEntry) -> None:
         heapq.heappush(self._heap, (self.policy.key(entry), entry_id))
+        self._bound_heap()
+
+    def _bound_heap(self) -> None:
+        # Every hit leaves a stale key behind. Rebuilding from the live
+        # entries' current keys drops only items _pop_victim would skip, so
+        # the eviction order stays the same.
+        if len(self._heap) > 2 * len(self._entries) + HEAP_SLACK:
+            self._heap = [(self.policy.key(e), i) for i, e in self._entries.items()]
+            heapq.heapify(self._heap)
 
     def insert(self, entry: ReuseEntry) -> int:
         """Index the entry under every table, evicting first if needed."""
@@ -161,35 +174,39 @@ class ReuseStore:
             raise OversizedEntryError(
                 f"entry of {entry.size_bytes} bytes can never fit store capacity "
                 f"({self.capacity_entries} entries, {self.capacity_bytes} bytes)")
+        if entry.key_input.size != self.family.dim:
+            raise ValueError(f"feature vector has dim {entry.key_input.size}, "
+                             f"expected {self.family.dim}")
+        norm = float(np.linalg.norm(entry.key_input))
+        if norm == 0.0:
+            raise ValueError("cannot fingerprint an all-zero vector")
         self.evict(needed_bytes=entry.size_bytes, needed_entries=1)
         entry_id = self._next_id
         self._next_id += 1
-        bits = tuple(self.family.signature_bits(entry.key_input, t) for t in range(self.family.tables))
+        # ReuseEntry already validated key_input, so sign it unchecked.
+        bits = tuple(self.family._table_bits(entry.key_input))
         for t, b in enumerate(bits):
             self._tables[t].setdefault(b, []).append(entry_id)
         self._entries[entry_id] = entry
         self._sig_bits[entry_id] = bits
-        self._key_norms[entry_id] = float(np.linalg.norm(entry.key_input))
+        self._key_norms[entry_id] = norm
         self._total_bytes += entry.size_bytes
         self._touch(entry_id, entry)
         return entry_id
 
     def _candidates(self, query: np.ndarray, where) -> tuple[list[int], int]:
+        # lookup has validated the query, so sign it unchecked.
         ids: set[int] = set()
-        probes_per_table = 0
-        for t in range(self.family.tables):
-            sig = self.family.signature(query, t)
-            probes = probe_sequence(sig, self.probe_radius)
-            probes_per_table = len(probes)
-            table = self._tables[t]
-            for p in probes:
-                bucket = table.get(p.bits)
+        masks = self._masks
+        for table, bits in zip(self._tables, self.family._table_bits(query)):
+            for mask in masks:
+                bucket = table.get(bits ^ mask)
                 if bucket:
                     ids.update(bucket)
         ordered = sorted(ids)
         if where is not None:
             ordered = [i for i in ordered if where(self._entries[i])]
-        return ordered, self.family.tables * probes_per_table
+        return ordered, self.family.tables * len(masks)
 
     def lookup(self, query, threshold, *, now: int = 0, where=None) -> LookupOutcome:
         """Best stored neighbor of the query, gated by the threshold.
@@ -237,6 +254,8 @@ class ReuseStore:
                 break
             self._remove(victim)
             evicted.append(victim)
+        if evicted:
+            self._bound_heap()
         return evicted
 
     def _pop_victim(self) -> int | None:
@@ -275,6 +294,7 @@ class ReuseStore:
                     f"entry {entry_id} not indexed exactly once in table {t}"
         live = sum(len(bucket) for table in self._tables for bucket in table.values())
         assert live == len(self._entries) * self.family.tables, "dangling bucket references"
+        assert len(self._heap) <= 2 * len(self._entries) + HEAP_SLACK, "eviction heap unbounded"
 
     def write_snapshot(self, path) -> None:
         """One CSV row per entry: id, per-table signature bits, size, hits."""

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from edgereuse.cli import main
 from edgereuse.config import (ConfigError, default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, parse_services,
                               parse_topology, write_json)
@@ -140,6 +142,51 @@ class TestTopologySchema:
         delays = [d["delay_us"] for d in a["devices"]]
         delays += [v for r in a["routers"] for v in r["servers"].values()]
         assert all(3000 <= d <= 4000 for d in delays)
+
+
+class TestProbePathFields:
+    """Bad per-node probe-path fields are config errors naming the field,
+    and `edgereuse run` exits 2 on them."""
+
+    def assert_rejected(self, bundle, tmp_path, capsys, mutate, field):
+        path = bundle / "topology.json"
+        data = json.loads(path.read_text())
+        mutate(data)
+        write_json(path, data)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_experiment(bundle / "experiment.json")
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "results")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    def test_store_probe_radius_bool_rejected(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["routers"][0]["store"]["probe_radius"] = True
+        self.assert_rejected(bundle, tmp_path, capsys, mutate,
+                             "routers[0].store.probe_radius")
+
+    def test_store_probe_radius_above_k_rejected(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["servers"][1]["store"]["probe_radius"] = 17
+        self.assert_rejected(bundle, tmp_path, capsys, mutate,
+                             "servers[1].store.probe_radius")
+
+    def test_node_hash_time_type_checked(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["devices"][0]["hash_time_us"] = "abc"
+        self.assert_rejected(bundle, tmp_path, capsys, mutate,
+                             "devices[0].hash_time_us")
+
+    def test_null_fields_inherit(self, bundle):
+        path = bundle / "topology.json"
+        data = json.loads(path.read_text())
+        data["devices"][0]["hash_time_us"] = None
+        data["routers"][0]["store"]["probe_radius"] = None
+        write_json(path, data)
+        cfg = load_experiment(bundle / "experiment.json")
+        assert cfg.topology.devices[0].hash_time_us is None
+        assert cfg.topology.routers[0].store.probe_radius is None
 
 
 class TestServicesSchema:

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, LshSignature,
-                               feature_hash, forwarding_hash, probe_sequence)
+                               feature_hash, forwarding_hash, probe_masks, probe_sequence)
 
 
 class TestLshFamily:
@@ -79,6 +83,52 @@ class TestLshFamily:
     def test_constructor_validation(self, kwargs):
         with pytest.raises(ValueError):
             LshFamily(**kwargs)
+
+
+def _vectors_with_zeros(dim):
+    # Exact zeros are drawn often, so dot products see skipped coordinates;
+    # the smallest subnormals make many dot products round to exactly 0.
+    coords = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    return arrays(np.float64, dim, elements=coords).filter(lambda v: v.any())
+
+
+class TestTableSignatureBits:
+    # Huge coordinates overflow some dot products to inf or NaN; both paths
+    # must still agree.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 16, 32]), tables=st.integers(1, 6),
+           dim=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_fused_equals_per_table(self, k, tables, dim, seed, data):
+        fam = LshFamily(dim, k=k, tables=tables, seed=seed)
+        v = data.draw(_vectors_with_zeros(dim))
+        assert fam.table_signature_bits(v) == [fam.signature_bits(v, t) for t in range(tables)]
+
+    def test_exact_zero_dot_is_bit_zero(self):
+        fam = LshFamily(2, k=2, tables=2, seed=0)
+        planes = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]])
+        planes.setflags(write=False)
+        fam.hyperplanes = planes
+        v = np.array([1.0, 0.0])
+        assert fam.table_signature_bits(v) == [0b01, 0b10]
+        assert fam.table_signature_bits(v) == [fam.signature_bits(v, t) for t in range(2)]
+
+    def test_returns_plain_ints(self, rng):
+        fam = LshFamily(8, k=32, tables=3, seed=2)
+        bits = fam.table_signature_bits(rng.standard_normal(8))
+        assert [type(b) for b in bits] == [int, int, int]
+        assert all(0 <= b < 1 << 32 for b in bits)
+
+    def test_input_validated(self):
+        fam = LshFamily(4, k=4, tables=2, seed=0)
+        with pytest.raises(ValueError, match="all-zero"):
+            fam.table_signature_bits(np.zeros(4))
+        with pytest.raises(ValueError, match="dim"):
+            fam.table_signature_bits(np.ones(5))
+        with pytest.raises(ValueError, match="NaN"):
+            fam.table_signature_bits([1.0, float("nan"), 0.0, 0.0])
 
 
 class TestCollisionLaw:
@@ -160,6 +210,42 @@ class TestProbeSequence:
     def test_radius_validated(self, radius):
         with pytest.raises(ValueError, match="radius"):
             probe_sequence(LshSignature(0, 0, 4), radius)
+
+
+def _reference_probe_bits(bits, k, radius):
+    # The multi-probe order spelled out flip by flip.
+    out = []
+    for d in range(radius + 1):
+        for flips in itertools.combinations(range(k), d):
+            b = bits
+            for i in flips:
+                b ^= 1 << i
+            out.append(b)
+    return out
+
+
+class TestProbeMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 32), data=st.data())
+    def test_masks_reproduce_probe_order(self, k, data):
+        radius = data.draw(st.integers(0, k if k <= 10 else 2))
+        bits = data.draw(st.integers(0, (1 << k) - 1))
+        table = data.draw(st.integers(0, 7))
+        masks = probe_masks(k, radius)
+        assert len(masks) == sum(math.comb(k, d) for d in range(radius + 1))
+        assert len(set(masks)) == len(masks)
+        reference = _reference_probe_bits(bits, k, radius)
+        assert [bits ^ m for m in masks] == reference
+        sig = LshSignature(bits, table, k)
+        assert probe_sequence(sig, radius) == [LshSignature(b, table, k) for b in reference]
+
+    def test_computed_once_per_width_and_radius(self):
+        assert probe_masks(16, 1) is probe_masks(16, 1)
+
+    @pytest.mark.parametrize("k,radius", [(4, -1), (4, 5), (0, 0), (33, 1)])
+    def test_arguments_validated(self, k, radius):
+        with pytest.raises(ValueError):
+            probe_masks(k, radius)
 
 
 class TestLshSignature:

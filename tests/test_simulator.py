@@ -170,6 +170,39 @@ class TestDeterminism:
                           "completed_at_us,completion_us,reuse_layer,accurate")
 
 
+class TestEventLogParity:
+    def test_event_log_changes_no_output(self, tmp_path, monkeypatch):
+        import edgereuse.simulator as simulator
+        from edgereuse.cli import write_bundle
+        import dataclasses
+        profile = dataclasses.replace(builtin_profiles()["pandaset-like"], tasks=300)
+        write_bundle(profile, 11, tmp_path / "bundle")
+        cfg = load_experiment(tmp_path / "bundle" / "experiment.json")
+        plain = run_experiment(cfg)
+
+        # Count the costed steps the node visits of the logged run return.
+        steps = []
+        for name in ("device_offload", "router_forward", "server_handle"):
+            def counted(*args, _fn=getattr(simulator, name), **kwargs):
+                outcome = _fn(*args, **kwargs)
+                steps.append(len(outcome.steps))
+                return outcome
+            monkeypatch.setattr(simulator, name, counted)
+        logged = run_experiment(cfg, event_log=True)
+
+        for tag, rep in (("plain", plain), ("logged", logged)):
+            (tmp_path / tag).mkdir()
+            rep.write_per_task_csv(tmp_path / tag / "per_task.csv")
+            rep.write_metrics_json(tmp_path / tag / "metrics.json")
+        for name in ("per_task.csv", "metrics.json"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "logged" / name).read_bytes()), name
+        step_kinds = (simulator.EVENT_LOOKUP_DONE, simulator.EVENT_EXECUTION_DONE)
+        step_rows = [e for e in logged.events if e[2] in step_kinds]
+        assert sum(steps) > len(logged.records)
+        assert len(step_rows) == sum(steps)
+
+
 class TestEventAccounting:
     def test_costs_sum_to_completion(self, tmp_path):
         rows = [TraceRow(0, "dev0", "cognitive-assist", 0, 0.9),

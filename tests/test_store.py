@@ -3,8 +3,8 @@ import pytest
 
 from edgereuse.core import similarity
 from edgereuse.hashing import LshFamily
-from edgereuse.store import (LfuPolicy, LruPolicy, OversizedEntryError, ReuseEntry,
-                             ReuseStore, vector_bytes)
+from edgereuse.store import (HEAP_SLACK, LfuPolicy, LruPolicy, OversizedEntryError,
+                             ReuseEntry, ReuseStore, vector_bytes)
 
 BIG = 10_000_000
 
@@ -111,10 +111,19 @@ class TestInsertLookup:
         assert not store.lookup_stage("stage-b", v, 0.9).hit
 
     def test_dim_mismatch_rejected(self, store):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dim"):
             store.insert(make_entry(np.ones(4)))
         with pytest.raises(ValueError):
             store.lookup(np.ones(4), 0.5)
+
+    @pytest.mark.parametrize("key", [np.ones(4), np.zeros(8)], ids=["wrong-dim", "all-zero"])
+    def test_rejected_insert_evicts_nothing(self, family, key):
+        store = ReuseStore(family, 1, BIG)
+        kept = store.insert(make_entry(np.ones(8)))
+        with pytest.raises(ValueError):
+            store.insert(make_entry(key))
+        assert store.entry_ids() == [kept]
+        store.audit()
 
     def test_zero_query_rejected(self, store):
         with pytest.raises(ValueError, match="all-zero"):
@@ -235,6 +244,23 @@ class TestEviction:
         assert isinstance(ReuseStore(family, 1, 1, policy=LruPolicy()).policy, LruPolicy)
         with pytest.raises(ValueError, match="unknown eviction policy"):
             ReuseStore(family, 1, 1, policy="fifo")
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    def test_hits_keep_heap_bounded_and_order_intact(self, family, rng, policy):
+        # Every hit pushes a fresh eviction key; repeated access times also
+        # push duplicates. The heap must stay within its bound while the
+        # eviction order still follows the policy's current keys.
+        store = ReuseStore(family, 8, BIG, policy=policy)
+        keys = rng.standard_normal((8, 8))
+        for i, key in enumerate(keys):
+            store.insert(make_entry(key, insert_time=i))
+        for t in range(8, 1000):
+            assert store.lookup(keys[rng.integers(8)], 1.0, now=t // 3).hit
+            assert len(store._heap) <= 2 * len(store) + HEAP_SLACK
+        store.audit()
+        expected = sorted(store.entry_ids(), key=lambda i: (store.policy.key(store.get(i)), i))
+        assert store.evict(needed_entries=8) == expected
+        store.audit()
 
     def test_churn_keeps_invariants(self, family, rng):
         store = ReuseStore(family, 8, 6 * 256, policy="lfu")
