@@ -16,12 +16,13 @@ from .fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport, RouterN
                      ServerNode, UnknownServiceError, device_offload, partition_hash_space,
                      rebalance, router_forward, server_handle)
 from .hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, LshSignature,
-                      feature_hash, forwarding_hash, probe_masks, probe_sequence)
+                      PreparedQuery, feature_hash, forwarding_hash, probe_masks,
+                      probe_sequence)
 from .services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
                        execute_stage, label_of, oracle)
 from .simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
                         sweep_thresholds, write_sweep_csv)
-from .store import (EvictionPolicy, LfuPolicy, LookupOutcome, LruPolicy,
+from .store import (CandidateScores, EvictionPolicy, LfuPolicy, LookupOutcome, LruPolicy,
                     OversizedEntryError, ReuseEntry, ReuseStore, vector_bytes)
 from .workload import CalibrationError, WorkloadProfile, builtin_profiles, generate_trace
 
@@ -29,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
+    "CandidateScores",
     "ConfigError",
     "DeviceNode",
     "EvictionPolicy",
@@ -45,6 +47,7 @@ __all__ = [
     "LshSignature",
     "MetricsReport",
     "OversizedEntryError",
+    "PreparedQuery",
     "RESULT_ATOL",
     "ReuseEntry",
     "ReuseLayer",

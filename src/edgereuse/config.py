@@ -16,6 +16,7 @@ import numpy as np
 from .core import check_threshold
 from .hashing import FORWARDING_BITS
 from .services import ServiceSpec, StageSpec
+from .store import vector_bytes
 
 
 class ConfigError(Exception):
@@ -296,6 +297,32 @@ def parse_services(data: dict, dim: int, where: str = "services") -> tuple[Servi
     return tuple(specs)
 
 
+def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "topology") -> None:
+    """Every enabled store must hold the largest entry its node inserts.
+
+    Devices and routers cache responses (the key and the final output);
+    servers cache executions, which also carry every stage's output.
+    """
+    def size(n):  # vector_bytes reads only the length
+        return vector_bytes(range(n))
+
+    response = server = 0
+    for svc in services:
+        entry = size(dim) + size(svc.output_dim)
+        stages = {s.stage_id: s.out_dim for s in svc.stages}
+        response = max(response, entry)
+        server = max(server, entry + sum(size(n) for n in stages.values()))
+    for group, nodes, need in (("devices", topo.devices, response),
+                               ("routers", topo.routers, response),
+                               ("servers", topo.servers, server)):
+        for i, node in enumerate(nodes):
+            st = node.store
+            if st is not None and 0 < st.capacity_bytes < need and st.capacity_entries > 0:
+                raise ConfigError(
+                    f"{where}.{group}[{i}].store.capacity_bytes: {st.capacity_bytes} bytes "
+                    f"cannot hold the largest entry this node stores ({need} bytes)")
+
+
 def load_experiment(path) -> ExperimentConfig:
     """Load and validate an experiment file and everything it references."""
     path = Path(path)
@@ -353,6 +380,7 @@ def load_experiment(path) -> ExperimentConfig:
 
     topology = parse_topology(_load_json(topo_path, "topology"))
     services = parse_services(_load_json(services_path, "services"), dim)
+    _check_stores_fit(topology, services, dim)
 
     thresholds = {}
     service_ids = {s.service_id for s in services}

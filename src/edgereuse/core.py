@@ -10,8 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .hashing import PreparedQuery
 
 SELF_SIMILARITY_SNAP = 1e-12
 RESULT_ATOL = 1e-9
@@ -58,7 +62,10 @@ class TaskEnvelope:
     """An offloaded task in flight.
 
     ``forwarding_hash`` is attached by the device (or the first router when
-    the device cannot hash) and is never recomputed downstream.
+    the device cannot hash) and is never recomputed downstream. ``query``,
+    when set, is the input's PreparedQuery: every node reuses its norm and
+    signatures, and its table-0 bits are the forwarding hash. An envelope
+    whose input is the query's own vector skips re-validating it.
     """
 
     task_id: int
@@ -68,9 +75,14 @@ class TaskEnvelope:
     threshold: float
     forwarding_hash: int | None = None
     created_at: int = 0
+    query: PreparedQuery | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "input", as_feature_vector(self.input))
+        q = self.query
+        if q is None or self.input is not q.vector:
+            object.__setattr__(self, "input", as_feature_vector(self.input))
+            if q is not None and q.vector.tobytes() != self.input.tobytes():
+                raise ValueError("query was prepared from another vector than the task input")
         object.__setattr__(self, "threshold", check_threshold(self.threshold))
         if self.forwarding_hash is not None and not 0 <= self.forwarding_hash <= 0xFFFF:
             raise ValueError(f"forwarding hash out of range: {self.forwarding_hash}")

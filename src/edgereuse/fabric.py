@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import ReuseLayer, TaskEnvelope
-from .hashing import FORWARDING_SPACE, LshFamily, forwarding_hash
+from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
 from .services import ServiceSpec, execute_stage, label_of
 from .store import ReuseEntry, ReuseStore
 
@@ -274,6 +274,22 @@ def _service_filter(service_id: str) -> Callable[[ReuseEntry], bool]:
     return lambda entry: entry.service_id == service_id
 
 
+def _query(store: ReuseStore, task: TaskEnvelope) -> PreparedQuery:
+    # The task's own prepared query, or one made now for a task that
+    # travels without one (or with one of another family).
+    q = task.query
+    if q is None or q.family is not store.family:
+        q = store.family.prepare(task.input)
+    return q
+
+
+def _forwarding_hash(family: LshFamily, task: TaskEnvelope) -> int:
+    q = task.query
+    if q is not None and q.family is family:
+        return q.forwarding_hash
+    return forwarding_hash(family, task.input)
+
+
 def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
                    lookup_time_us: int, now: int = 0) -> DeviceOutcome:
     """First reuse layer: serve from the device cache or hand the task to
@@ -284,7 +300,7 @@ def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
     elapsed = 0
     if dev.store_enabled:
         elapsed += lookup_time_us
-        found = dev.store.lookup(task.input, task.threshold, now=now + elapsed,
+        found = dev.store.lookup(_query(dev.store, task), task.threshold, now=now + elapsed,
                                  where=_service_filter(task.service_id))
         steps.append(CostedStep("lookup", f"device:{'hit' if found.hit else 'miss'}", lookup_time_us))
         if found.hit:
@@ -293,7 +309,7 @@ def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
             return DeviceOutcome(tuple(steps), task, payload)
     envelope = task
     if dev.can_hash and task.forwarding_hash is None:
-        envelope = replace(task, forwarding_hash=forwarding_hash(family, task.input))
+        envelope = replace(task, forwarding_hash=_forwarding_hash(family, task))
         steps.append(CostedStep("hash", "hash", dev.hash_time_us))
     return DeviceOutcome(tuple(steps), envelope)
 
@@ -306,13 +322,13 @@ def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
     elapsed = 0
     envelope = task
     if envelope.forwarding_hash is None:
-        envelope = replace(task, forwarding_hash=forwarding_hash(family, task.input))
+        envelope = replace(task, forwarding_hash=_forwarding_hash(family, task))
         steps.append(CostedStep("hash", "hash", router.hash_time_us))
         elapsed += router.hash_time_us
     if router.store_enabled:
         elapsed += lookup_time_us
-        found = router.store.lookup(envelope.input, envelope.threshold, now=now + elapsed,
-                                    where=_service_filter(envelope.service_id))
+        found = router.store.lookup(_query(router.store, envelope), envelope.threshold,
+                                    now=now + elapsed, where=_service_filter(envelope.service_id))
         steps.append(CostedStep("lookup", f"network:{'hit' if found.hit else 'miss'}", lookup_time_us))
         if found.hit:
             entry = router.store.get(found.entry_id)
@@ -333,7 +349,9 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     executed and the server keeps a store, the outcome carries a fully
     populated entry for the caller to insert at completion time, so in-flight
     results are never visible early. Counter updates are deferred to the
-    caller for the same reason.
+    caller for the same reason. Since nothing enters the store during the
+    visit and hits change only recency, the whole-task lookup and every
+    stage lookup share one gathering and scoring pass over the candidates.
     """
     svc = server.catalog.get(task.service_id)
     if svc is None:
@@ -341,9 +359,11 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     steps = []
     elapsed = 0
     if server.store_enabled:
+        query = _query(server.store, task)
+        scores = server.store.score(query)
         elapsed += lookup_time_us
-        found = server.store.lookup(task.input, task.threshold, now=now + elapsed,
-                                    where=_service_filter(task.service_id))
+        found = server.store.lookup(query, task.threshold, now=now + elapsed,
+                                    where=_service_filter(task.service_id), scores=scores)
         steps.append(CostedStep("lookup", f"server:{'hit' if found.hit else 'miss'}", lookup_time_us))
         if found.hit:
             entry = server.store.get(found.entry_id)
@@ -358,8 +378,8 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     for stage in svc.stages:
         reused_here = False
         if server.store_enabled:
-            found = server.store.lookup_stage(stage.stage_id, task.input, task.threshold,
-                                              now=now + elapsed + lookup_time_us)
+            found = server.store.lookup_stage(stage.stage_id, query, task.threshold,
+                                              now=now + elapsed + lookup_time_us, scores=scores)
             if found.hit:
                 current = server.store.get(found.entry_id).stage_outputs[stage.stage_id]
                 steps.append(CostedStep("stage_lookup", f"stage:{stage.stage_id}:reused", lookup_time_us))

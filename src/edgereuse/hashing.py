@@ -3,7 +3,9 @@
 An LshFamily fingerprints feature vectors: vectors at a small angle agree on
 most signature bits (per-bit agreement probability is 1 - angle/pi). The
 table-0 signature with k=16 doubles as the forwarding hash that routers
-partition among servers, so its value range is [0, 65535].
+partition among servers, so its value range is [0, 65535]. LshFamily.prepare
+fingerprints an input once for every table; the PreparedQuery it returns
+carries the vector, its norm and the signatures to every later use.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,29 @@ class LshSignature:
             raise ValueError(f"signature bits {self.bits} out of range for k={self.k}")
         if self.table_index < 0:
             raise ValueError(f"negative table index: {self.table_index}")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PreparedQuery:
+    """One input fingerprinted once: its frozen vector, the vector's norm,
+    and every table's signature bits (table 0 first), under ``family``.
+
+    Made by LshFamily.prepare; stores accept it in place of a raw vector and
+    then skip re-validating and re-signing it.
+    """
+
+    family: "LshFamily"
+    vector: np.ndarray
+    norm: float
+    bits: tuple[int, ...]
+
+    @property
+    def forwarding_hash(self) -> int:
+        """The table-0 bits, which are the forwarding hash of a k=16 family."""
+        if self.family.k != FORWARDING_BITS:
+            raise ValueError(f"forwarding hash needs a k={FORWARDING_BITS} family, "
+                             f"got k={self.family.k}")
+        return self.bits[0]
 
 
 class LshFamily:
@@ -92,6 +118,15 @@ class LshFamily:
             raise ValueError("cannot fingerprint an all-zero vector")
         return self._table_bits(v)
 
+    def prepare(self, v) -> PreparedQuery:
+        """Validate, measure and sign one vector under every table, once.
+
+        Rejects the inputs a store cannot score: wrong dim, NaN or Inf, an
+        all-zero vector, and a norm that overflows float64.
+        """
+        v = as_feature_vector(v, self.dim)
+        return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
+
     def _table_bits(self, v: np.ndarray) -> list[int]:
         # For callers that already hold a validated, non-zero float64 vector
         # of length dim. The stacked matmul runs one (k, dim) product per
@@ -112,6 +147,17 @@ class LshFamily:
             raise ValueError("cannot fingerprint an all-zero vector")
         dots = m @ self.hyperplanes[table].T
         return ((dots > 0).astype(np.uint64) * self._bit_weights).sum(axis=1)
+
+
+def input_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a validated vector that can be fingerprinted and
+    scored: rejects an all-zero vector and a norm that overflows float64."""
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ValueError("cannot fingerprint an all-zero vector")
+    if not math.isfinite(norm):
+        raise ValueError("feature vector norm overflows float64")
+    return norm
 
 
 def forwarding_hash(family: LshFamily, v) -> int:

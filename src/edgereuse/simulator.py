@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReuseLayer, TaskEnvelope, TaskResult, results_equal
+from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, ResultPayload, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
@@ -69,9 +69,10 @@ class _Event:
 class _Journey:
     task_id: int
     row: TraceRow
-    envelope: TaskEnvelope
+    threshold: float
     device_id: str
     router_id: str
+    envelope: TaskEnvelope | None = None  # made when the task reaches its device
     server_id: str | None = None
     next_server: str | None = None
     payload: ResultPayload | None = None
@@ -92,6 +93,17 @@ class TaskRecord:
     @property
     def completion_us(self) -> int:
         return self.completed_at - self.created_at
+
+
+def _agrees(truth, payload) -> bool:
+    """results_equal's predicate, applied without building TaskResults.
+
+    Outputs are finite (tanh values), and for finite arrays max |diff| <= atol
+    is exactly allclose with rtol=0.
+    """
+    return (truth.label == payload.label
+            and truth.output.shape == payload.output.shape
+            and float(np.max(np.abs(truth.output - payload.output))) <= RESULT_ATOL)
 
 
 class MetricsReport:
@@ -194,6 +206,12 @@ class Simulation:
             raise SimulationError(
                 f"{cfg.vectors_path}: vectors have dim {self.vectors.shape[1]}, experiment dim is {cfg.dim}")
         norms = np.linalg.norm(self.vectors, axis=1) if self.vectors.size else np.array([])
+        bad = np.nonzero(~np.isfinite(norms))[0]
+        if bad.size:
+            i = int(bad[0])
+            what = ("is not finite" if not np.isfinite(self.vectors[i]).all()
+                    else "has a norm that overflows float64")
+            raise SimulationError(f"{cfg.vectors_path}: vector {i} {what}")
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise SimulationError(f"{cfg.vectors_path}: vector {int(zero[0])} is all-zero")
@@ -248,6 +266,12 @@ class Simulation:
 
     def _handle_arrival(self, ev: _Event) -> None:
         journey = ev.journey
+        row = journey.row
+        # Fingerprinted once, here; the query travels with the task.
+        query = self.family.prepare(self.vectors[row.vector_id])
+        journey.envelope = TaskEnvelope(journey.task_id, row.device_id, row.service_id,
+                                        query.vector, journey.threshold,
+                                        created_at=row.time_us, query=query)
         dev = self.devices[journey.device_id]
         outcome = device_offload(dev, journey.envelope, self.family,
                                  self.config.cost.lookup_time_us, now=ev.time_us)
@@ -307,7 +331,7 @@ class Simulation:
         if outcome.entry is not None:
             outcome.entry.insert_time = ev.time_us
             outcome.entry.last_access = ev.time_us
-            server.store.insert(outcome.entry)
+            server.store.insert(outcome.entry, journey.envelope.query)
         if outcome.executed_stages > 0:
             server.executed_count += 1
             server.busy_us += outcome.exec_busy_us
@@ -329,7 +353,7 @@ class Simulation:
         if router.store_enabled:
             entry = self._response_entry(journey)
             entry.insert_time = entry.last_access = ev.time_us
-            router.store.insert(entry)
+            router.store.insert(entry, journey.envelope.query)
         self._forward_response_to_device(journey, ev.time_us)
 
     def _handle_respond_from_router(self, ev: _Event) -> None:
@@ -347,20 +371,14 @@ class Simulation:
         if dev.store_enabled:
             entry = self._response_entry(journey)
             entry.insert_time = entry.last_access = ev.time_us
-            dev.store.insert(entry)
+            dev.store.insert(entry, journey.envelope.query)
         self._complete(journey, ev.time_us)
 
     def _complete(self, journey, now: int) -> None:
         payload = journey.payload
-        result = TaskResult(journey.task_id, journey.envelope.service_id, payload.output,
-                            payload.label, payload.reuse_layer, completed_at=now)
         accurate = None
         if payload.reuse_layer is not ReuseLayer.NONE:
-            truth = self._oracle_for(journey)
-            truth_result = TaskResult(journey.task_id, journey.envelope.service_id,
-                                      truth.output, truth.label, ReuseLayer.NONE,
-                                      completed_at=now)
-            accurate = results_equal(truth_result, result)
+            accurate = _agrees(self._oracle_for(journey), payload)
         self.records.append(TaskRecord(
             journey.task_id, journey.device_id, journey.envelope.service_id,
             journey.row.vector_id, journey.envelope.created_at, now,
@@ -414,10 +432,7 @@ class Simulation:
             self.event_rows = []
         self.outstanding = len(self.rows)
         for task_id, (row, threshold) in enumerate(self.rows):
-            envelope = TaskEnvelope(task_id, row.device_id, row.service_id,
-                                    self.vectors[row.vector_id], threshold,
-                                    created_at=row.time_us)
-            journey = _Journey(task_id, row, envelope, row.device_id,
+            journey = _Journey(task_id, row, threshold, row.device_id,
                                self.devices[row.device_id].router_id)
             self._push(row.time_us, EVENT_TASK_ARRIVAL, row.device_id, task_id,
                        "", 0, "arrival", journey)

@@ -1,9 +1,11 @@
 """Similarity-indexed reuse cache shared by devices, routers, and servers.
 
-Entries are indexed under their LSH signature in every table; lookup signs
-the query once for all tables, gathers the buckets at the signature XOR each
+Entries are indexed under their LSH signature in every table; lookup takes
+the query's signatures for all tables (from a PreparedQuery, or signed once
+from a raw vector), gathers the buckets at each signature XOR each
 multi-probe mask, scores candidates by exact cosine similarity, and accepts
-the best one only if it clears the caller's threshold. Eviction is LRU by
+the best one only if it clears the caller's threshold. Several lookups of
+one query can share one scoring pass (``score``). Eviction is LRU by
 default, LFU optionally, both pluggable.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SELF_SIMILARITY_SNAP, as_feature_vector, check_threshold
-from .hashing import LshFamily, probe_masks
+from .hashing import LshFamily, PreparedQuery, input_norm, probe_masks
 
 BYTES_PER_ELEMENT = 8
 VECTOR_OVERHEAD_BYTES = 64
@@ -71,6 +73,23 @@ class LookupOutcome:
     hit: bool
     entry_id: int | None
     similarity: float | None
+    probes_used: int
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class CandidateScores:
+    """Every candidate of one query, gathered and scored once.
+
+    ``ids`` ascend and ``sims[j]`` is the clamped cosine of entry ``ids[j]``
+    (None when there are no candidates). Valid while the store's entries
+    stay the same; hits change only recency, so they keep it valid.
+    """
+
+    store: "ReuseStore"
+    membership: int
+    query: PreparedQuery
+    ids: list[int]
+    sims: np.ndarray | None
     probes_used: int
 
 
@@ -136,6 +155,8 @@ class ReuseStore:
         self._heap: list[tuple[tuple, int]] = []
         self._next_id = 0
         self._total_bytes = 0
+        # Counts inserts and removals, so stale CandidateScores are caught.
+        self._membership = 0
 
     @property
     def enabled(self) -> bool:
@@ -166,82 +187,120 @@ class ReuseStore:
             self._heap = [(self.policy.key(e), i) for i, e in self._entries.items()]
             heapq.heapify(self._heap)
 
-    def insert(self, entry: ReuseEntry) -> int:
-        """Index the entry under every table, evicting first if needed."""
-        if entry.key_input.size != self.family.dim:
-            raise ValueError(f"entry dim {entry.key_input.size} != store dim {self.family.dim}")
+    def _prepared(self, query) -> PreparedQuery:
+        if isinstance(query, PreparedQuery):
+            if query.family is not self.family:
+                raise ValueError("query was prepared under another LshFamily than the store's")
+            return query
+        return self.family.prepare(query)
+
+    def insert(self, entry: ReuseEntry, query: PreparedQuery | None = None) -> int:
+        """Index the entry under every table, evicting first if needed.
+
+        ``query``, the prepared query of the entry's key, saves measuring and
+        signing the key again.
+        """
+        key = entry.key_input
+        if query is not None:
+            query = self._prepared(query)
+            if query.vector is not key and query.vector.tobytes() != key.tobytes():
+                raise ValueError("query was prepared from another vector than the entry key")
+        elif key.size != self.family.dim:
+            raise ValueError(f"entry dim {key.size} != store dim {self.family.dim}")
         if self.capacity_entries < 1 or entry.size_bytes > self.capacity_bytes:
             raise OversizedEntryError(
                 f"entry of {entry.size_bytes} bytes can never fit store capacity "
                 f"({self.capacity_entries} entries, {self.capacity_bytes} bytes)")
-        if entry.key_input.size != self.family.dim:
-            raise ValueError(f"feature vector has dim {entry.key_input.size}, "
-                             f"expected {self.family.dim}")
-        norm = float(np.linalg.norm(entry.key_input))
-        if norm == 0.0:
-            raise ValueError("cannot fingerprint an all-zero vector")
+        if query is None:
+            # ReuseEntry already validated the key, so sign it unchecked.
+            norm = input_norm(key)
+            bits = tuple(self.family._table_bits(key))
+        else:
+            norm, bits = query.norm, query.bits
         self.evict(needed_bytes=entry.size_bytes, needed_entries=1)
         entry_id = self._next_id
         self._next_id += 1
-        # ReuseEntry already validated key_input, so sign it unchecked.
-        bits = tuple(self.family._table_bits(entry.key_input))
         for t, b in enumerate(bits):
             self._tables[t].setdefault(b, []).append(entry_id)
         self._entries[entry_id] = entry
         self._sig_bits[entry_id] = bits
         self._key_norms[entry_id] = norm
         self._total_bytes += entry.size_bytes
+        self._membership += 1
         self._touch(entry_id, entry)
         return entry_id
 
-    def _candidates(self, query: np.ndarray, where) -> tuple[list[int], int]:
-        # lookup has validated the query, so sign it unchecked.
+    def score(self, query) -> CandidateScores:
+        """Gather and score the query's candidates once, for several lookups
+        of the same query to share (lookup's ``scores``)."""
+        return self._score(self._prepared(query))
+
+    def _score(self, q: PreparedQuery) -> CandidateScores:
         ids: set[int] = set()
         masks = self._masks
-        for table, bits in zip(self._tables, self.family._table_bits(query)):
+        for table, bits in zip(self._tables, q.bits):
             for mask in masks:
                 bucket = table.get(bits ^ mask)
                 if bucket:
                     ids.update(bucket)
         ordered = sorted(ids)
-        if where is not None:
-            ordered = [i for i in ordered if where(self._entries[i])]
-        return ordered, self.family.tables * len(masks)
+        sims = None
+        if ordered:
+            # One flat copy reshaped: the same matrix as np.stack builds, at a
+            # third of its cost, since every key has the family's dim.
+            keys = np.concatenate([self._entries[i].key_input for i in ordered])
+            keys = keys.reshape(len(ordered), self.family.dim)
+            norms = np.array([self._key_norms[i] for i in ordered])
+            sims = (keys @ q.vector) / (norms * q.norm)
+            sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
+            # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
+            np.fmax(sims, 0.0, out=sims)
+        return CandidateScores(self, self._membership, q, ordered, sims,
+                               self.family.tables * len(masks))
 
-    def lookup(self, query, threshold, *, now: int = 0, where=None) -> LookupOutcome:
+    def lookup(self, query, threshold, *, now: int = 0, where=None,
+               scores: CandidateScores | None = None) -> LookupOutcome:
         """Best stored neighbor of the query, gated by the threshold.
 
+        ``query`` is a raw vector or a PreparedQuery of the store's family.
         Candidates come from the union of probed buckets across all tables;
-        ties on similarity go to the smallest entry id. A hit updates the
-        entry's recency and hit count.
+        the best of those that pass ``where`` wins, ties on similarity going
+        to the smallest entry id. ``scores`` taken by score(query) since the
+        last insert or eviction stand in for gathering and scoring again.
+        A hit updates the entry's recency and hit count.
         """
-        q = as_feature_vector(query, self.family.dim)
-        t = check_threshold(threshold)
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
-            raise ValueError("cannot look up an all-zero vector")
-        ids, probes_used = self._candidates(q, where)
-        if not ids:
-            return LookupOutcome(False, None, None, probes_used)
-        keys = np.stack([self._entries[i].key_input for i in ids])
-        norms = np.array([self._key_norms[i] for i in ids])
-        sims = (keys @ q) / (norms * qn)
-        sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
-        np.clip(sims, 0.0, 1.0, out=sims)
-        best = int(np.argmax(sims))
+        if scores is None:
+            q = self._prepared(query)
+            t = check_threshold(threshold)
+            scores = self._score(q)
+        else:
+            t = check_threshold(threshold)
+            if scores.store is not self or scores.membership != self._membership:
+                raise ValueError("stale scores: the store's entries changed since they were taken")
+            if scores.query is not query:
+                raise ValueError("scores were taken for another query")
+        ids, sims = scores.ids, scores.sims
+        if where is None:
+            best = int(np.argmax(sims)) if ids else None
+        else:
+            # Filtered after scoring: a matrix-vector product can round a row
+            # differently beside other rows, so scoring only the passing ids
+            # could give floats that differ from a shared scoring pass.
+            keep = [j for j, i in enumerate(ids) if where(self._entries[i])]
+            best = keep[int(np.argmax(sims[keep]))] if keep else None
+        if best is None or sims[best] < t:
+            return LookupOutcome(False, None, None, scores.probes_used)
         best_id = ids[best]
-        best_sim = float(sims[best])
-        if best_sim < t:
-            return LookupOutcome(False, None, None, probes_used)
         entry = self._entries[best_id]
         entry.last_access = max(entry.last_access, now)
         entry.hit_count += 1
         self._touch(best_id, entry)
-        return LookupOutcome(True, best_id, best_sim, probes_used)
+        return LookupOutcome(True, best_id, float(sims[best]), scores.probes_used)
 
-    def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0) -> LookupOutcome:
+    def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0,
+                     scores: CandidateScores | None = None) -> LookupOutcome:
         """As lookup, restricted to entries that recorded the given stage."""
-        return self.lookup(query, threshold, now=now,
+        return self.lookup(query, threshold, now=now, scores=scores,
                            where=lambda e: stage_id in e.stage_outputs)
 
     def evict(self, needed_bytes: int = 0, needed_entries: int = 0) -> list[int]:
@@ -280,6 +339,7 @@ class ReuseStore:
                 del self._tables[t][b]
         del self._key_norms[entry_id]
         self._total_bytes -= entry.size_bytes
+        self._membership += 1
 
     def audit(self) -> None:
         """Walk every invariant; raises AssertionError on violation."""

@@ -86,6 +86,24 @@ class TestRun:
         assert "lsh.k" in capsys.readouterr().err
 
 
+    def test_non_finite_vector_is_one_error_line(self, tmp_path, capsys):
+        bundle = generate(tmp_path)
+        path = bundle / "vectors.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = "nan"
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert "vector 4 is not finite" in err[0]
+
+
 class TestSweep:
     def sweep(self, tmp_path, thresholds, capsys):
         bundle = generate(tmp_path)

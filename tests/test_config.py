@@ -144,21 +144,27 @@ class TestTopologySchema:
         assert all(3000 <= d <= 4000 for d in delays)
 
 
+def assert_topology_rejected(bundle, tmp_path, capsys, mutate, field):
+    """The mutated topology is a ConfigError naming the field, and
+    `edgereuse run` exits 2 naming it too."""
+    path = bundle / "topology.json"
+    data = json.loads(path.read_text())
+    mutate(data)
+    write_json(path, data)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        load_experiment(bundle / "experiment.json")
+    code = main(["run", "--config", str(bundle / "experiment.json"),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 class TestProbePathFields:
     """Bad per-node probe-path fields are config errors naming the field,
     and `edgereuse run` exits 2 on them."""
 
     def assert_rejected(self, bundle, tmp_path, capsys, mutate, field):
-        path = bundle / "topology.json"
-        data = json.loads(path.read_text())
-        mutate(data)
-        write_json(path, data)
-        with pytest.raises(ConfigError, match=re.escape(field)):
-            load_experiment(bundle / "experiment.json")
-        code = main(["run", "--config", str(bundle / "experiment.json"),
-                     "--out", str(tmp_path / "results")])
-        assert code == 2
-        assert field in capsys.readouterr().err
+        assert_topology_rejected(bundle, tmp_path, capsys, mutate, field)
 
     def test_store_probe_radius_bool_rejected(self, bundle, tmp_path, capsys):
         def mutate(data):
@@ -187,6 +193,44 @@ class TestProbePathFields:
         cfg = load_experiment(bundle / "experiment.json")
         assert cfg.topology.devices[0].hash_time_us is None
         assert cfg.topology.routers[0].store.probe_radius is None
+
+
+class TestStoreFitsLargestEntry:
+    """An enabled store smaller than the largest entry its node inserts is a
+    config error at load, not an OversizedEntryError mid-replay. With the
+    default catalog at dim 64, a response entry (key and output) is 1152
+    bytes and a server entry (also two stage outputs) is 2304 bytes."""
+
+    def set_capacity(self, group, index, capacity):
+        def mutate(data):
+            data[group][index]["store"]["capacity_bytes"] = capacity
+        return mutate
+
+    def test_device_store(self, bundle, tmp_path, capsys):
+        assert_topology_rejected(bundle, tmp_path, capsys, self.set_capacity("devices", 0, 100),
+                                 "topology.devices[0].store.capacity_bytes")
+
+    def test_router_store(self, bundle, tmp_path, capsys):
+        assert_topology_rejected(bundle, tmp_path, capsys,
+                                 self.set_capacity("routers", 1, 1151),
+                                 "topology.routers[1].store.capacity_bytes")
+
+    def test_server_store_holds_stage_outputs(self, bundle, tmp_path, capsys):
+        assert_topology_rejected(bundle, tmp_path, capsys,
+                                 self.set_capacity("servers", 0, 2303),
+                                 "topology.servers[0].store.capacity_bytes")
+
+    def test_exact_fit_and_disabled_stores_load(self, bundle):
+        path = bundle / "topology.json"
+        data = json.loads(path.read_text())
+        data["devices"][0]["store"]["capacity_bytes"] = 1152
+        data["routers"][0]["store"]["capacity_bytes"] = 1152
+        data["routers"][1]["store"]["capacity_bytes"] = 0
+        data["servers"][0]["store"]["capacity_bytes"] = 2304
+        data["servers"][1]["store"] = {"capacity_entries": 0, "capacity_bytes": 10}
+        write_json(path, data)
+        cfg = load_experiment(bundle / "experiment.json")
+        assert cfg.topology.servers[0].store.capacity_bytes == 2304
 
 
 class TestServicesSchema:

@@ -338,3 +338,42 @@ class TestServerHandle:
         assert out.executed_stages == 2
         assert [(s.kind, s.cost_us) for s in out.steps] == [
             ("stage_exec", 60_000), ("stage_exec", 40_000)]
+
+
+class TestPreparedQueryTravels:
+    """A task fingerprinted once carries its query from node to node."""
+
+    def test_device_hash_comes_from_the_query(self, family):
+        v = np.arange(1.0, DIM + 1)
+        q = family.prepare(v)
+        dev = DeviceNode("dev0", "r0", 100, True, 1800, make_store(family))
+        out = device_offload(dev, make_task(q.vector, query=q), family, LOOKUP_US)
+        assert out.envelope.forwarding_hash == forwarding_hash(family, v)
+        assert out.envelope.query is q and out.envelope.input is q.vector
+
+    def test_router_ignores_a_query_of_another_family(self, family):
+        v = np.arange(1.0, DIM + 1)
+        foreign = LshFamily(DIM, k=16, tables=4, seed=99).prepare(v)
+        router = RouterNode("r0", {"s0": 100}, 1800, make_store(family))
+        router.store.insert(entry_for(v))
+        out = router_forward(router, make_task(v, query=foreign), family, LOOKUP_US,
+                             partition_hash_space(["s0"]))
+        assert out.envelope.forwarding_hash == forwarding_hash(family, v)
+        assert out.payload is not None and out.payload.reuse_layer is ReuseLayer.NETWORK
+
+    def test_envelope_rejects_a_query_of_another_input(self, family):
+        with pytest.raises(ValueError, match="task input"):
+            make_task(np.ones(DIM), query=family.prepare(np.arange(1.0, DIM + 1)))
+
+    def test_server_visit_scores_candidates_once(self, family):
+        store = make_store(family)
+        v = np.arange(1.0, DIM + 1)
+        store.insert(entry_for(v, SVC_A))
+        calls = []
+        score = store.score
+        store.score = lambda q: calls.append(q) or score(q)
+        q = family.prepare(v)
+        out = server_handle(ServerNode("s0", CATALOG, store),
+                            make_task(q.vector, service_id="svc-b", query=q), LOOKUP_US)
+        assert out.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
+        assert calls == [q]

@@ -2,10 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgereuse.config import (default_experiment_data, default_services_data, load_experiment,
                               write_json)
-from edgereuse.core import ReuseLayer
+from edgereuse.core import RESULT_ATOL, ReuseLayer, TaskResult, results_equal
+from edgereuse.fabric import ResultPayload
+from edgereuse.services import ServiceResult
+from edgereuse.simulator import _agrees
 from edgereuse.simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
                                  sweep_thresholds, write_sweep_csv)
 from edgereuse.workload import (TraceRow, builtin_profiles, generate_trace, with_threshold,
@@ -321,6 +327,20 @@ class TestTraceValidation:
         with pytest.raises(SimulationError, match="vector 1 is all-zero"):
             Simulation(build_bundle(tmp_path, vectors, []))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_vector_rejected_at_load(self, tmp_path, bad):
+        vectors = fresh_vector(n=5)
+        vectors[4, 3] = bad
+        rows = [TraceRow(0, "dev0", "voice-command", 4, 0.8)]
+        with pytest.raises(SimulationError, match=r"vectors\.csv: vector 4 is not finite"):
+            Simulation(build_bundle(tmp_path, vectors, rows))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_rejected_at_load(self, tmp_path):
+        vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e300)])
+        with pytest.raises(SimulationError, match="vector 1 has a norm that overflows"):
+            Simulation(build_bundle(tmp_path, vectors, []))
+
 
 class TestControlPlane:
     def skewed_bundle(self, tmp_path, rebalance):
@@ -396,3 +416,23 @@ class TestSweep:
             sweep_thresholds(cfg, [])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sweep_thresholds(cfg, [0.5, 1.5])
+
+
+class TestAccuracyPredicate:
+    """The replay judges accuracy without TaskResults; results_equal is the
+    reference it must match on every finite output."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(truth=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)),
+           steps=arrays(np.float64, 4, elements=st.sampled_from(
+               [0.0, 0.5, 1.0, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, -1.0, -1.0 - 1e-7])),
+           labels=st.tuples(st.integers(0, 2), st.integers(0, 2)), shorter=st.booleans())
+    def test_matches_results_equal(self, truth, steps, labels, shorter):
+        # Differences sit at, just inside and just outside the tolerance.
+        reused = truth + steps * RESULT_ATOL
+        if shorter:
+            reused = reused[:3]
+        payload = ResultPayload(reused, labels[1], ReuseLayer.DEVICE)
+        expected = results_equal(TaskResult(0, "svc", truth, labels[0], ReuseLayer.NONE),
+                                 TaskResult(0, "svc", reused, labels[1], ReuseLayer.DEVICE))
+        assert _agrees(ServiceResult(truth, labels[0]), payload) == expected

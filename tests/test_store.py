@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgereuse.core import similarity
 from edgereuse.hashing import LshFamily
@@ -270,6 +275,124 @@ class TestEviction:
                 store.lookup(rng.standard_normal(8), 0.2, now=i)
             store.audit()
         assert len(store) <= 6
+
+
+class TestPreparedQuery:
+    def test_prepared_lookups_and_inserts_equal_raw(self, family, rng):
+        raw = ReuseStore(family, 8, BIG, probe_radius=2)
+        prepared = ReuseStore(family, 8, BIG, probe_radius=2)
+        keys = rng.standard_normal((12, 8))
+        for i, key in enumerate(keys):
+            assert raw.insert(make_entry(key, insert_time=i)) == \
+                prepared.insert(make_entry(key, insert_time=i), family.prepare(key))
+        for t, q in enumerate(np.vstack([keys, rng.standard_normal((20, 8))])):
+            assert raw.lookup(q, 0.3, now=t) == prepared.lookup(family.prepare(q), 0.3, now=t)
+        assert raw.entry_ids() == prepared.entry_ids()
+        raw.audit()
+        prepared.audit()
+
+    def test_query_holds_vector_norm_and_every_table(self, family):
+        v = np.arange(1.0, 9.0)
+        q = family.prepare(v)
+        assert q.family is family
+        assert not q.vector.flags.writeable and np.array_equal(q.vector, v)
+        assert q.norm == float(np.linalg.norm(v))
+        assert list(q.bits) == family.table_signature_bits(v)
+
+    def test_prepare_validates(self, family):
+        with pytest.raises(ValueError, match="all-zero"):
+            family.prepare(np.zeros(8))
+        with pytest.raises(ValueError, match="dim"):
+            family.prepare(np.ones(5))
+        with pytest.raises(ValueError, match="NaN"):
+            family.prepare([1.0, float("nan")] + [0.0] * 6)
+
+    def test_query_of_another_family_rejected(self, store):
+        other = LshFamily(8, k=6, tables=2, seed=13)
+        q = other.prepare(np.ones(8))
+        with pytest.raises(ValueError, match="LshFamily"):
+            store.lookup(q, 0.5)
+        with pytest.raises(ValueError, match="LshFamily"):
+            store.insert(make_entry(np.ones(8)), q)
+        assert len(store) == 0
+
+    def test_insert_query_must_be_of_the_key(self, store, family):
+        with pytest.raises(ValueError, match="entry key"):
+            store.insert(make_entry(np.ones(8)), family.prepare(np.arange(1.0, 9.0)))
+        assert len(store) == 0
+
+    def test_scores_serve_several_lookups(self, store, family):
+        v = np.ones(8)
+        a = store.insert(make_entry(v, service_id="svc-a", stages={"s1": np.ones(2)}))
+        b = store.insert(make_entry(v, service_id="svc-b", stages={"s2": np.ones(2)}))
+        q = family.prepare(v)
+        scores = store.score(q)
+        assert scores.ids == [a, b]
+        only_b = store.lookup(q, 0.9, where=lambda e: e.service_id == "svc-b", scores=scores)
+        assert only_b.entry_id == b
+        assert store.lookup_stage("s1", q, 0.9, scores=scores).entry_id == a
+        assert not store.lookup_stage("s3", q, 0.9, scores=scores).hit
+
+    def test_stale_or_foreign_scores_rejected(self, store, family):
+        v = np.ones(8)
+        store.insert(make_entry(v))
+        q = family.prepare(v)
+        scores = store.score(q)
+        with pytest.raises(ValueError, match="another query"):
+            store.lookup(family.prepare(v), 0.5, scores=scores)
+        store.insert(make_entry(np.arange(1.0, 9.0)))
+        with pytest.raises(ValueError, match="stale"):
+            store.lookup(q, 0.5, scores=scores)
+        store.evict(needed_entries=16)
+        with pytest.raises(ValueError, match="stale"):
+            store.lookup_stage("s", q, 0.5, scores=scores)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowingInputs:
+    """A key whose norm overflows float64 used to be stored with norm inf,
+    and a later lookup of it hit with similarity NaN."""
+
+    HUGE = np.full(8, 1e308)
+
+    def test_prepare_rejects_overflowing_norm(self, family):
+        with pytest.raises(ValueError, match="overflows"):
+            family.prepare(self.HUGE)
+
+    def test_insert_rejects_overflowing_norm(self, store):
+        with pytest.raises(ValueError, match="overflows"):
+            store.insert(ReuseEntry(self.HUGE, "svc", {}, np.ones(8), 0))
+        assert len(store) == 0
+        with pytest.raises(ValueError, match="overflows"):
+            store.lookup(self.HUGE, 0.5)
+
+
+_COORDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-4.0, 4.0), st.sampled_from([0.0, 5e-324, 1e-200, 1e154]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(arrays(np.float64, 8, elements=_COORDS), min_size=1, max_size=8),
+       query=arrays(np.float64, 8, elements=_COORDS), threshold=st.floats(0.0, 1.0))
+def test_every_hit_similarity_is_a_finite_fraction(keys, query, threshold):
+    # Any finite keys and query: a hit's similarity is finite, in [0, 1],
+    # and at least the threshold; inputs the store cannot score are refused.
+    family = LshFamily(8, k=4, tables=2, seed=1)
+    store = ReuseStore(family, 16, BIG, probe_radius=4)
+    for key in keys:
+        try:
+            store.insert(ReuseEntry(key, "svc", {}, np.ones(8), 0))
+        except ValueError:
+            pass
+    try:
+        out = store.lookup(query, threshold)
+    except ValueError:
+        return
+    if out.hit:
+        assert math.isfinite(out.similarity)
+        assert threshold <= out.similarity <= 1.0
+    store.audit()
 
 
 class TestSnapshot:
