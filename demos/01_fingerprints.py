@@ -7,7 +7,7 @@ forwarding hash and the multi-probe expansion used by the caches.
 
 import numpy as np
 
-from edgereuse import LshFamily, feature_hash, forwarding_hash, probe_sequence
+from edgereuse import LshFamily, feature_hash, forwarding_hash, probe_masks
 
 rng = np.random.default_rng(7)
 dim = 32
@@ -57,7 +57,5 @@ print()
 print("== forwarding hash and multi-probe ==")
 h = forwarding_hash(family, base)
 print(f"forwarding hash of base: {h} (16-bit space 0..65535)")
-sig = family.signature(base)
 for radius in (0, 1, 2):
-    probes = probe_sequence(sig, radius)
-    print(f"radius {radius}: {len(probes)} buckets probed")
+    print(f"radius {radius}: {len(probe_masks(family.k, radius))} buckets probed")

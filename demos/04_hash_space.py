@@ -42,8 +42,7 @@ print(f"  executed per server: {counts}")
 print()
 print("== controller narrows the hot range ==")
 for step in range(5):
-    zeros = {sid: 0 for sid in table.server_ids()}
-    table = rebalance(table, LoadReport(counts, zeros, zeros), step_fraction=0.25)
+    table = rebalance(table, LoadReport(counts), step_fraction=0.25)
     counts = {sid: 0 for sid in table.server_ids()}
     for h in hashes:
         counts[table.server_for(h)] += 1

@@ -15,9 +15,8 @@ from .core import (RESULT_ATOL, ReuseLayer, TaskEnvelope, TaskResult, as_feature
 from .fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport, RouterNode,
                      ServerNode, UnknownServiceError, device_offload, partition_hash_space,
                      rebalance, router_forward, server_handle)
-from .hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, LshSignature,
-                      PreparedQuery, feature_hash, forwarding_hash, probe_masks,
-                      probe_sequence)
+from .hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, PreparedQuery,
+                      feature_hash, forwarding_hash, probe_masks)
 from .services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
                        execute_stage, label_of, oracle)
 from .simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
@@ -44,7 +43,6 @@ __all__ = [
     "LookupOutcome",
     "LruPolicy",
     "LshFamily",
-    "LshSignature",
     "MetricsReport",
     "OversizedEntryError",
     "PreparedQuery",
@@ -79,7 +77,6 @@ __all__ = [
     "oracle",
     "partition_hash_space",
     "probe_masks",
-    "probe_sequence",
     "rebalance",
     "results_equal",
     "router_forward",

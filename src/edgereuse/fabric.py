@@ -5,7 +5,9 @@ forwarding by hash range, and servers fall back from whole-task reuse to
 per-stage reuse to execution. Node operations are synchronous decisions
 ("state in, steps out"): they mutate store recency immediately but hand any
 deferred effects (the server's entry insert, counters) back to the caller so
-a clock-driven harness can apply them at completion time.
+a clock-driven harness can apply them at completion time. Every visit
+returns one NodeOutcome: its costed steps, the envelope it passes on, and
+either the payload the node served or where the task goes next.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .core import ReuseLayer, TaskEnvelope
 from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
 from .services import ServiceSpec, execute_stage, label_of
-from .store import ReuseEntry, ReuseStore
+from .store import CandidateScores, ReuseEntry, ReuseStore
 
 HASH_MAX = FORWARDING_SPACE - 1
 
@@ -89,19 +91,15 @@ def partition_hash_space(server_ids) -> ForwardingTable:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Per-server counters over a reporting window (cumulative in a run)."""
+    """Per-server executed-task counts over a reporting window (cumulative
+    in a run): the load that rebalance evens out."""
 
     executed_count: Mapping[str, int]
-    reused_count: Mapping[str, int]
-    stored_bytes: Mapping[str, int]
 
     def __post_init__(self):
-        for name, counts in (("executed_count", self.executed_count),
-                             ("reused_count", self.reused_count),
-                             ("stored_bytes", self.stored_bytes)):
-            for sid, v in counts.items():
-                if v < 0:
-                    raise ValueError(f"{name}[{sid}] is negative")
+        for sid, v in self.executed_count.items():
+            if v < 0:
+                raise ValueError(f"executed_count[{sid}] is negative")
 
 
 def rebalance(table: ForwardingTable, report: LoadReport, step_fraction: float) -> ForwardingTable:
@@ -245,28 +243,20 @@ class ResultPayload:
 
 
 @dataclass(frozen=True)
-class DeviceOutcome:
-    steps: tuple[CostedStep, ...]
-    envelope: TaskEnvelope
-    payload: ResultPayload | None = None
+class NodeOutcome:
+    """One node visit: its costed steps, the envelope it passes on, and the
+    payload it served (None when the task moves on, to ``next_server`` from
+    a router). A server always serves; when it executed anything it also
+    carries the entry to insert at completion and its stage counts."""
 
-
-@dataclass(frozen=True)
-class RouterOutcome:
     steps: tuple[CostedStep, ...]
     envelope: TaskEnvelope
     payload: ResultPayload | None = None
     next_server: str | None = None
-
-
-@dataclass(frozen=True)
-class ServerOutcome:
-    steps: tuple[CostedStep, ...]
-    payload: ResultPayload
-    entry: ReuseEntry | None
-    executed_stages: int
-    reused_stages: int
-    exec_busy_us: int
+    entry: ReuseEntry | None = None
+    executed_stages: int = 0
+    reused_stages: int = 0
+    exec_busy_us: int = 0
 
 
 def _service_filter(service_id: str) -> Callable[[ReuseEntry], bool]:
@@ -283,6 +273,21 @@ def _query(store: ReuseStore, task: TaskEnvelope) -> PreparedQuery:
     return q
 
 
+def _cached_payload(store: ReuseStore, query: PreparedQuery, task: TaskEnvelope, now: int,
+                    lookup_time_us: int, layer: ReuseLayer, steps: list,
+                    scores: CandidateScores | None = None) -> ResultPayload | None:
+    """One whole-task lookup, recorded as a costed step: the payload of the
+    matched entry, or None on a miss."""
+    found = store.lookup(query, task.threshold, now=now,
+                         where=_service_filter(task.service_id), scores=scores)
+    steps.append(CostedStep("lookup", f"{layer.value}:{'hit' if found.hit else 'miss'}",
+                            lookup_time_us))
+    if not found.hit:
+        return None
+    entry = store.get(found.entry_id)
+    return ResultPayload(entry.output, entry.label, layer, found.entry_id)
+
+
 def _forwarding_hash(family: LshFamily, task: TaskEnvelope) -> int:
     q = task.query
     if q is not None and q.family is family:
@@ -291,31 +296,26 @@ def _forwarding_hash(family: LshFamily, task: TaskEnvelope) -> int:
 
 
 def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
-                   lookup_time_us: int, now: int = 0) -> DeviceOutcome:
+                   lookup_time_us: int, now: int = 0) -> NodeOutcome:
     """First reuse layer: serve from the device cache or hand the task to
     the network with a forwarding hash attached (when the device can hash)."""
     if task.device_id != dev.node_id:
         raise ValueError(f"task for device {task.device_id} offered to {dev.node_id}")
     steps = []
-    elapsed = 0
     if dev.store_enabled:
-        elapsed += lookup_time_us
-        found = dev.store.lookup(_query(dev.store, task), task.threshold, now=now + elapsed,
-                                 where=_service_filter(task.service_id))
-        steps.append(CostedStep("lookup", f"device:{'hit' if found.hit else 'miss'}", lookup_time_us))
-        if found.hit:
-            entry = dev.store.get(found.entry_id)
-            payload = ResultPayload(entry.output, entry.label, ReuseLayer.DEVICE, found.entry_id)
-            return DeviceOutcome(tuple(steps), task, payload)
+        payload = _cached_payload(dev.store, _query(dev.store, task), task, now + lookup_time_us,
+                                  lookup_time_us, ReuseLayer.DEVICE, steps)
+        if payload is not None:
+            return NodeOutcome(tuple(steps), task, payload)
     envelope = task
     if dev.can_hash and task.forwarding_hash is None:
         envelope = replace(task, forwarding_hash=_forwarding_hash(family, task))
         steps.append(CostedStep("hash", "hash", dev.hash_time_us))
-    return DeviceOutcome(tuple(steps), envelope)
+    return NodeOutcome(tuple(steps), envelope)
 
 
 def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
-                   lookup_time_us: int, table: ForwardingTable, now: int = 0) -> RouterOutcome:
+                   lookup_time_us: int, table: ForwardingTable, now: int = 0) -> NodeOutcome:
     """Second reuse layer: attach the hash if the device could not, serve
     from the in-network cache, or forward to the range-owning server."""
     steps = []
@@ -326,22 +326,19 @@ def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
         steps.append(CostedStep("hash", "hash", router.hash_time_us))
         elapsed += router.hash_time_us
     if router.store_enabled:
-        elapsed += lookup_time_us
-        found = router.store.lookup(_query(router.store, envelope), envelope.threshold,
-                                    now=now + elapsed, where=_service_filter(envelope.service_id))
-        steps.append(CostedStep("lookup", f"network:{'hit' if found.hit else 'miss'}", lookup_time_us))
-        if found.hit:
-            entry = router.store.get(found.entry_id)
-            payload = ResultPayload(entry.output, entry.label, ReuseLayer.NETWORK, found.entry_id)
-            return RouterOutcome(tuple(steps), envelope, payload)
+        payload = _cached_payload(router.store, _query(router.store, envelope), envelope,
+                                  now + elapsed + lookup_time_us, lookup_time_us,
+                                  ReuseLayer.NETWORK, steps)
+        if payload is not None:
+            return NodeOutcome(tuple(steps), envelope, payload)
     next_server = table.server_for(envelope.forwarding_hash)
     if next_server not in router.server_delays:
         raise ValueError(f"router {router.node_id} has no link to server {next_server}")
-    return RouterOutcome(tuple(steps), envelope, next_server=next_server)
+    return NodeOutcome(tuple(steps), envelope, next_server=next_server)
 
 
 def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
-                  now: int = 0) -> ServerOutcome:
+                  now: int = 0) -> NodeOutcome:
     """Final layer: whole-task reuse, then per-stage reuse, then execution.
 
     Every stage is either reused (costing one lookup) or executed (costing
@@ -362,13 +359,10 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
         query = _query(server.store, task)
         scores = server.store.score(query)
         elapsed += lookup_time_us
-        found = server.store.lookup(query, task.threshold, now=now + elapsed,
-                                    where=_service_filter(task.service_id), scores=scores)
-        steps.append(CostedStep("lookup", f"server:{'hit' if found.hit else 'miss'}", lookup_time_us))
-        if found.hit:
-            entry = server.store.get(found.entry_id)
-            payload = ResultPayload(entry.output, entry.label, ReuseLayer.SERVER, found.entry_id)
-            return ServerOutcome(tuple(steps), payload, None, 0, 0, 0)
+        payload = _cached_payload(server.store, query, task, now + elapsed, lookup_time_us,
+                                  ReuseLayer.SERVER, steps, scores)
+        if payload is not None:
+            return NodeOutcome(tuple(steps), task, payload)
 
     current = task.input
     stage_outputs: dict[str, np.ndarray] = {}
@@ -402,4 +396,4 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     entry = None
     if executed > 0 and server.store_enabled:
         entry = ReuseEntry(task.input, task.service_id, stage_outputs, current, label)
-    return ServerOutcome(tuple(steps), payload, entry, executed, reused, busy)
+    return NodeOutcome(tuple(steps), task, payload, None, entry, executed, reused, busy)

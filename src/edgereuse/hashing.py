@@ -24,23 +24,7 @@ FORWARDING_BITS = 16
 FORWARDING_SPACE = 1 << FORWARDING_BITS
 
 _MAX_SEED = 1 << 64
-
-
-@dataclass(frozen=True)
-class LshSignature:
-    """One table's k-bit fingerprint of a vector."""
-
-    bits: int
-    table_index: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= 32:
-            raise ValueError(f"signature width must be in [1, 32], got {self.k}")
-        if not 0 <= self.bits < (1 << self.k):
-            raise ValueError(f"signature bits {self.bits} out of range for k={self.k}")
-        if self.table_index < 0:
-            raise ValueError(f"negative table index: {self.table_index}")
+_NORM_OVERFLOW = "feature vector norm overflows float64"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -102,21 +86,13 @@ class LshFamily:
     def signature_bits(self, v, table: int = 0) -> int:
         """The k-bit integer fingerprint of one vector under one table."""
         self._check_table(table)
-        v = as_feature_vector(v, self.dim)
-        if not np.any(v):
-            raise ValueError("cannot fingerprint an all-zero vector")
+        v = _signable(as_feature_vector(v, self.dim))
         dots = self.hyperplanes[table] @ v
         return int(((dots > 0).astype(np.uint64) * self._bit_weights).sum())
 
-    def signature(self, v, table: int = 0) -> LshSignature:
-        return LshSignature(self.signature_bits(v, table), table, self.k)
-
     def table_signature_bits(self, v) -> list[int]:
         """Every table's k-bit fingerprint of one vector, table 0 first."""
-        v = as_feature_vector(v, self.dim)
-        if not np.any(v):
-            raise ValueError("cannot fingerprint an all-zero vector")
-        return self._table_bits(v)
+        return self._table_bits(_signable(as_feature_vector(v, self.dim)))
 
     def prepare(self, v) -> PreparedQuery:
         """Validate, measure and sign one vector under every table, once.
@@ -145,8 +121,21 @@ class LshFamily:
             raise ValueError("vectors contain NaN or Inf")
         if np.any(~m.any(axis=1)):
             raise ValueError("cannot fingerprint an all-zero vector")
+        if not np.all(np.isfinite(np.linalg.norm(m, axis=1))):
+            raise ValueError(_NORM_OVERFLOW)
         dots = m @ self.hyperplanes[table].T
         return ((dots > 0).astype(np.uint64) * self._bit_weights).sum(axis=1)
+
+
+def _signable(v: np.ndarray) -> np.ndarray:
+    # An all-zero vector has no direction to sign. A norm that overflows
+    # lets dot products overflow to inf or NaN, and a NaN would read as a 0
+    # bit. Tiny (even subnormal) non-zero vectors are signed as they are.
+    if not np.any(v):
+        raise ValueError("cannot fingerprint an all-zero vector")
+    if not math.isfinite(float(np.linalg.norm(v))):
+        raise ValueError(_NORM_OVERFLOW)
+    return v
 
 
 def input_norm(v: np.ndarray) -> float:
@@ -156,7 +145,7 @@ def input_norm(v: np.ndarray) -> float:
     if norm == 0.0:
         raise ValueError("cannot fingerprint an all-zero vector")
     if not math.isfinite(norm):
-        raise ValueError("feature vector norm overflows float64")
+        raise ValueError(_NORM_OVERFLOW)
     return norm
 
 
@@ -190,12 +179,6 @@ def probe_masks(k: int, radius: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in flips)
                  for d in range(radius + 1)
                  for flips in itertools.combinations(range(k), d))
-
-
-def probe_sequence(sig: LshSignature, radius: int) -> list[LshSignature]:
-    """Multi-probe order for one signature: sig XOR each of probe_masks."""
-    return [LshSignature(sig.bits ^ m, sig.table_index, sig.k)
-            for m in probe_masks(sig.k, radius)]
 
 
 def _token_hash(token: str, seed: int, person: bytes) -> int:

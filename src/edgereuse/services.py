@@ -64,12 +64,6 @@ class ServiceSpec:
     def total_exec_us(self) -> int:
         return sum(s.exec_time_us for s in self.stages)
 
-    def stage_input_dims(self) -> list[int]:
-        dims = [self.input_dim]
-        for stage in self.stages[:-1]:
-            dims.append(stage.out_dim)
-        return dims
-
     @property
     def output_dim(self) -> int:
         return self.stages[-1].out_dim

@@ -2,11 +2,12 @@
 
 Simulated time is integer microseconds; events are processed in (time, seq)
 order where seq is the enqueue counter, so identical configs and seeds give
-byte-identical outputs; the heap holds plain (time_us, seq, event) tuples.
-Node decisions run synchronously when a task reaches the node, but their
-deferred effects (a server's entry insert, its load counters) apply at the
-simulated completion time, so an in-flight result is never reusable before
-it would exist.
+byte-identical outputs. Each heap item is (time_us, seq, then, journey):
+``then`` is the bound method that moves the task on once the event's time
+is reached. Node decisions run synchronously when a task reaches the node,
+but their deferred effects (a server's entry insert, its load counters)
+apply at the simulated completion time, so an in-flight result is never
+reusable before it would exist.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
-from .fabric import (DeviceNode, ForwardingTable, LoadReport, ResultPayload, RouterNode,
+from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
 from .hashing import LshFamily
@@ -52,19 +53,6 @@ class SimulationError(Exception):
     """The trace or its referenced data cannot be replayed."""
 
 
-@dataclass(slots=True)
-class _Event:
-    time_us: int
-    seq: int
-    kind: str
-    node_id: str
-    task_id: int | None
-    detail: str
-    cost_us: int
-    action: str
-    journey: "_Journey | None" = None
-
-
 @dataclass
 class _Journey:
     task_id: int
@@ -74,9 +62,9 @@ class _Journey:
     router_id: str
     envelope: TaskEnvelope | None = None  # made when the task reaches its device
     server_id: str | None = None
-    next_server: str | None = None
-    payload: ResultPayload | None = None
-    outcome: object = None
+    # The latest node visit's outcome; the visit that serves is the last.
+    outcome: NodeOutcome | None = None
+    served_by: str | None = None
 
 
 @dataclass
@@ -159,7 +147,7 @@ class Simulation:
         self._build_nodes()
         self.table = partition_hash_space([s.node_id for s in self.servers.values()])
         self._load_inputs(threshold_override)
-        self.heap: list[tuple[int, int, _Event]] = []
+        self.heap: list[tuple] = []
         self.seq = 0
         self.clock = 0
         self.records: list[TaskRecord] = []
@@ -237,100 +225,102 @@ class Simulation:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, time_us: int, kind: str, node_id: str, task_id: int | None,
-              detail: str, cost_us: int, action: str, journey=None) -> None:
-        ev = _Event(time_us, self.seq, kind, node_id, task_id, detail, cost_us, action, journey)
-        heapq.heappush(self.heap, (time_us, self.seq, ev))
+    def _log(self, time_us: int, kind: str, node_id: str, journey, detail: str,
+             cost_us: int) -> int:
+        """Take the next seq, writing the event to the log when one is kept."""
+        seq = self.seq
         self.seq += 1
+        if self.event_rows is not None:
+            self.event_rows.append((time_us, seq, kind, node_id,
+                                    "" if journey is None else journey.task_id, detail, cost_us))
+        return seq
 
-    def _schedule_steps(self, journey, node_id: str, t0: int, steps, final_action: str) -> None:
-        """One event per costed step; the last one carries the move.
+    def _push(self, time_us: int, kind: str, node_id: str, journey, detail: str,
+              cost_us: int, then) -> None:
+        """Schedule ``then(journey, time_us)``."""
+        seq = self._log(time_us, kind, node_id, journey, detail, cost_us)
+        heapq.heappush(self.heap, (time_us, seq, then, journey))
 
-        The earlier steps only advance time, so their "audit" events are
-        pushed only to be written to the event log.
+    def _visit(self, journey, node_id: str, now: int, outcome: NodeOutcome, then) -> None:
+        """Take in a node visit's outcome and run its steps back to back;
+        ``then`` moves the task on when the last one ends.
+
+        The earlier steps only advance time, so they go to the event log
+        alone, and with zero steps ``then`` runs at once.
         """
-        t = t0
-        last = len(steps) - 1
-        for i, step in enumerate(steps):
+        journey.outcome = outcome
+        journey.envelope = outcome.envelope
+        if outcome.payload is not None:
+            journey.served_by = node_id
+        steps = outcome.steps
+        if not steps:
+            then(journey, now)
+            return
+        t = now
+        for step in steps[:-1]:
             t += step.cost_us
-            if i == last:
-                action = final_action
-            elif self.event_rows is not None:
-                action = "audit"
-            else:
-                continue
-            self._push(t, _STEP_EVENT_KIND[step.kind], node_id, journey.task_id,
-                       step.detail, step.cost_us, action, journey)
+            if self.event_rows is not None:
+                self._log(t, _STEP_EVENT_KIND[step.kind], node_id, journey,
+                          step.detail, step.cost_us)
+        last = steps[-1]
+        self._push(t + last.cost_us, _STEP_EVENT_KIND[last.kind], node_id, journey,
+                   last.detail, last.cost_us, then)
 
-    # -- node visit handlers ------------------------------------------------
+    def _cache_response(self, node, journey, now: int) -> None:
+        """A node caches a result that it forwards but did not serve."""
+        if node.store_enabled and journey.served_by != node.node_id:
+            p = journey.outcome.payload
+            entry = ReuseEntry(journey.envelope.input, journey.envelope.service_id, {},
+                               p.output, p.label)
+            entry.insert_time = entry.last_access = now
+            node.store.insert(entry, journey.envelope.query)
 
-    def _handle_arrival(self, ev: _Event) -> None:
-        journey = ev.journey
+    # -- a task's way: device, router, server and back -----------------------
+
+    def _arrive_device(self, journey, now: int) -> None:
         row = journey.row
         # Fingerprinted once, here; the query travels with the task.
         query = self.family.prepare(self.vectors[row.vector_id])
-        journey.envelope = TaskEnvelope(journey.task_id, row.device_id, row.service_id,
-                                        query.vector, journey.threshold,
-                                        created_at=row.time_us, query=query)
+        envelope = TaskEnvelope(journey.task_id, row.device_id, row.service_id,
+                                query.vector, journey.threshold,
+                                created_at=row.time_us, query=query)
         dev = self.devices[journey.device_id]
-        outcome = device_offload(dev, journey.envelope, self.family,
-                                 self.config.cost.lookup_time_us, now=ev.time_us)
-        journey.envelope = outcome.envelope
-        if outcome.payload is not None:
-            journey.payload = outcome.payload
-            self._schedule_steps(journey, dev.node_id, ev.time_us, outcome.steps, "complete_local")
-        elif outcome.steps:
-            self._schedule_steps(journey, dev.node_id, ev.time_us, outcome.steps, "leave_device")
-        else:
-            self._leave_device(journey, ev.time_us)
+        outcome = device_offload(dev, envelope, self.family,
+                                 self.config.cost.lookup_time_us, now=now)
+        self._visit(journey, dev.node_id, now, outcome,
+                    self._leave_device if outcome.payload is None else self._respond_at_device)
 
     def _leave_device(self, journey, now: int) -> None:
         dev = self.devices[journey.device_id]
-        self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.router_id,
-                   journey.task_id, f"{dev.node_id}->{dev.router_id}", dev.link_delay_us,
-                   "arrive_router", journey)
+        self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.router_id, journey,
+                   f"{dev.node_id}->{dev.router_id}", dev.link_delay_us, self._arrive_router)
 
-    def _handle_arrive_router(self, ev: _Event) -> None:
-        journey = ev.journey
+    def _arrive_router(self, journey, now: int) -> None:
         router = self.routers[journey.router_id]
         outcome = router_forward(router, journey.envelope, self.family,
-                                 self.config.cost.lookup_time_us, self.table, now=ev.time_us)
-        journey.envelope = outcome.envelope
-        if outcome.payload is not None:
-            journey.payload = outcome.payload
-            self._schedule_steps(journey, router.node_id, ev.time_us, outcome.steps,
-                                 "respond_from_router")
-        elif outcome.steps:
-            journey.next_server = outcome.next_server
-            self._schedule_steps(journey, router.node_id, ev.time_us, outcome.steps, "leave_router")
-        else:
-            journey.next_server = outcome.next_server
-            self._leave_router(journey, ev.time_us)
+                                 self.config.cost.lookup_time_us, self.table, now=now)
+        self._visit(journey, router.node_id, now, outcome,
+                    self._leave_router if outcome.payload is None else self._respond_at_router)
 
     def _leave_router(self, journey, now: int) -> None:
         router = self.routers[journey.router_id]
-        sid = journey.next_server
+        sid = journey.server_id = journey.outcome.next_server
         delay = router.server_delays[sid]
-        journey.server_id = sid
-        self._push(now + delay, EVENT_LINK_DELIVERY, sid, journey.task_id,
-                   f"{router.node_id}->{sid}", delay, "arrive_server", journey)
+        self._push(now + delay, EVENT_LINK_DELIVERY, sid, journey,
+                   f"{router.node_id}->{sid}", delay, self._arrive_server)
 
-    def _handle_arrive_server(self, ev: _Event) -> None:
-        journey = ev.journey
+    def _arrive_server(self, journey, now: int) -> None:
         server = self.servers[journey.server_id]
         outcome = server_handle(server, journey.envelope,
-                                self.config.cost.lookup_time_us, now=ev.time_us)
-        journey.outcome = outcome
-        journey.payload = outcome.payload
-        self._schedule_steps(journey, server.node_id, ev.time_us, outcome.steps, "server_finalize")
+                                self.config.cost.lookup_time_us, now=now)
+        self._visit(journey, server.node_id, now, outcome, self._leave_server)
 
-    def _handle_server_finalize(self, ev: _Event) -> None:
-        journey = ev.journey
+    def _leave_server(self, journey, now: int) -> None:
         server = self.servers[journey.server_id]
         outcome = journey.outcome
         if outcome.entry is not None:
-            outcome.entry.insert_time = ev.time_us
-            outcome.entry.last_access = ev.time_us
+            outcome.entry.insert_time = now
+            outcome.entry.last_access = now
             server.store.insert(outcome.entry, journey.envelope.query)
         if outcome.executed_stages > 0:
             server.executed_count += 1
@@ -339,43 +329,22 @@ class Simulation:
             server.reused_count += 1
         router = self.routers[journey.router_id]
         delay = router.server_delays[server.node_id]
-        self._push(ev.time_us + delay, EVENT_LINK_DELIVERY, router.node_id, journey.task_id,
-                   f"{server.node_id}->{router.node_id}", delay, "respond_at_router", journey)
+        self._push(now + delay, EVENT_LINK_DELIVERY, router.node_id, journey,
+                   f"{server.node_id}->{router.node_id}", delay, self._respond_at_router)
 
-    def _response_entry(self, journey) -> ReuseEntry:
-        p = journey.payload
-        return ReuseEntry(journey.envelope.input, journey.envelope.service_id, {},
-                          p.output, p.label)
-
-    def _handle_respond_at_router(self, ev: _Event) -> None:
-        journey = ev.journey
+    def _respond_at_router(self, journey, now: int) -> None:
         router = self.routers[journey.router_id]
-        if router.store_enabled:
-            entry = self._response_entry(journey)
-            entry.insert_time = entry.last_access = ev.time_us
-            router.store.insert(entry, journey.envelope.query)
-        self._forward_response_to_device(journey, ev.time_us)
-
-    def _handle_respond_from_router(self, ev: _Event) -> None:
-        self._forward_response_to_device(ev.journey, ev.time_us)
-
-    def _forward_response_to_device(self, journey, now: int) -> None:
+        self._cache_response(router, journey, now)
         dev = self.devices[journey.device_id]
-        self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.node_id,
-                   journey.task_id, f"{dev.router_id}->{dev.node_id}", dev.link_delay_us,
-                   "respond_at_device", journey)
+        self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.node_id, journey,
+                   f"{dev.router_id}->{dev.node_id}", dev.link_delay_us, self._respond_at_device)
 
-    def _handle_respond_at_device(self, ev: _Event) -> None:
-        journey = ev.journey
-        dev = self.devices[journey.device_id]
-        if dev.store_enabled:
-            entry = self._response_entry(journey)
-            entry.insert_time = entry.last_access = ev.time_us
-            dev.store.insert(entry, journey.envelope.query)
-        self._complete(journey, ev.time_us)
+    def _respond_at_device(self, journey, now: int) -> None:
+        self._cache_response(self.devices[journey.device_id], journey, now)
+        self._complete(journey, now)
 
     def _complete(self, journey, now: int) -> None:
-        payload = journey.payload
+        payload = journey.outcome.payload
         accurate = None
         if payload.reuse_layer is not ReuseLayer.NONE:
             accurate = _agrees(self._oracle_for(journey), payload)
@@ -395,23 +364,20 @@ class Simulation:
 
     # -- control plane ------------------------------------------------------
 
-    def _handle_control_window(self, ev: _Event) -> None:
-        self._sample_window(ev.time_us)
+    def _control_window(self, _journey, now: int) -> None:
+        self._sample_window(now)
         if self.config.control.rebalance and len(self.servers) >= 2:
             report = self._load_report()
             new_table = rebalance(self.table, report, self.config.control.step_fraction)
             if new_table.version != self.table.version:
                 self.table = new_table
         if self.outstanding > 0:
-            self._push(ev.time_us + self.config.control.window_us, EVENT_CONTROL_WINDOW,
-                       "controller", None, f"window:v{self.table.version}", 0, "control")
+            self._push(now + self.config.control.window_us, EVENT_CONTROL_WINDOW,
+                       "controller", None, f"window:v{self.table.version}", 0,
+                       self._control_window)
 
     def _load_report(self) -> LoadReport:
-        return LoadReport(
-            executed_count={s.node_id: s.executed_count for s in self.servers.values()},
-            reused_count={s.node_id: s.reused_count for s in self.servers.values()},
-            stored_bytes={s.node_id: (s.store.total_bytes if s.store else 0)
-                          for s in self.servers.values()})
+        return LoadReport({s.node_id: s.executed_count for s in self.servers.values()})
 
     def _sample_window(self, time_us: int) -> None:
         self.window_samples.append({
@@ -434,39 +400,24 @@ class Simulation:
         for task_id, (row, threshold) in enumerate(self.rows):
             journey = _Journey(task_id, row, threshold, row.device_id,
                                self.devices[row.device_id].router_id)
-            self._push(row.time_us, EVENT_TASK_ARRIVAL, row.device_id, task_id,
-                       "", 0, "arrival", journey)
+            self._push(row.time_us, EVENT_TASK_ARRIVAL, row.device_id, journey,
+                       "", 0, self._arrive_device)
         if self.rows and self.config.control.window_us > 0:
             self._push(self.config.control.window_us, EVENT_CONTROL_WINDOW,
-                       "controller", None, "window:v1", 0, "control")
+                       "controller", None, "window:v1", 0, self._control_window)
 
-        handlers = {
-            "arrival": self._handle_arrival,
-            "leave_device": lambda ev: self._leave_device(ev.journey, ev.time_us),
-            "arrive_router": self._handle_arrive_router,
-            "leave_router": lambda ev: self._leave_router(ev.journey, ev.time_us),
-            "arrive_server": self._handle_arrive_server,
-            "server_finalize": self._handle_server_finalize,
-            "respond_at_router": self._handle_respond_at_router,
-            "respond_from_router": self._handle_respond_from_router,
-            "respond_at_device": self._handle_respond_at_device,
-            "complete_local": lambda ev: self._complete(ev.journey, ev.time_us),
-            "control": self._handle_control_window,
-            "audit": lambda ev: None,
-        }
         while self.heap:
-            _, _, ev = heapq.heappop(self.heap)
-            if ev.time_us < self.clock:
+            time_us, _, then, journey = heapq.heappop(self.heap)
+            if time_us < self.clock:
                 raise SimulationError("event queue violated clock monotonicity")
-            self.clock = ev.time_us
-            if self.event_rows is not None:
-                self.event_rows.append((ev.time_us, ev.seq, ev.kind, ev.node_id,
-                                        "" if ev.task_id is None else ev.task_id,
-                                        ev.detail, ev.cost_us))
-            handlers[ev.action](ev)
+            self.clock = time_us
+            then(journey, time_us)
 
         if self.outstanding != 0:
             raise SimulationError(f"{self.outstanding} tasks never completed")
+        if self.event_rows is not None:
+            # Rows were written when scheduled; processing order is (time, seq).
+            self.event_rows.sort()
         self.records.sort(key=lambda r: r.task_id)
         self._sample_window(self.clock)
         return MetricsReport(self.records, self._aggregate(), self.event_rows)

@@ -11,7 +11,6 @@ default, LFU optionally, both pluggable.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from dataclasses import dataclass, field
 
@@ -355,15 +354,3 @@ class ReuseStore:
         live = sum(len(bucket) for table in self._tables for bucket in table.values())
         assert live == len(self._entries) * self.family.tables, "dangling bucket references"
         assert len(self._heap) <= 2 * len(self._entries) + HEAP_SLACK, "eviction heap unbounded"
-
-    def write_snapshot(self, path) -> None:
-        """One CSV row per entry: id, per-table signature bits, size, hits."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["entry_id"]
-                            + [f"bits_{t}" for t in range(self.family.tables)]
-                            + ["size_bytes", "hit_count"])
-            for entry_id in sorted(self._entries):
-                entry = self._entries[entry_id]
-                writer.writerow([entry_id, *self._sig_bits[entry_id],
-                                 entry.size_bytes, entry.hit_count])

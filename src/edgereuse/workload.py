@@ -11,7 +11,7 @@ similarity thresholds.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -303,8 +303,3 @@ def read_trace_csv(path) -> list[TraceRow]:
                 raise ValueError(f"{path}: row {lineno}: {exc}") from None
     return rows
 
-
-def with_threshold(rows: list[TraceRow], threshold: float) -> list[TraceRow]:
-    """The same schedule with every task's threshold replaced."""
-    t = check_threshold(threshold)
-    return [replace(r, threshold=t) for r in rows]

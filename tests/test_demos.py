@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demos_found():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

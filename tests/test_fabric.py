@@ -99,8 +99,7 @@ class TestPartition:
 
 
 def report_for(executed):
-    zeros = {s: 0 for s in executed}
-    return LoadReport(executed, zeros, zeros)
+    return LoadReport(executed)
 
 
 class TestRebalance:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, LshSignature,
-                               feature_hash, forwarding_hash, probe_masks, probe_sequence)
+from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, feature_hash,
+                               forwarding_hash, probe_masks)
 
 
 class TestLshFamily:
@@ -94,16 +94,19 @@ def _vectors_with_zeros(dim):
 
 
 class TestTableSignatureBits:
-    # Huge coordinates overflow some dot products to inf or NaN; both paths
-    # must still agree.
+    # Huge coordinates overflow the norm; both paths must reject those alike.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(k=st.sampled_from([1, 16, 32]), tables=st.integers(1, 6),
            dim=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), data=st.data())
     def test_fused_equals_per_table(self, k, tables, dim, seed, data):
         fam = LshFamily(dim, k=k, tables=tables, seed=seed)
         v = data.draw(_vectors_with_zeros(dim))
+        if not np.isfinite(np.linalg.norm(v)):
+            for sign in (fam.table_signature_bits, fam.signature_bits):
+                with pytest.raises(ValueError, match="norm overflows float64"):
+                    sign(v)
+            return
         assert fam.table_signature_bits(v) == [fam.signature_bits(v, t) for t in range(tables)]
 
     def test_exact_zero_dot_is_bit_zero(self):
@@ -129,6 +132,20 @@ class TestTableSignatureBits:
             fam.table_signature_bits(np.ones(5))
         with pytest.raises(ValueError, match="NaN"):
             fam.table_signature_bits([1.0, float("nan"), 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("sign", [
+    lambda fam, v: fam.signature_bits(v),
+    lambda fam, v: fam.table_signature_bits(v),
+    lambda fam, v: fam.batch_signature_bits(v[None, :]),
+], ids=["signature_bits", "table_signature_bits", "batch_signature_bits"])
+def test_overflowing_norm_rejected(sign):
+    # Every coordinate is finite, but the norm is not; the dot products
+    # would overflow to inf or NaN and NaN would read as a 0 bit.
+    fam = LshFamily(8, k=16, tables=2, seed=3)
+    with pytest.raises(ValueError, match="norm overflows float64"):
+        sign(fam, np.full(8, 1e308))
 
 
 class TestCollisionLaw:
@@ -174,44 +191,6 @@ class TestForwardingHash:
         assert forwarding_hash(fam, v) == fam.signature_bits(v, 0)
 
 
-class TestProbeSequence:
-    def test_radius_zero_is_identity(self):
-        sig = LshSignature(0b1010, 0, 4)
-        assert probe_sequence(sig, 0) == [sig]
-
-    def test_radius_one_order(self):
-        # Distance-1 probes flip one bit each, lowest bit index first.
-        sig = LshSignature(0b0000, 0, 4)
-        probes = probe_sequence(sig, 1)
-        assert [p.bits for p in probes] == [0b0000, 0b0001, 0b0010, 0b0100, 0b1000]
-
-    @pytest.mark.parametrize("k,radius,expected", [
-        (16, 1, 17),
-        (16, 2, 137),
-        (8, 8, 256),
-        (4, 2, 11),
-    ])
-    def test_lengths(self, k, radius, expected):
-        sig = LshSignature(0, 0, k)
-        assert len(probe_sequence(sig, radius)) == expected
-        assert expected == sum(math.comb(k, d) for d in range(radius + 1))
-
-    def test_full_radius_enumerates_space(self):
-        sig = LshSignature(0b101, 0, 3)
-        probes = probe_sequence(sig, 3)
-        assert sorted(p.bits for p in probes) == list(range(8))
-
-    def test_probes_keep_table_and_k(self):
-        sig = LshSignature(9, 2, 5)
-        for p in probe_sequence(sig, 2):
-            assert p.table_index == 2 and p.k == 5
-
-    @pytest.mark.parametrize("radius", [-1, 5])
-    def test_radius_validated(self, radius):
-        with pytest.raises(ValueError, match="radius"):
-            probe_sequence(LshSignature(0, 0, 4), radius)
-
-
 def _reference_probe_bits(bits, k, radius):
     # The multi-probe order spelled out flip by flip.
     out = []
@@ -230,14 +209,30 @@ class TestProbeMasks:
     def test_masks_reproduce_probe_order(self, k, data):
         radius = data.draw(st.integers(0, k if k <= 10 else 2))
         bits = data.draw(st.integers(0, (1 << k) - 1))
-        table = data.draw(st.integers(0, 7))
         masks = probe_masks(k, radius)
         assert len(masks) == sum(math.comb(k, d) for d in range(radius + 1))
         assert len(set(masks)) == len(masks)
-        reference = _reference_probe_bits(bits, k, radius)
-        assert [bits ^ m for m in masks] == reference
-        sig = LshSignature(bits, table, k)
-        assert probe_sequence(sig, radius) == [LshSignature(b, table, k) for b in reference]
+        assert [bits ^ m for m in masks] == _reference_probe_bits(bits, k, radius)
+
+    def test_radius_zero_is_identity(self):
+        assert probe_masks(4, 0) == (0,)
+
+    def test_radius_one_order(self):
+        # Distance-1 probes flip one bit each, lowest bit index first.
+        assert probe_masks(4, 1) == (0b0000, 0b0001, 0b0010, 0b0100, 0b1000)
+
+    def test_full_radius_enumerates_space(self):
+        assert sorted(0b101 ^ m for m in probe_masks(3, 3)) == list(range(8))
+
+    @pytest.mark.parametrize("k,radius,expected", [
+        (16, 1, 17),
+        (16, 2, 137),
+        (8, 8, 256),
+        (4, 2, 11),
+    ])
+    def test_lengths(self, k, radius, expected):
+        assert len(probe_masks(k, radius)) == expected
+        assert expected == sum(math.comb(k, d) for d in range(radius + 1))
 
     def test_computed_once_per_width_and_radius(self):
         assert probe_masks(16, 1) is probe_masks(16, 1)
@@ -248,17 +243,12 @@ class TestProbeMasks:
             probe_masks(k, radius)
 
 
-class TestLshSignature:
-    @pytest.mark.parametrize("kwargs", [
-        dict(bits=-1, table_index=0, k=4),
-        dict(bits=16, table_index=0, k=4),
-        dict(bits=0, table_index=-1, k=4),
-        dict(bits=0, table_index=0, k=0),
-        dict(bits=0, table_index=0, k=33),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            LshSignature(**kwargs)
+class TestProbeSequence:
+    # The probe sequence of a k-bit signature reaches at most k flips.
+    @pytest.mark.parametrize("radius", [-1, 5])
+    def test_radius_validated(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            probe_masks(4, radius)
 
 
 class TestFeatureHash:

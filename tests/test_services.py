@@ -15,7 +15,6 @@ class TestSpecs:
         svc = ServiceSpec("svc", 4, (StageSpec("a", 1, 8, 100),
                                      StageSpec("b", 2, 3, 50)))
         assert svc.total_exec_us == 150
-        assert svc.stage_input_dims() == [4, 8]
         assert svc.output_dim == 3
 
     @pytest.mark.parametrize("kwargs", [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from edgereuse.services import ServiceResult
 from edgereuse.simulator import _agrees
 from edgereuse.simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
                                  sweep_thresholds, write_sweep_csv)
-from edgereuse.workload import (TraceRow, builtin_profiles, generate_trace, with_threshold,
+from edgereuse.workload import (TraceRow, builtin_profiles, generate_trace,
                                 write_trace_csv, write_vectors_csv)
 
 DIM = 64
@@ -351,7 +352,7 @@ class TestControlPlane:
                 builtin_profiles()["cctv-like"], n_clusters=1, repeat_fraction=0.0,
                 tasks=120, services=("voice-command",), devices=("dev0",)),
             31)
-        rows = with_threshold(profile_rows.rows, 1.0)
+        rows = [dataclasses.replace(r, threshold=1.0) for r in profile_rows.rows]
         topo = {
             "devices": [{"id": "dev0", "router": "r0", "delay_us": LINK,
                          "can_hash": True, "store": None}],

@@ -394,27 +394,3 @@ def test_every_hit_similarity_is_a_finite_fraction(keys, query, threshold):
         assert threshold <= out.similarity <= 1.0
     store.audit()
 
-
-class TestSnapshot:
-    def test_snapshot_is_deterministic(self, family, tmp_path, rng):
-        keys = rng.standard_normal((5, 8))
-        paths = []
-        for run in range(2):
-            store = ReuseStore(family, 8, BIG)
-            for row in keys:
-                store.insert(make_entry(row))
-            store.lookup(keys[2], 0.9, now=7)
-            path = tmp_path / f"snap{run}.csv"
-            store.write_snapshot(path)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
-
-    def test_snapshot_layout(self, family, tmp_path):
-        store = ReuseStore(family, 8, BIG)
-        store.insert(make_entry(np.ones(8)))
-        path = tmp_path / "snap.csv"
-        store.write_snapshot(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "entry_id,bits_0,bits_1,size_bytes,hit_count"
-        assert len(lines) == 2
-        assert lines[1].startswith("0,") and lines[1].endswith(",256,0")

@@ -4,7 +4,7 @@ import pytest
 from edgereuse.core import similarity
 from edgereuse.workload import (CalibrationError, TraceRow, WorkloadProfile,
                                 builtin_profiles, generate_trace, read_trace_csv,
-                                read_vectors_csv, with_threshold, write_trace_csv,
+                                read_vectors_csv, write_trace_csv,
                                 write_vectors_csv)
 
 
@@ -159,14 +159,6 @@ class TestCsvRoundTrips:
                         "oops,dev0,svc,1,0.8\n")
         with pytest.raises(ValueError, match="row 3"):
             read_trace_csv(path)
-
-    def test_with_threshold_replaces_all(self):
-        rows = [TraceRow(1, "d", "s", 0, 0.8), TraceRow(2, "d", "s", 1, 0.5)]
-        out = with_threshold(rows, 0.9)
-        assert all(r.threshold == 0.9 for r in out)
-        assert [r.time_us for r in out] == [1, 2]
-        with pytest.raises(ValueError):
-            with_threshold(rows, 1.5)
 
 
 class TestClusterGeometry:
