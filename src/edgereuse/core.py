@@ -40,7 +40,7 @@ def as_feature_vector(values, dim: int | None = None) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"feature vector must be 1-D and non-empty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("feature vector contains NaN or Inf")
     if dim is not None and v.size != dim:
         raise ValueError(f"feature vector has dim {v.size}, expected {dim}")

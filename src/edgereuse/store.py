@@ -7,6 +7,10 @@ multi-probe mask, scores candidates by exact cosine similarity, and accepts
 the best one only if it clears the caller's threshold. Several lookups of
 one query can share one scoring pass (``score``). Eviction is LRU by
 default, LFU optionally, both pluggable.
+
+Every stored key is one row of the store's key matrix, the only copy of it;
+the key's norm and signature bits sit in arrays indexed by the same row, so
+scoring gathers candidate rows by fancy indexing instead of per entry.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ BYTES_PER_ELEMENT = 8
 VECTOR_OVERHEAD_BYTES = 64
 # The eviction heap may hold at most 2 items per live entry plus this many.
 HEAP_SLACK = 64
+# Rows of a store's first key matrix; it doubles from there.
+MIN_KEY_ROWS = 8
 
 
 def vector_bytes(v) -> int:
@@ -35,7 +41,7 @@ class OversizedEntryError(ValueError):
     """The entry can never fit this store; nothing was evicted for it."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ReuseEntry:
     """A stored task: its input vector, per-stage outputs, and final result.
 
@@ -43,6 +49,12 @@ class ReuseEntry:
     globally unique stage id) when the entry comes from an execution; entries
     cached from response traffic only hold the final result and leave it
     empty.
+
+    While the entry is stored, ``key_input`` is a read-only view of its row
+    in the store's key matrix, the key's only copy. On removal the store
+    hands the entry a frozen copy of its own before the row can be reused,
+    so an entry's key never changes value; an array taken from ``key_input``
+    while stored is a view that is valid only until the entry is removed.
     """
 
     key_input: np.ndarray
@@ -149,8 +161,19 @@ class ReuseStore:
         self._masks = probe_masks(family.k, probe_radius)
         self._entries: dict[int, ReuseEntry] = {}
         self._tables: list[dict[int, list[int]]] = [{} for _ in range(family.tables)]
-        self._sig_bits: dict[int, tuple[int, ...]] = {}
-        self._key_norms: dict[int, float] = {}
+        # Row r of _keys, _norms and _bits holds one stored key, its norm and
+        # every table's signature bits; _row_of maps entry id to row. Rows
+        # below _rows_used are live or listed in _free_rows.
+        self._keys = np.empty((0, family.dim))
+        self._norms = np.empty(0)
+        self._bits = np.empty((0, family.tables), dtype=np.int64)
+        self._row_of: dict[int, int] = {}
+        self._free_rows: list[int] = []
+        self._rows_used = 0
+        # No more entries than this can be live: each holds a key and an
+        # output of at least one element.
+        self._max_rows = min(capacity_entries, capacity_bytes // (
+            BYTES_PER_ELEMENT * (family.dim + 1) + 2 * VECTOR_OVERHEAD_BYTES))
         self._heap: list[tuple[tuple, int]] = []
         self._next_id = 0
         self._total_bytes = 0
@@ -213,7 +236,7 @@ class ReuseStore:
         if query is None:
             # ReuseEntry already validated the key, so sign it unchecked.
             norm = input_norm(key)
-            bits = tuple(self.family._table_bits(key))
+            bits = self.family._table_bits(key)
         else:
             norm, bits = query.norm, query.bits
         self.evict(needed_bytes=entry.size_bytes, needed_entries=1)
@@ -221,13 +244,50 @@ class ReuseStore:
         self._next_id += 1
         for t, b in enumerate(bits):
             self._tables[t].setdefault(b, []).append(entry_id)
+        row = self._take_row()
+        self._keys[row] = key
+        self._norms[row] = norm
+        self._bits[row] = bits
+        entry.key_input = self._row_view(row)
+        self._row_of[entry_id] = row
         self._entries[entry_id] = entry
-        self._sig_bits[entry_id] = bits
-        self._key_norms[entry_id] = norm
         self._total_bytes += entry.size_bytes
         self._membership += 1
         self._touch(entry_id, entry)
         return entry_id
+
+    def _take_row(self) -> int:
+        if self._free_rows:
+            return self._free_rows.pop()
+        if self._rows_used == len(self._keys):
+            self._grow()
+        self._rows_used += 1
+        return self._rows_used - 1
+
+    def _grow(self) -> None:
+        # Doubling, then straight to the most rows the capacities allow once
+        # doubling reaches a quarter of that: rows never written take no
+        # resident memory, and the largest copy is of a quarter matrix.
+        # Reserving the maximum up front could ask for terabytes.
+        n = len(self._keys)
+        rows = max(2 * n, MIN_KEY_ROWS)
+        if n < self._max_rows <= 4 * rows:
+            rows = self._max_rows
+        used = self._rows_used
+        keys = np.empty((rows, self.family.dim))
+        keys[:used] = self._keys[:used]
+        norms = np.empty(rows)
+        norms[:used] = self._norms[:used]
+        bits = np.empty((rows, self.family.tables), dtype=np.int64)
+        bits[:used] = self._bits[:used]
+        self._keys, self._norms, self._bits = keys, norms, bits
+        for entry_id, row in self._row_of.items():
+            self._entries[entry_id].key_input = self._row_view(row)
+
+    def _row_view(self, row: int) -> np.ndarray:
+        view = self._keys[row]
+        view.setflags(write=False)
+        return view
 
     def score(self, query) -> CandidateScores:
         """Gather and score the query's candidates once, for several lookups
@@ -245,12 +305,10 @@ class ReuseStore:
         ordered = sorted(ids)
         sims = None
         if ordered:
-            # One flat copy reshaped: the same matrix as np.stack builds, at a
-            # third of its cost, since every key has the family's dim.
-            keys = np.concatenate([self._entries[i].key_input for i in ordered])
-            keys = keys.reshape(len(ordered), self.family.dim)
-            norms = np.array([self._key_norms[i] for i in ordered])
-            sims = (keys @ q.vector) / (norms * q.norm)
+            # The candidates' rows in id order: the same matrix, row for row,
+            # as stacking their keys, so every score rounds as it would there.
+            rows = np.fromiter(map(self._row_of.__getitem__, ordered), np.intp, len(ordered))
+            sims = (self._keys[rows] @ q.vector) / (self._norms[rows] * q.norm)
             sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
             # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
             np.fmax(sims, 0.0, out=sims)
@@ -331,12 +389,18 @@ class ReuseStore:
 
     def _remove(self, entry_id: int) -> None:
         entry = self._entries.pop(entry_id)
-        for t, b in enumerate(self._sig_bits.pop(entry_id)):
+        row = self._row_of.pop(entry_id)
+        if entry.key_input.base is self._keys:
+            # The row is about to be free for reuse: the entry keeps its key.
+            key = entry.key_input.copy()
+            key.setflags(write=False)
+            entry.key_input = key
+        for t, b in enumerate(self._bits[row].tolist()):
             bucket = self._tables[t][b]
             bucket.remove(entry_id)
             if not bucket:
                 del self._tables[t][b]
-        del self._key_norms[entry_id]
+        self._free_rows.append(row)
         self._total_bytes -= entry.size_bytes
         self._membership += 1
 
@@ -345,9 +409,20 @@ class ReuseStore:
         assert len(self._entries) <= self.capacity_entries, "entry capacity exceeded"
         assert self._total_bytes <= self.capacity_bytes, "byte capacity exceeded"
         assert self._total_bytes == sum(e.size_bytes for e in self._entries.values())
-        for entry_id in self._entries:
-            bits = self._sig_bits[entry_id]
-            assert len(bits) == self.family.tables
+        assert self._row_of.keys() == self._entries.keys(), "entries and rows disagree"
+        rows = list(self._row_of.values())
+        assert sorted(rows + self._free_rows) == list(range(self._rows_used)), \
+            "live and free rows must be distinct and cover the rows in use"
+        assert self._rows_used <= len(self._keys) == len(self._norms) == len(self._bits)
+        for entry_id, entry in self._entries.items():
+            row = self._row_of[entry_id]
+            key = entry.key_input
+            assert not key.flags.writeable, f"entry {entry_id} key is writable"
+            assert key.tobytes() == self._keys[row].tobytes(), \
+                f"entry {entry_id} key differs from its row {row}"
+            assert self._norms[row] == input_norm(key), f"row {row} norm is stale"
+            bits = self._bits[row].tolist()
+            assert bits == self.family._table_bits(key), f"row {row} bits are stale"
             for t, b in enumerate(bits):
                 assert self._tables[t].get(b, []).count(entry_id) == 1, \
                     f"entry {entry_id} not indexed exactly once in table {t}"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgereuse.core import similarity
+from edgereuse.core import SELF_SIMILARITY_SNAP, similarity
 from edgereuse.hashing import LshFamily
 from edgereuse.store import (HEAP_SLACK, LfuPolicy, LruPolicy, OversizedEntryError,
                              ReuseEntry, ReuseStore, vector_bytes)
@@ -394,3 +395,120 @@ def test_every_hit_similarity_is_a_finite_fraction(keys, query, threshold):
         assert threshold <= out.similarity <= 1.0
     store.audit()
 
+
+class TestKeyMatrix:
+    """Stored keys are rows of one matrix per store, each key's only copy."""
+
+    def test_stored_key_is_a_read_only_view_of_its_row(self, store, rng):
+        key = rng.standard_normal(8)
+        entry = make_entry(key)
+        store.insert(entry)
+        assert not entry.key_input.flags.writeable
+        assert np.array_equal(entry.key_input, key)
+        assert np.shares_memory(entry.key_input, store._keys)
+
+    def test_growth_moves_live_keys_onto_the_new_matrix(self, family, rng):
+        store = ReuseStore(family, 1000, BIG)
+        entries = [make_entry(rng.standard_normal(8)) for _ in range(40)]
+        keys = [e.key_input.copy() for e in entries]
+        sizes = set()
+        for e in entries:
+            store.insert(e)
+            sizes.add(len(store._keys))
+        assert len(sizes) >= 3
+        for e, key in zip(entries, keys):
+            assert np.array_equal(e.key_input, key)
+            assert np.shares_memory(e.key_input, store._keys)
+        store.audit()
+
+    def test_removed_entry_keeps_its_key(self, family, rng):
+        store = ReuseStore(family, 2, BIG)
+        first = make_entry(rng.standard_normal(8), insert_time=0)
+        key = first.key_input.copy()
+        store.insert(first)
+        store.insert(make_entry(rng.standard_normal(8), insert_time=1))
+        assert store.evict(needed_entries=1) == [0]
+        assert np.array_equal(first.key_input, key)
+        assert not first.key_input.flags.writeable
+        assert not np.shares_memory(first.key_input, store._keys)
+        # The next insert takes the freed row and overwrites it.
+        store.insert(make_entry(rng.standard_normal(8), insert_time=2))
+        assert len(store._free_rows) == 0 and store._rows_used == 2
+        assert np.array_equal(first.key_input, key)
+        assert not np.shares_memory(first.key_input, store._keys)
+        store.audit()
+
+    def test_huge_capacity_reserves_nothing_up_front(self, rng):
+        family = LshFamily(64, k=16, tables=4, seed=3)
+        keys = rng.standard_normal((5, 64))
+        tracemalloc.start()
+        try:
+            store = ReuseStore(family, 10 ** 9, 10 ** 12)
+            for key in keys:
+                store.insert(make_entry(key))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 5
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fault", ["key", "norm", "bits", "row-shared", "row-free",
+                                       "row-leaked"])
+    def test_audit_catches_row_faults(self, store, rng, fault):
+        for _ in range(3):
+            store.insert(make_entry(rng.standard_normal(8)))
+        assert store.evict(needed_entries=store.capacity_entries - 2) == [0]
+        store.audit()
+        row = store._row_of[1]
+        if fault == "key":
+            store._keys[row, 0] += 1.0
+        elif fault == "norm":
+            store._norms[row] *= 2.0
+        elif fault == "bits":
+            store._bits[row, 0] ^= 1
+        elif fault == "row-shared":
+            store._row_of[2] = row
+        elif fault == "row-free":
+            store._free_rows.append(row)
+        else:
+            store._free_rows.pop()
+        with pytest.raises(AssertionError):
+            store.audit()
+
+
+_POOL_8 = np.random.default_rng(5).standard_normal((6, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=st.lists(st.tuples(st.integers(0, len(_POOL_8) - 1), st.integers(0, len(_POOL_8) - 1),
+                              st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2)),
+                    min_size=60, max_size=90),
+       radius=st.sampled_from([1, 6]))
+def test_scores_bit_identical_to_stacked_keys(ops, radius):
+    # Scoring gathers rows of the key matrix; the scores must equal, bit for
+    # bit, those of the entries' keys stacked in id order, through inserts,
+    # evictions and growth of the matrix from 8 to 16 to all 70 rows.
+    family = LshFamily(8, k=6, tables=2, seed=13)
+    store = ReuseStore(family, 70, BIG, probe_radius=radius)
+    sizes = set()
+    for step, (i, j, mix, evictions) in enumerate(ops):
+        store.insert(make_entry(_POOL_8[i] + mix * _POOL_8[j] + 0.01 * step, insert_time=step))
+        # Evicting only while the store holds a third of the steps so far
+        # keeps it growing.
+        if len(store) > step // 3:
+            store.evict(needed_entries=store.capacity_entries - len(store) + evictions)
+        sizes.add(len(store._keys))
+        q = family.prepare(_POOL_8[j] + mix * _POOL_8[i])
+        scores = store.score(q)
+        if not scores.ids:
+            assert scores.sims is None
+            continue
+        keys = np.concatenate([store.get(e).key_input for e in scores.ids])
+        keys = keys.reshape(len(scores.ids), family.dim)
+        norms = np.array([np.linalg.norm(store.get(e).key_input) for e in scores.ids])
+        expected = (keys @ q.vector) / (norms * q.norm)
+        expected[expected > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
+        np.fmax(expected, 0.0, out=expected)
+        assert scores.sims.tobytes() == expected.tobytes()
+    store.audit()
+    assert sizes == {8, 16, 70}
