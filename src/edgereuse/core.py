@@ -65,7 +65,9 @@ class TaskEnvelope:
     the device cannot hash) and is never recomputed downstream. ``query``,
     when set, is the input's PreparedQuery: every node reuses its norm and
     signatures, and its table-0 bits are the forwarding hash. An envelope
-    whose input is the query's own vector skips re-validating it.
+    whose input is the query's own vector skips re-validating it, and a hop
+    that attaches the forwarding hash copies the envelope without checking
+    its fields again.
     """
 
     task_id: int
@@ -84,8 +86,21 @@ class TaskEnvelope:
             if q is not None and q.vector.tobytes() != self.input.tobytes():
                 raise ValueError("query was prepared from another vector than the task input")
         object.__setattr__(self, "threshold", check_threshold(self.threshold))
-        if self.forwarding_hash is not None and not 0 <= self.forwarding_hash <= 0xFFFF:
-            raise ValueError(f"forwarding hash out of range: {self.forwarding_hash}")
+        if self.forwarding_hash is not None:
+            _check_forwarding_hash(self.forwarding_hash)
+
+    def _with_forwarding_hash(self, h: int) -> TaskEnvelope:
+        # A copy with the hash attached. Every other field was checked when
+        # this envelope was made, so the copy skips __post_init__.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, forwarding_hash=_check_forwarding_hash(h))
+        return twin
+
+
+def _check_forwarding_hash(h: int) -> int:
+    if not 0 <= h <= 0xFFFF:
+        raise ValueError(f"forwarding hash out of range: {h}")
+    return h
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ReuseLayer, TaskEnvelope
 from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
-from .services import ServiceSpec, execute_stage, label_of
+from .services import ServiceSpec, _label, execute_stage
 from .store import CandidateScores, ReuseEntry, ReuseStore
 
 HASH_MAX = FORWARDING_SPACE - 1
@@ -309,7 +309,7 @@ def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
             return NodeOutcome(tuple(steps), task, payload)
     envelope = task
     if dev.can_hash and task.forwarding_hash is None:
-        envelope = replace(task, forwarding_hash=_forwarding_hash(family, task))
+        envelope = task._with_forwarding_hash(_forwarding_hash(family, task))
         steps.append(CostedStep("hash", "hash", dev.hash_time_us))
     return NodeOutcome(tuple(steps), envelope)
 
@@ -322,7 +322,7 @@ def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
     elapsed = 0
     envelope = task
     if envelope.forwarding_hash is None:
-        envelope = replace(task, forwarding_hash=_forwarding_hash(family, task))
+        envelope = task._with_forwarding_hash(_forwarding_hash(family, task))
         steps.append(CostedStep("hash", "hash", router.hash_time_us))
         elapsed += router.hash_time_us
     if router.store_enabled:
@@ -390,10 +390,12 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
             busy += stage.exec_time_us
         stage_outputs[stage.stage_id] = current
 
-    label = label_of(svc, current)
+    label = _label(svc, current)
     layer = ReuseLayer.NONE if reused == 0 else ReuseLayer.PARTIAL_SERVER
     payload = ResultPayload(current, label, layer)
     entry = None
     if executed > 0 and server.store_enabled:
-        entry = ReuseEntry(task.input, task.service_id, stage_outputs, current, label)
+        # Every array here is frozen already: the task's checked input, and
+        # stage outputs made by execute_stage or taken from stored entries.
+        entry = ReuseEntry._of_frozen(task.input, task.service_id, stage_outputs, current, label)
     return NodeOutcome(tuple(steps), task, payload, None, entry, executed, reused, busy)

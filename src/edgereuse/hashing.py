@@ -100,7 +100,11 @@ class LshFamily:
         Rejects the inputs a store cannot score: wrong dim, NaN or Inf, an
         all-zero vector, and a norm that overflows float64.
         """
-        v = as_feature_vector(v, self.dim)
+        return self._prepare_valid(as_feature_vector(v, self.dim))
+
+    def _prepare_valid(self, v: np.ndarray) -> PreparedQuery:
+        # For callers that already hold a read-only, finite float64 vector of
+        # length dim (a checked bundle row): the query keeps v itself, no copy.
         return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
 
     def _table_bits(self, v: np.ndarray) -> list[int]:

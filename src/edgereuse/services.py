@@ -108,7 +108,12 @@ def label_of(svc: ServiceSpec, output) -> int:
     """Derived classification of a final output: argmax over the service's
     seeded class projections, with zero biases. Ties resolve to the smallest
     class index, so the zero vector always labels as class 0."""
-    v = as_feature_vector(output, svc.output_dim)
+    return _label(svc, as_feature_vector(output, svc.output_dim))
+
+
+def _label(svc: ServiceSpec, v: np.ndarray) -> int:
+    # label_of without the check, for a final output the pipeline itself
+    # produced: a frozen float64 vector of the last stage's out_dim.
     scores = _class_projections(svc.service_id, svc.label_classes, svc.output_dim) @ v
     return int(np.argmax(scores))
 

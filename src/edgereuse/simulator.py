@@ -23,7 +23,7 @@ from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
-from .hashing import LshFamily
+from .hashing import LshFamily, PreparedQuery
 from .services import ServiceSpec, oracle
 from .store import ReuseEntry, ReuseStore
 from .workload import TraceRow, read_trace_csv, read_vectors_csv
@@ -155,6 +155,8 @@ class Simulation:
         self.outstanding = 0
         self.window_samples: list[dict] = []
         self._oracle_cache: dict[tuple[str, int], object] = {}
+        # One PreparedQuery per distinct vector id, made on its first arrival.
+        self._queries: dict[int, PreparedQuery] = {}
 
     def _build_store(self, store_cfg) -> ReuseStore | None:
         if store_cfg is None:
@@ -203,6 +205,8 @@ class Simulation:
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise SimulationError(f"{cfg.vectors_path}: vector {int(zero[0])} is all-zero")
+        # Checked: from here on every row is trusted as it is, and read-only.
+        self.vectors.setflags(write=False)
         self.rows = []
         for i, row in enumerate(rows):
             lineno = i + 2
@@ -270,17 +274,21 @@ class Simulation:
         """A node caches a result that it forwards but did not serve."""
         if node.store_enabled and journey.served_by != node.node_id:
             p = journey.outcome.payload
-            entry = ReuseEntry(journey.envelope.input, journey.envelope.service_id, {},
-                               p.output, p.label)
-            entry.insert_time = entry.last_access = now
-            node.store.insert(entry, journey.envelope.query)
+            envelope = journey.envelope
+            entry = ReuseEntry._of_frozen(envelope.input, envelope.service_id, {},
+                                          p.output, p.label, now)
+            node.store.insert(entry, envelope.query)
 
     # -- a task's way: device, router, server and back -----------------------
 
     def _arrive_device(self, journey, now: int) -> None:
         row = journey.row
-        # Fingerprinted once, here; the query travels with the task.
-        query = self.family.prepare(self.vectors[row.vector_id])
+        # Fingerprinted on the input's first arrival; the query travels with
+        # the task, and later tasks with the same input share it.
+        query = self._queries.get(row.vector_id)
+        if query is None:
+            query = self._queries[row.vector_id] = self.family._prepare_valid(
+                self.vectors[row.vector_id])
         envelope = TaskEnvelope(journey.task_id, row.device_id, row.service_id,
                                 query.vector, journey.threshold,
                                 created_at=row.time_us, query=query)

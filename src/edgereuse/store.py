@@ -71,12 +71,33 @@ class ReuseEntry:
         self.key_input = as_feature_vector(self.key_input)
         self.stage_outputs = {sid: as_feature_vector(v) for sid, v in self.stage_outputs.items()}
         self.output = as_feature_vector(self.output)
+        self.size_bytes = self._size()
+        if self.last_access < self.insert_time:
+            self.last_access = self.insert_time
+
+    def _size(self) -> int:
         size = vector_bytes(self.key_input) + vector_bytes(self.output)
         for v in self.stage_outputs.values():
             size += vector_bytes(v)
-        self.size_bytes = size
-        if self.last_access < self.insert_time:
-            self.last_access = self.insert_time
+        return size
+
+    @classmethod
+    def _of_frozen(cls, key_input: np.ndarray, service_id: str,
+                   stage_outputs: dict[str, np.ndarray], output: np.ndarray, label: int,
+                   now: int = 0) -> ReuseEntry:
+        """An entry from arrays the library already validated and froze (a
+        task's input, stage outputs, a payload's output), inserted at ``now``:
+        kept as they are, without the checks and copies of __post_init__."""
+        entry = object.__new__(cls)
+        entry.key_input = key_input
+        entry.service_id = service_id
+        entry.stage_outputs = stage_outputs
+        entry.output = output
+        entry.label = label
+        entry.insert_time = entry.last_access = now
+        entry.hit_count = 0
+        entry.size_bytes = entry._size()
+        return entry
 
 
 @dataclass(frozen=True)
