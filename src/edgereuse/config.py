@@ -3,20 +3,27 @@
 One experiment file references the topology, service catalog, trace, and
 vector files by relative path, so a directory is a complete reproducible
 experiment. Validation errors name the offending field path.
+
+Each JSON field is declared once, on the config dataclass that holds it:
+its key, its type, its default (none means required) and its inclusive
+bounds. The stage and service specs of services.py check their own values,
+so a table here adds only their keys and types. ``_value`` applies every
+per-field rule; the checks that relate several fields stay as code beside
+the parser that needs them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import check_threshold
 from .hashing import FORWARDING_BITS
 from .services import ServiceSpec, StageSpec
-from .store import vector_bytes
+from .store import BYTES_PER_ELEMENT, VECTOR_OVERHEAD_BYTES
 
 
 class ConfigError(Exception):
@@ -24,180 +31,198 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class _Json:
+    """How one field is read from JSON.
+
+    ``kind`` is int, float, bool, str, dict (a raw JSON object) or a
+    dataclass read from a JSON object. With ``each`` set to list or dict the
+    field holds a non-empty JSON list (read to a tuple) or a JSON object
+    (read to a dict) of such values. ``lo`` and ``hi`` bound each number
+    inclusively; a float field needs both, since they are what reject NaN
+    and infinities.
+    """
+
+    kind: type
+    key: str | None = None
+    lo: float | None = None
+    hi: float | None = None
+    among: tuple[str, ...] = ()
+    each: type | None = None
+
+
+def _json(kind, default=MISSING, *, factory=MISSING, **spec):
+    """A dataclass field read from JSON. With no default it is required; a
+    default of None means that an absent or null value inherits."""
+    return field(default=default, default_factory=factory,
+                 metadata={"json": _Json(kind, **spec)})
+
+
+@dataclass(frozen=True)
 class StoreConfig:
-    capacity_entries: int
-    capacity_bytes: int
-    policy: str = "lru"
-    probe_radius: int | None = None
+    capacity_entries: int = _json(int, lo=0)
+    capacity_bytes: int = _json(int, lo=0)
+    policy: str = _json(str, "lru", among=("lru", "lfu"))
+    # load_experiment pins lsh.k to FORWARDING_BITS, so that bounds the radius.
+    probe_radius: int | None = _json(int, None, lo=0, hi=FORWARDING_BITS)
 
 
 @dataclass(frozen=True)
 class DeviceConfig:
-    node_id: str
-    router: str
-    delay_us: int
-    can_hash: bool = True
-    hash_time_us: int | None = None
-    store: StoreConfig | None = None
+    node_id: str = _json(str, key="id")
+    router: str = _json(str)
+    delay_us: int = _json(int, lo=1)
+    can_hash: bool = _json(bool, True)
+    hash_time_us: int | None = _json(int, None, lo=0)
+    store: StoreConfig | None = _json(StoreConfig, None)
 
 
 @dataclass(frozen=True)
 class RouterConfig:
-    node_id: str
-    server_delays: dict[str, int]
-    hash_time_us: int | None = None
-    store: StoreConfig | None = None
+    node_id: str = _json(str, key="id")
+    server_delays: dict[str, int] = _json(int, key="servers", each=dict, lo=1)
+    hash_time_us: int | None = _json(int, None, lo=0)
+    store: StoreConfig | None = _json(StoreConfig, None)
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    node_id: str
-    store: StoreConfig | None = None
+    node_id: str = _json(str, key="id")
+    store: StoreConfig | None = _json(StoreConfig, None)
 
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    devices: tuple[DeviceConfig, ...]
-    routers: tuple[RouterConfig, ...]
-    servers: tuple[ServerConfig, ...]
+    devices: tuple[DeviceConfig, ...] = _json(DeviceConfig, each=list)
+    routers: tuple[RouterConfig, ...] = _json(RouterConfig, each=list)
+    servers: tuple[ServerConfig, ...] = _json(ServerConfig, each=list)
 
 
 @dataclass(frozen=True)
 class LshConfig:
-    k: int = FORWARDING_BITS
-    tables: int = 4
-    probe_radius: int = 1
+    k: int = _json(int, FORWARDING_BITS)
+    tables: int = _json(int, 4, lo=1)
+    probe_radius: int = _json(int, 1, lo=0, hi=FORWARDING_BITS)
 
 
 @dataclass(frozen=True)
 class CostConfig:
-    hash_time_us: int = 1800
-    lookup_time_us: int = 1000
+    hash_time_us: int = _json(int, 1800, lo=0)
+    lookup_time_us: int = _json(int, 1000, lo=0)
 
 
 @dataclass(frozen=True)
 class ControlConfig:
-    window_us: int = 1_000_000
-    rebalance: bool = False
-    step_fraction: float = 0.25
+    window_us: int = _json(int, 1_000_000, lo=0)
+    rebalance: bool = _json(bool, False)
+    # (0, 0.5]: the smallest positive float is the inclusive form of "> 0".
+    step_fraction: float = _json(float, 0.25, lo=math.ulp(0.0), hi=0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    seed: int
-    dim: int
-    lsh: LshConfig
-    cost: CostConfig
-    control: ControlConfig
+    seed: int = _json(int, lo=0, hi=(1 << 64) - 1)
+    dim: int = _json(int, lo=1)
+    lsh: LshConfig = _json(LshConfig, factory=LshConfig)
+    cost: CostConfig = _json(CostConfig, factory=CostConfig)
+    control: ControlConfig = _json(ControlConfig, factory=ControlConfig)
+    # Read from the files that the experiment names.
     topology: TopologyConfig
     services: tuple[ServiceSpec, ...]
     trace_path: Path
     vectors_path: Path
-    thresholds: dict[str, float] = field(default_factory=dict)
+    thresholds: dict[str, float] = _json(float, factory=dict, each=dict, lo=0.0, hi=1.0)
 
     def service_map(self) -> dict[str, ServiceSpec]:
         return {s.service_id: s for s in self.services}
 
 
-_SENTINEL = object()
+# A stage or a service checks its own values (services.py); the bundle
+# declares only their JSON keys and types.
+_SPEC_FIELDS = {
+    StageSpec: {"stage_id": _Json(str), "transform_seed": _Json(int),
+                "out_dim": _Json(int), "exec_time_us": _Json(int)},
+    ServiceSpec: {"service_id": _Json(str, key="id"), "stages": _Json(StageSpec, each=list),
+                  "label_classes": _Json(int)},
+}
 
 
-def _expect(obj, key, kind, where, default=_SENTINEL):
+def _value(obj: dict, key, spec: _Json, where: str, default=MISSING):
+    """``obj[key]`` held to its declaration ``spec``; every per-field rule
+    of the bundle schema is applied here. ``default`` is MISSING for a
+    required field, and a default of None lets null inherit."""
+    path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
     if key not in obj:
-        if default is not _SENTINEL:
-            return default
-        raise ConfigError(f"{where}.{key}: missing required field")
-    value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _optional_int(obj, key, where) -> int | None:
-    """An int field that may be absent or null (meaning: inherit)."""
-    if obj.get(key) is None:
+        if default is MISSING:
+            raise ConfigError(f"{path}: missing required field")
+        return default
+    v = obj[key]
+    if v is None and default is None:
         return None
-    return _expect(obj, key, int, where)
+    if spec.each is not None:
+        if not isinstance(v, spec.each):
+            want = "list" if spec.each is list else "object"
+            raise ConfigError(f"{path}: expected {want}, got {type(v).__name__}")
+        if spec.each is list and not v:
+            raise ConfigError(f"{path}: must not be empty")
+        item = _Json(spec.kind, lo=spec.lo, hi=spec.hi, among=spec.among)
+        items = dict(enumerate(v)) if spec.each is list else v
+        read = {k: _value(items, k, item, path) for k in items}
+        return tuple(read.values()) if spec.each is list else read
+    if spec.kind not in (int, float, bool, str, dict):
+        return _make(spec.kind, v, path)
+    accepted = (int, float) if spec.kind is float else spec.kind
+    # A bool is never a number, and an int is accepted where a float is expected.
+    if isinstance(v, bool) != (spec.kind is bool) or not isinstance(v, accepted):
+        raise ConfigError(f"{path}: expected {spec.kind.__name__}, got {type(v).__name__}")
+    # Written as lo <= v <= hi, so a NaN fails it.
+    if (spec.lo is not None and not spec.lo <= v) or (spec.hi is not None and not v <= spec.hi):
+        bounds = f">= {spec.lo}" if spec.hi is None else f"in [{spec.lo}, {spec.hi}]"
+        raise ConfigError(f"{path}: must be {bounds}")
+    if spec.among and v not in spec.among:
+        raise ConfigError(f"{path}: unknown {key} {v!r}, expected one of {', '.join(spec.among)}")
+    return float(v) if spec.kind is float else v
+
+
+def _read(cls, obj, where: str, given: dict | None = None) -> dict:
+    """The declared fields of ``cls``, read from the JSON object ``obj``; a
+    field named in ``given`` takes its default from there."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected object, got {type(obj).__name__}")
+    given = given or {}
+    out = {}
+    for f in fields(cls):
+        spec = f.metadata.get("json") or _SPEC_FIELDS.get(cls, {}).get(f.name)
+        if spec is not None:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            out[f.name] = _value(obj, spec.key or f.name, spec, where, given.get(f.name, default))
+    return out
+
+
+def _make(cls, obj, where: str, **given):
+    """A ``cls`` read from the JSON object ``obj``. ``given`` supplies the
+    fields that JSON does not hold, and defaults for those it may omit."""
+    kwargs = {**given, **_read(cls, obj, where, given)}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _load_json(path: Path, what: str) -> dict:
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"{what}: file not found: {path}")
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, or an int past the digit limit
         raise ConfigError(f"{what}: {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{what}: {path}: top level must be an object")
     return data
 
 
-def _parse_store(obj, where) -> StoreConfig | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: store must be an object or null")
-    cfg = StoreConfig(
-        capacity_entries=_expect(obj, "capacity_entries", int, where),
-        capacity_bytes=_expect(obj, "capacity_bytes", int, where),
-        policy=_expect(obj, "policy", str, where, default="lru"),
-        probe_radius=_optional_int(obj, "probe_radius", where),
-    )
-    if cfg.capacity_entries < 0 or cfg.capacity_bytes < 0:
-        raise ConfigError(f"{where}: capacities must be non-negative")
-    if cfg.policy not in ("lru", "lfu"):
-        raise ConfigError(f"{where}.policy: unknown policy {cfg.policy!r}")
-    # load_experiment pins lsh.k to FORWARDING_BITS, so that bounds the radius.
-    if cfg.probe_radius is not None and not 0 <= cfg.probe_radius <= FORWARDING_BITS:
-        raise ConfigError(f"{where}.probe_radius: must be in [0, {FORWARDING_BITS}]")
-    return cfg
-
-
 def parse_topology(data: dict, where: str = "topology") -> TopologyConfig:
-    devices = []
-    for i, d in enumerate(_expect(data, "devices", list, where)):
-        w = f"{where}.devices[{i}]"
-        if not isinstance(d, dict):
-            raise ConfigError(f"{w}: must be an object")
-        devices.append(DeviceConfig(
-            node_id=_expect(d, "id", str, w),
-            router=_expect(d, "router", str, w),
-            delay_us=_expect(d, "delay_us", int, w),
-            can_hash=_expect(d, "can_hash", bool, w, default=True),
-            hash_time_us=_optional_int(d, "hash_time_us", w),
-            store=_parse_store(d.get("store"), f"{w}.store"),
-        ))
-    routers = []
-    for i, r in enumerate(_expect(data, "routers", list, where)):
-        w = f"{where}.routers[{i}]"
-        if not isinstance(r, dict):
-            raise ConfigError(f"{w}: must be an object")
-        delays = _expect(r, "servers", dict, w)
-        for sid, delay in delays.items():
-            if not isinstance(delay, int) or isinstance(delay, bool) or delay <= 0:
-                raise ConfigError(f"{w}.servers.{sid}: delay must be a positive integer")
-        routers.append(RouterConfig(
-            node_id=_expect(r, "id", str, w),
-            server_delays=dict(delays),
-            hash_time_us=_optional_int(r, "hash_time_us", w),
-            store=_parse_store(r.get("store"), f"{w}.store"),
-        ))
-    servers = []
-    for i, s in enumerate(_expect(data, "servers", list, where)):
-        w = f"{where}.servers[{i}]"
-        if not isinstance(s, dict):
-            raise ConfigError(f"{w}: must be an object")
-        servers.append(ServerConfig(
-            node_id=_expect(s, "id", str, w),
-            store=_parse_store(s.get("store"), f"{w}.store"),
-        ))
-
-    topo = TopologyConfig(tuple(devices), tuple(routers), tuple(servers))
+    topo = _make(TopologyConfig, data, where)
     _validate_topology(topo, where)
     return topo
 
@@ -209,21 +234,11 @@ def _validate_topology(topo: TopologyConfig, where: str) -> None:
             if node.node_id in ids:
                 raise ConfigError(f"{where}: duplicate node id {node.node_id!r}")
             ids.add(node.node_id)
-    if not topo.devices:
-        raise ConfigError(f"{where}.devices: at least one device required")
-    if not topo.routers:
-        raise ConfigError(f"{where}.routers: at least one router required")
-    if not topo.servers:
-        raise ConfigError(f"{where}.servers: at least one server required")
     router_ids = {r.node_id for r in topo.routers}
     server_ids = {s.node_id for s in topo.servers}
     for i, d in enumerate(topo.devices):
         if d.router not in router_ids:
             raise ConfigError(f"{where}.devices[{i}].router: unknown router {d.router!r}")
-        if d.delay_us <= 0:
-            raise ConfigError(f"{where}.devices[{i}].delay_us: must be > 0")
-        if d.hash_time_us is not None and d.hash_time_us < 0:
-            raise ConfigError(f"{where}.devices[{i}].hash_time_us: must be >= 0")
         if d.store is not None and d.store.capacity_entries > 0 and not d.can_hash:
             raise ConfigError(
                 f"{where}.devices[{i}]: a device cache needs can_hash=true")
@@ -231,70 +246,34 @@ def _validate_topology(topo: TopologyConfig, where: str) -> None:
         for sid in r.server_delays:
             if sid not in server_ids:
                 raise ConfigError(f"{where}.routers[{i}].servers: unknown server {sid!r}")
-        if r.hash_time_us is not None and r.hash_time_us < 0:
-            raise ConfigError(f"{where}.routers[{i}].hash_time_us: must be >= 0")
         if set(r.server_delays) != server_ids:
             missing = sorted(server_ids - set(r.server_delays))
             raise ConfigError(f"{where}.routers[{i}].servers: missing links to {missing}")
 
 
 def parse_services(data: dict, dim: int, where: str = "services") -> tuple[ServiceSpec, ...]:
-    default_classes = _expect(data, "label_classes", int, where, default=10)
-    specs = []
-    stage_specs: dict[str, tuple] = {}
-    stage_in_dims: dict[str, int] = {}
-    for i, svc in enumerate(_expect(data, "services", list, where)):
-        w = f"{where}.services[{i}]"
-        if not isinstance(svc, dict):
-            raise ConfigError(f"{w}: must be an object")
-        stages = []
-        in_dim = dim
-        for j, st in enumerate(_expect(svc, "stages", list, w)):
-            ws = f"{w}.stages[{j}]"
-            if not isinstance(st, dict):
-                raise ConfigError(f"{ws}: must be an object")
-            try:
-                stage = StageSpec(
-                    stage_id=_expect(st, "stage_id", str, ws),
-                    transform_seed=_expect(st, "transform_seed", int, ws),
-                    out_dim=_expect(st, "out_dim", int, ws),
-                    exec_time_us=_expect(st, "exec_time_us", int, ws),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{ws}: {exc}") from None
-            key = (stage.transform_seed, stage.out_dim, stage.exec_time_us)
-            if stage.stage_id in stage_specs:
-                # Shared stage ids must denote the same computation, which
-                # includes receiving the same input width.
-                if stage_specs[stage.stage_id] != key:
-                    raise ConfigError(
-                        f"{ws}: stage {stage.stage_id!r} redefined with a different spec")
-                if stage_in_dims[stage.stage_id] != in_dim:
-                    raise ConfigError(
-                        f"{ws}: stage {stage.stage_id!r} used at a different input width")
-            else:
-                stage_specs[stage.stage_id] = key
-                stage_in_dims[stage.stage_id] = in_dim
-            stages.append(stage)
-            in_dim = stage.out_dim
-        try:
-            spec = ServiceSpec(
-                service_id=_expect(svc, "id", str, w),
-                input_dim=dim,
-                stages=tuple(stages),
-                label_classes=_expect(svc, "label_classes", int, w, default=default_classes),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{w}: {exc}") from None
-        specs.append(spec)
-    if not specs:
-        raise ConfigError(f"{where}.services: at least one service required")
+    # The catalog's label_classes, when given, is every service's default.
+    classes = _value(data, "label_classes", _Json(int), where, default=None)
+    given = {"input_dim": dim} if classes is None else {"input_dim": dim, "label_classes": classes}
+    items = _value(data, "services", _Json(dict, each=list), where)
+    specs = tuple(_make(ServiceSpec, svc, f"{where}.services[{i}]", **given)
+                  for i, svc in enumerate(items))
     seen = set()
-    for spec in specs:
+    shared: dict[str, tuple] = {}
+    for i, spec in enumerate(specs):
         if spec.service_id in seen:
             raise ConfigError(f"{where}: duplicate service id {spec.service_id!r}")
         seen.add(spec.service_id)
-    return tuple(specs)
+        in_dim = dim
+        for j, stage in enumerate(spec.stages):
+            # Shared stage ids must denote the same computation, which
+            # includes receiving the same input width.
+            if shared.setdefault(stage.stage_id, (stage, in_dim)) != (stage, in_dim):
+                raise ConfigError(
+                    f"{where}.services[{i}].stages[{j}]: stage {stage.stage_id!r} redefined "
+                    "with a different spec or input width")
+            in_dim = stage.out_dim
+    return specs
 
 
 def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "topology") -> None:
@@ -303,8 +282,8 @@ def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "to
     Devices and routers cache responses (the key and the final output);
     servers cache executions, which also carry every stage's output.
     """
-    def size(n):  # vector_bytes reads only the length
-        return vector_bytes(range(n))
+    def size(n):  # vector_bytes by length; len() cannot take a JSON-sized width
+        return BYTES_PER_ELEMENT * n + VECTOR_OVERHEAD_BYTES
 
     response = server = 0
     for svc in services:
@@ -327,75 +306,27 @@ def load_experiment(path) -> ExperimentConfig:
     """Load and validate an experiment file and everything it references."""
     path = Path(path)
     data = _load_json(path, "experiment")
-    base = path.parent
     where = "experiment"
-
-    seed = _expect(data, "seed", int, where)
-    if not 0 <= seed < (1 << 64):
-        raise ConfigError(f"{where}.seed: must be a 64-bit non-negative integer")
-    dim = _expect(data, "dim", int, where)
-    if dim < 1:
-        raise ConfigError(f"{where}.dim: must be >= 1")
-
-    lsh_obj = _expect(data, "lsh", dict, where, default={})
-    lsh = LshConfig(
-        k=_expect(lsh_obj, "k", int, f"{where}.lsh", default=FORWARDING_BITS),
-        tables=_expect(lsh_obj, "tables", int, f"{where}.lsh", default=4),
-        probe_radius=_expect(lsh_obj, "probe_radius", int, f"{where}.lsh", default=1),
-    )
-    if lsh.k != FORWARDING_BITS:
+    # The files that the experiment names, relative to its own directory.
+    files = {name: path.parent / _value(data, name, _Json(str), where)
+             for name in ("topology", "services", "trace", "vectors")}
+    for name in ("trace", "vectors"):
+        if not files[name].is_file():
+            raise ConfigError(f"{where}.{name}: file not found: {files[name]}")
+    own = _read(ExperimentConfig, data, where)
+    cfg = ExperimentConfig(
+        **own, topology=parse_topology(_load_json(files["topology"], "topology")),
+        services=parse_services(_load_json(files["services"], "services"), own["dim"]),
+        trace_path=files["trace"], vectors_path=files["vectors"])
+    if cfg.lsh.k != FORWARDING_BITS:
         raise ConfigError(
             f"{where}.lsh.k: forwarding requires k={FORWARDING_BITS} (16-bit hash space)")
-    if lsh.tables < 1:
-        raise ConfigError(f"{where}.lsh.tables: must be >= 1")
-    if not 0 <= lsh.probe_radius <= lsh.k:
-        raise ConfigError(f"{where}.lsh.probe_radius: must be in [0, {lsh.k}]")
-
-    cost_obj = _expect(data, "cost", dict, where, default={})
-    cost = CostConfig(
-        hash_time_us=_expect(cost_obj, "hash_time_us", int, f"{where}.cost", default=1800),
-        lookup_time_us=_expect(cost_obj, "lookup_time_us", int, f"{where}.cost", default=1000),
-    )
-    if cost.hash_time_us < 0 or cost.lookup_time_us < 0:
-        raise ConfigError(f"{where}.cost: times must be >= 0")
-
-    ctl_obj = _expect(data, "control", dict, where, default={})
-    control = ControlConfig(
-        window_us=_expect(ctl_obj, "window_us", int, f"{where}.control", default=1_000_000),
-        rebalance=_expect(ctl_obj, "rebalance", bool, f"{where}.control", default=False),
-        step_fraction=_expect(ctl_obj, "step_fraction", float, f"{where}.control", default=0.25),
-    )
-    if control.window_us < 0:
-        raise ConfigError(f"{where}.control.window_us: must be >= 0")
-    if not 0 < control.step_fraction <= 0.5:
-        raise ConfigError(f"{where}.control.step_fraction: must be in (0, 0.5]")
-
-    topo_path = base / _expect(data, "topology", str, where)
-    services_path = base / _expect(data, "services", str, where)
-    trace_path = base / _expect(data, "trace", str, where)
-    vectors_path = base / _expect(data, "vectors", str, where)
-    for p, name in ((trace_path, "trace"), (vectors_path, "vectors")):
-        if not p.exists():
-            raise ConfigError(f"{where}.{name}: file not found: {p}")
-
-    topology = parse_topology(_load_json(topo_path, "topology"))
-    services = parse_services(_load_json(services_path, "services"), dim)
-    _check_stores_fit(topology, services, dim)
-
-    thresholds = {}
-    service_ids = {s.service_id for s in services}
-    for sid, value in _expect(data, "thresholds", dict, where, default={}).items():
+    _check_stores_fit(cfg.topology, cfg.services, cfg.dim)
+    service_ids = {s.service_id for s in cfg.services}
+    for sid in cfg.thresholds:
         if sid not in service_ids:
             raise ConfigError(f"{where}.thresholds.{sid}: unknown service")
-        try:
-            thresholds[sid] = check_threshold(value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.thresholds.{sid}: {exc}") from None
-
-    return ExperimentConfig(
-        seed=seed, dim=dim, lsh=lsh, cost=cost, control=control,
-        topology=topology, services=services,
-        trace_path=trace_path, vectors_path=vectors_path, thresholds=thresholds)
+    return cfg
 
 
 def default_services_data(dim: int) -> dict:
@@ -459,12 +390,13 @@ def default_topology_data(seed: int, *, device_store_entries: int = 24,
 
 
 def default_experiment_data(seed: int, *, dim: int = 64) -> dict:
+    """An experiment that spells out every declared default."""
     return {
         "seed": seed,
         "dim": dim,
-        "lsh": {"k": FORWARDING_BITS, "tables": 4, "probe_radius": 1},
-        "cost": {"hash_time_us": 1800, "lookup_time_us": 1000},
-        "control": {"window_us": 1_000_000, "rebalance": False, "step_fraction": 0.25},
+        "lsh": asdict(LshConfig()),
+        "cost": asdict(CostConfig()),
+        "control": asdict(ControlConfig()),
         "topology": "topology.json",
         "services": "services.json",
         "trace": "trace.csv",

@@ -353,6 +353,11 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     svc = server.catalog.get(task.service_id)
     if svc is None:
         raise UnknownServiceError(f"server {server.node_id} offers no service {task.service_id!r}")
+    # An envelope takes an input of any length; a stage would size its map
+    # to it, so the service's width is checked here.
+    if task.input.size != svc.input_dim:
+        raise ValueError(f"server {server.node_id}: input has dim {task.input.size}, "
+                         f"service {svc.service_id!r} expects {svc.input_dim}")
     steps = []
     elapsed = 0
     if server.store_enabled:

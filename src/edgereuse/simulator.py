@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
@@ -47,6 +48,11 @@ LAYER_ORDER = [ReuseLayer.NONE, ReuseLayer.DEVICE, ReuseLayer.NETWORK,
 PER_TASK_HEADER = ["task_id", "device_id", "service_id", "created_at_us",
                    "completed_at_us", "completion_us", "reuse_layer", "accurate"]
 EVENTS_HEADER = ["time_us", "seq", "kind", "node_id", "task_id", "detail", "cost_us"]
+
+
+# Control windows allowed per task: each window is an event and a sample in
+# metrics.json, so this bounds the control plane's share of a replay.
+_WINDOWS_PER_TASK = 16
 
 
 class SimulationError(Exception):
@@ -141,12 +147,14 @@ class Simulation:
 
     def __init__(self, config, *, threshold_override: float | None = None):
         self.config = config
+        self.catalog: dict[str, ServiceSpec] = config.service_map()
+        # The inputs are read and checked before anything is sized by dim.
+        self._load_inputs(threshold_override)
+        self._check_windows()
         self.family = LshFamily(config.dim, k=config.lsh.k, tables=config.lsh.tables,
                                 seed=config.seed)
-        self.catalog: dict[str, ServiceSpec] = config.service_map()
         self._build_nodes()
         self.table = partition_hash_space([s.node_id for s in self.servers.values()])
-        self._load_inputs(threshold_override)
         self.heap: list[tuple] = []
         self.seq = 0
         self.clock = 0
@@ -208,9 +216,10 @@ class Simulation:
         # Checked: from here on every row is trusted as it is, and read-only.
         self.vectors.setflags(write=False)
         self.rows = []
+        device_ids = {d.node_id for d in cfg.topology.devices}
         for i, row in enumerate(rows):
             lineno = i + 2
-            if row.device_id not in self.devices:
+            if row.device_id not in device_ids:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: unknown device {row.device_id!r}")
             if row.service_id not in self.catalog:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: unknown service {row.service_id!r}")
@@ -226,6 +235,39 @@ class Simulation:
             if not 0.0 <= threshold <= 1.0:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: threshold {threshold} outside [0, 1]")
             self.rows.append((row, threshold))
+
+    def _check_windows(self) -> None:
+        """Reject a control window so short that the replay would schedule
+        more than _WINDOWS_PER_TASK windows per task.
+
+        Windows run until the last task completes, so they are counted up
+        to an upper bound on the makespan: the last arrival plus the slowest
+        task the configured costs allow, every hash, lookup and link delay
+        taken at its largest and every stage at the dearer of a reuse and an
+        execution. There is no queueing, so no task takes longer.
+        """
+        cfg = self.config
+        window = cfg.control.window_us
+        if window == 0 or not self.rows:
+            return
+        topo = cfg.topology
+        lookup = cfg.cost.lookup_time_us
+        hash_us = max([cfg.cost.hash_time_us] + [n.hash_time_us for n in topo.devices + topo.routers
+                      if n.hash_time_us is not None])
+        links = (max(d.delay_us for d in topo.devices)
+                 + max(delay for r in topo.routers for delay in r.server_delays.values()))
+        pipeline = max(sum(max(lookup, st.exec_time_us) for st in svc.stages)
+                       for svc in cfg.services)
+        # Device and router each hash and look up once, the server looks up
+        # the whole task; the links are crossed out and back.
+        bound = (max(row.time_us for row, _ in self.rows)
+                 + 2 * hash_us + 3 * lookup + 2 * links + pipeline)
+        windows = bound // window + 1
+        if windows > _WINDOWS_PER_TASK * len(self.rows):
+            raise ConfigError(
+                f"experiment.control.window_us: {window} us windows over a makespan of up to "
+                f"{bound} us would schedule {windows} control windows, more than "
+                f"{_WINDOWS_PER_TASK} per task for {len(self.rows)} tasks")
 
     # -- event plumbing -----------------------------------------------------
 

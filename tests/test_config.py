@@ -94,6 +94,10 @@ class TestLoadExperiment:
         data["thresholds"] = {"voice-command": 1.7}
         with pytest.raises(ConfigError, match="voice-command"):
             load_experiment(rewrite(bundle, data))
+        for bad in (True, "0.5", float("nan")):
+            data["thresholds"] = {"voice-command": bad}
+            with pytest.raises(ConfigError, match=r"^experiment\.thresholds\.voice-command: "):
+                load_experiment(rewrite(bundle, data))
 
     def test_step_fraction_range(self, bundle):
         data = load_bundle_data(bundle)

@@ -90,6 +90,10 @@ ENTRY_POINTS = {
     "ReuseStore.insert.query": (_inserting(lambda x: (ReuseEntry(GOOD, "svc-a", {}, np.ones(DIM), 0),
                                                       x)), True),
     "ReuseStore.lookup": (lambda x: _store().lookup(x, 0.8), True),
+    # A server without a store, which never signs its input.
+    "server_handle": (lambda x: server_handle(ServerNode("s0", {"svc-a": SVC}),
+                                              TaskEnvelope(0, "dev0", "svc-a", x, 0.9), 1000),
+                      True),
 }
 
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgereuse.config import (default_experiment_data, default_services_data, load_experiment,
-                              write_json)
+import edgereuse.simulator
+from edgereuse.cli import main
+from edgereuse.config import (ConfigError, default_experiment_data, default_services_data,
+                              load_experiment, write_json)
 from edgereuse.core import RESULT_ATOL, ReuseLayer, TaskResult, results_equal
 from edgereuse.fabric import ResultPayload
 from edgereuse.services import ServiceResult
@@ -312,15 +314,19 @@ class TestTraceValidation:
         msg = self.error_for(tmp_path, fresh_vector(), rows)
         assert "row 4" in msg
 
-    def test_dim_mismatch(self, tmp_path):
-        v = np.ones((1, 8))
+    def test_dim_mismatch(self, tmp_path, monkeypatch):
+        # The width is checked before anything is sized by dim.
+        def no_family(*args, **kwargs):
+            raise AssertionError("LshFamily built before the vectors were checked")
+        monkeypatch.setattr(edgereuse.simulator, "LshFamily", no_family)
+        v = np.ones((1, DIM + 1))
         write_json(tmp_path / "topology.json", one_lane_topology())
         write_json(tmp_path / "services.json", default_services_data(DIM))
         write_json(tmp_path / "experiment.json", default_experiment_data(9, dim=DIM))
         write_vectors_csv(tmp_path / "vectors.csv", v)
         write_trace_csv(tmp_path / "trace.csv", [TraceRow(0, "dev0", "voice-command", 0, 0.8)])
         cfg = load_experiment(tmp_path / "experiment.json")
-        with pytest.raises(SimulationError, match="dim 8"):
+        with pytest.raises(SimulationError, match=f"dim {DIM + 1}, experiment dim is {DIM}"):
             Simulation(cfg)
 
     def test_zero_vector_rejected(self, tmp_path):
@@ -383,6 +389,28 @@ class TestControlPlane:
         cfg = self.skewed_bundle(tmp_path, rebalance=False)
         rep = run_experiment(cfg)
         assert rep.aggregates["table_version"] == 1
+
+    @pytest.mark.parametrize("window_us, times", [
+        (1, [0, 10]),                     # about 1.2e5 windows for 2 tasks
+        (1_000_000, [10**15]),            # about 1e9 windows for 1 task
+    ])
+    def test_window_count_bounded_before_replay(self, tmp_path, capsys, monkeypatch,
+                                                window_us, times):
+        def no_replay(self, **kwargs):
+            raise AssertionError("replay started")
+        monkeypatch.setattr(Simulation, "run", no_replay)
+        rows = [TraceRow(t, "dev0", "voice-command", 0, 0.8) for t in times]
+        build_bundle(tmp_path, fresh_vector(), rows)
+        data = default_experiment_data(9, dim=DIM)
+        data["control"]["window_us"] = window_us
+        write_json(tmp_path / "experiment.json", data)
+        cfg = load_experiment(tmp_path / "experiment.json")
+        with pytest.raises(ConfigError, match=r"^experiment\.control\.window_us: "):
+            Simulation(cfg)
+        code = main(["run", "--config", str(tmp_path / "experiment.json"),
+                     "--out", str(tmp_path / "results")])
+        assert code == 2
+        assert "control.window_us" in capsys.readouterr().err
 
     def test_window_samples_cover_run(self, tmp_path):
         cfg = self.skewed_bundle(tmp_path, rebalance=False)
