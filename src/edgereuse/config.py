@@ -30,6 +30,13 @@ class ConfigError(Exception):
     """Invalid or unresolvable configuration; the message names the field."""
 
 
+# The most float64 elements (128 MiB) of any one array sized from the
+# bundle: the LSH hyperplanes (tables x k x dim), a stage's linear map
+# (out_dim x input width) or a service's class projections (label_classes
+# x output width).
+MAX_ARRAY_ELEMENTS = 1 << 24
+
+
 @dataclass(frozen=True)
 class _Json:
     """How one field is read from JSON.
@@ -121,7 +128,8 @@ class ControlConfig:
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     seed: int = _json(int, lo=0, hi=(1 << 64) - 1)
-    dim: int = _json(int, lo=1)
+    # One table of k hyperplanes must fit the array budget.
+    dim: int = _json(int, lo=1, hi=MAX_ARRAY_ELEMENTS // FORWARDING_BITS)
     lsh: LshConfig = _json(LshConfig, factory=LshConfig)
     cost: CostConfig = _json(CostConfig, factory=CostConfig)
     control: ControlConfig = _json(ControlConfig, factory=ControlConfig)
@@ -266,6 +274,10 @@ def parse_services(data: dict, dim: int, where: str = "services") -> tuple[Servi
         seen.add(spec.service_id)
         in_dim = dim
         for j, stage in enumerate(spec.stages):
+            if stage.out_dim * in_dim > MAX_ARRAY_ELEMENTS:
+                raise ConfigError(
+                    f"{where}.services[{i}].stages[{j}].out_dim: a {stage.out_dim} x {in_dim} "
+                    f"stage map exceeds {MAX_ARRAY_ELEMENTS} elements")
             # Shared stage ids must denote the same computation, which
             # includes receiving the same input width.
             if shared.setdefault(stage.stage_id, (stage, in_dim)) != (stage, in_dim):
@@ -273,6 +285,10 @@ def parse_services(data: dict, dim: int, where: str = "services") -> tuple[Servi
                     f"{where}.services[{i}].stages[{j}]: stage {stage.stage_id!r} redefined "
                     "with a different spec or input width")
             in_dim = stage.out_dim
+        if spec.label_classes * spec.output_dim > MAX_ARRAY_ELEMENTS:
+            raise ConfigError(
+                f"{where}.services[{i}].label_classes: {spec.label_classes} classes of width "
+                f"{spec.output_dim} exceed {MAX_ARRAY_ELEMENTS} elements")
     return specs
 
 
@@ -321,6 +337,11 @@ def load_experiment(path) -> ExperimentConfig:
     if cfg.lsh.k != FORWARDING_BITS:
         raise ConfigError(
             f"{where}.lsh.k: forwarding requires k={FORWARDING_BITS} (16-bit hash space)")
+    planes = cfg.lsh.tables * cfg.lsh.k * cfg.dim
+    if planes > MAX_ARRAY_ELEMENTS:
+        raise ConfigError(
+            f"{where}.lsh.tables: {cfg.lsh.tables} tables of {cfg.lsh.k} x {cfg.dim} hyperplanes "
+            f"exceed {MAX_ARRAY_ELEMENTS} elements")
     _check_stores_fit(cfg.topology, cfg.services, cfg.dim)
     service_ids = {s.service_id for s in cfg.services}
     for sid in cfg.thresholds:

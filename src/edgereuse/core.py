@@ -67,7 +67,8 @@ class TaskEnvelope:
     signatures, and its table-0 bits are the forwarding hash. An envelope
     whose input is the query's own vector skips re-validating it, and a hop
     that attaches the forwarding hash copies the envelope without checking
-    its fields again.
+    its fields again. The envelope is frozen: nodes pass it on and share it
+    without copying.
     """
 
     task_id: int
@@ -88,6 +89,18 @@ class TaskEnvelope:
         object.__setattr__(self, "threshold", check_threshold(self.threshold))
         if self.forwarding_hash is not None:
             _check_forwarding_hash(self.forwarding_hash)
+
+    @classmethod
+    def _of_query(cls, task_id: int, device_id: str, service_id: str, query: PreparedQuery,
+                  threshold: float, created_at: int) -> TaskEnvelope:
+        # An envelope whose input is the query's own read-only vector and
+        # whose threshold was checked where it was loaded: nothing is left
+        # for __post_init__ to check, so it is skipped.
+        envelope = object.__new__(cls)
+        envelope.__dict__.update(task_id=task_id, device_id=device_id, service_id=service_id,
+                                 input=query.vector, threshold=threshold, forwarding_hash=None,
+                                 created_at=created_at, query=query)
+        return envelope
 
     def _with_forwarding_hash(self, h: int) -> TaskEnvelope:
         # A copy with the hash attached. Every other field was checked when

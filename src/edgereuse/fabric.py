@@ -225,7 +225,7 @@ class ServerNode:
         return _store_enabled(self.store)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CostedStep:
     """One accountable unit of node work, in processing order."""
 
@@ -234,7 +234,7 @@ class CostedStep:
     cost_us: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResultPayload:
     output: np.ndarray
     label: int
@@ -242,7 +242,7 @@ class ResultPayload:
     source_entry: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeOutcome:
     """One node visit: its costed steps, the envelope it passes on, and the
     payload it served (None when the task moves on, to ``next_server`` from

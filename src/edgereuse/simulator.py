@@ -2,12 +2,13 @@
 
 Simulated time is integer microseconds; events are processed in (time, seq)
 order where seq is the enqueue counter, so identical configs and seeds give
-byte-identical outputs. Each heap item is (time_us, seq, then, journey):
-``then`` is the bound method that moves the task on once the event's time
-is reached. Node decisions run synchronously when a task reaches the node,
-but their deferred effects (a server's entry insert, its load counters)
-apply at the simulated completion time, so an in-flight result is never
-reusable before it would exist.
+byte-identical outputs. Arrivals stream from the trace in time order, and
+the heap holds only in-flight events: each heap item is (time_us, seq,
+then, journey), with ``then`` the bound method that moves the task on once
+the event's time is reached. Node decisions run synchronously when a task
+reaches the node, but their deferred effects (a server's entry insert, its
+load counters) apply at the simulated completion time, so an in-flight
+result is never reusable before it would exist.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class SimulationError(Exception):
     """The trace or its referenced data cannot be replayed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Journey:
     task_id: int
     row: TraceRow
@@ -73,7 +74,7 @@ class _Journey:
     served_by: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     task_id: int
     device_id: str
@@ -234,7 +235,7 @@ class Simulation:
                 threshold = cfg.thresholds.get(row.service_id, threshold)
             if not 0.0 <= threshold <= 1.0:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: threshold {threshold} outside [0, 1]")
-            self.rows.append((row, threshold))
+            self.rows.append((row, float(threshold)))
 
     def _check_windows(self) -> None:
         """Reject a control window so short that the replay would schedule
@@ -283,8 +284,13 @@ class Simulation:
 
     def _push(self, time_us: int, kind: str, node_id: str, journey, detail: str,
               cost_us: int, then) -> None:
-        """Schedule ``then(journey, time_us)``."""
-        seq = self._log(time_us, kind, node_id, journey, detail, cost_us)
+        """Schedule ``then(journey, time_us)`` under the next seq, writing
+        the event to the log when one is kept (as _log does, inlined)."""
+        seq = self.seq
+        self.seq = seq + 1
+        if self.event_rows is not None:
+            self.event_rows.append((time_us, seq, kind, node_id,
+                                    "" if journey is None else journey.task_id, detail, cost_us))
         heapq.heappush(self.heap, (time_us, seq, then, journey))
 
     def _visit(self, journey, node_id: str, now: int, outcome: NodeOutcome, then) -> None:
@@ -331,9 +337,9 @@ class Simulation:
         if query is None:
             query = self._queries[row.vector_id] = self.family._prepare_valid(
                 self.vectors[row.vector_id])
-        envelope = TaskEnvelope(journey.task_id, row.device_id, row.service_id,
-                                query.vector, journey.threshold,
-                                created_at=row.time_us, query=query)
+        # Both the row under the query and the threshold were checked at load.
+        envelope = TaskEnvelope._of_query(journey.task_id, row.device_id, row.service_id,
+                                          query, journey.threshold, row.time_us)
         dev = self.devices[journey.device_id]
         outcome = device_offload(dev, envelope, self.family,
                                  self.config.cost.lookup_time_us, now=now)
@@ -444,20 +450,36 @@ class Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self, *, event_log: bool = False) -> MetricsReport:
+        rows = self.rows
+        n = len(rows)
+        self.outstanding = n
+        # Arrival i takes seq i, and the first control window seq n, as if
+        # every arrival had been scheduled up front.
         if event_log:
-            self.event_rows = []
-        self.outstanding = len(self.rows)
-        for task_id, (row, threshold) in enumerate(self.rows):
-            journey = _Journey(task_id, row, threshold, row.device_id,
-                               self.devices[row.device_id].router_id)
-            self._push(row.time_us, EVENT_TASK_ARRIVAL, row.device_id, journey,
-                       "", 0, self._arrive_device)
-        if self.rows and self.config.control.window_us > 0:
+            self.event_rows = [(row.time_us, i, EVENT_TASK_ARRIVAL, row.device_id, i, "", 0)
+                               for i, (row, _) in enumerate(rows)]
+        self.seq = n
+        if rows and self.config.control.window_us > 0:
             self._push(self.config.control.window_us, EVENT_CONTROL_WINDOW,
                        "controller", None, "window:v1", 0, self._control_window)
 
-        while self.heap:
-            time_us, _, then, journey = heapq.heappop(self.heap)
+        # Arrivals stream from the trace, merged with the heap by (time,
+        # seq). The sort is stable, so tied arrivals keep trace order, and
+        # an arrival's seq is below every scheduled event's, so it goes
+        # first at a tied time. The heap holds only in-flight events.
+        arrivals = sorted(range(n), key=lambda i: rows[i][0].time_us)
+        heap = self.heap
+        k = 0
+        while k < n or heap:
+            if k < n and (not heap or rows[arrivals[k]][0].time_us <= heap[0][0]):
+                task_id = arrivals[k]
+                k += 1
+                row, threshold = rows[task_id]
+                time_us, then = row.time_us, self._arrive_device
+                journey = _Journey(task_id, row, threshold, row.device_id,
+                                   self.devices[row.device_id].router_id)
+            else:
+                time_us, _, then, journey = heapq.heappop(heap)
             if time_us < self.clock:
                 raise SimulationError("event queue violated clock monotonicity")
             self.clock = time_us

@@ -100,7 +100,7 @@ class ReuseEntry:
         return entry
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LookupOutcome:
     hit: bool
     entry_id: int | None
@@ -122,7 +122,6 @@ class CandidateScores:
     query: PreparedQuery
     ids: list[int]
     sims: np.ndarray | None
-    probes_used: int
 
 
 class EvictionPolicy:
@@ -180,6 +179,8 @@ class ReuseStore:
         self.policy = _resolve_policy(policy)
         self.probe_radius = probe_radius
         self._masks = probe_masks(family.k, probe_radius)
+        # Buckets probed per lookup: every mask in every table.
+        self._probes = family.tables * len(self._masks)
         self._entries: dict[int, ReuseEntry] = {}
         self._tables: list[dict[int, list[int]]] = [{} for _ in range(family.tables)]
         # Row r of _keys, _norms and _bits holds one stored key, its norm and
@@ -313,9 +314,12 @@ class ReuseStore:
     def score(self, query) -> CandidateScores:
         """Gather and score the query's candidates once, for several lookups
         of the same query to share (lookup's ``scores``)."""
-        return self._score(self._prepared(query))
+        q = self._prepared(query)
+        ids, sims = self._score(q)
+        return CandidateScores(self, self._membership, q, ids, sims)
 
-    def _score(self, q: PreparedQuery) -> CandidateScores:
+    def _score(self, q: PreparedQuery) -> tuple[list[int], np.ndarray | None]:
+        # The candidates' ids, ascending, and their scores (None if none).
         ids: set[int] = set()
         masks = self._masks
         for table, bits in zip(self._tables, q.bits):
@@ -333,8 +337,7 @@ class ReuseStore:
             sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
             # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
             np.fmax(sims, 0.0, out=sims)
-        return CandidateScores(self, self._membership, q, ordered, sims,
-                               self.family.tables * len(masks))
+        return ordered, sims
 
     def lookup(self, query, threshold, *, now: int = 0, where=None,
                scores: CandidateScores | None = None) -> LookupOutcome:
@@ -350,14 +353,14 @@ class ReuseStore:
         if scores is None:
             q = self._prepared(query)
             t = check_threshold(threshold)
-            scores = self._score(q)
+            ids, sims = self._score(q)
         else:
             t = check_threshold(threshold)
             if scores.store is not self or scores.membership != self._membership:
                 raise ValueError("stale scores: the store's entries changed since they were taken")
             if scores.query is not query:
                 raise ValueError("scores were taken for another query")
-        ids, sims = scores.ids, scores.sims
+            ids, sims = scores.ids, scores.sims
         if where is None:
             best = int(np.argmax(sims)) if ids else None
         else:
@@ -367,13 +370,13 @@ class ReuseStore:
             keep = [j for j, i in enumerate(ids) if where(self._entries[i])]
             best = keep[int(np.argmax(sims[keep]))] if keep else None
         if best is None or sims[best] < t:
-            return LookupOutcome(False, None, None, scores.probes_used)
+            return LookupOutcome(False, None, None, self._probes)
         best_id = ids[best]
         entry = self._entries[best_id]
         entry.last_access = max(entry.last_access, now)
         entry.hit_count += 1
         self._touch(best_id, entry)
-        return LookupOutcome(True, best_id, float(sims[best]), scores.probes_used)
+        return LookupOutcome(True, best_id, float(sims[best]), self._probes)
 
     def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0,
                      scores: CandidateScores | None = None) -> LookupOutcome:

@@ -4,9 +4,9 @@ import re
 import pytest
 
 from edgereuse.cli import main
-from edgereuse.config import (ConfigError, default_experiment_data, default_services_data,
-                              default_topology_data, load_experiment, parse_services,
-                              parse_topology, write_json)
+from edgereuse.config import (MAX_ARRAY_ELEMENTS, ConfigError, default_experiment_data,
+                              default_services_data, default_topology_data, load_experiment,
+                              parse_services, parse_topology, write_json)
 from edgereuse.workload import builtin_profiles
 
 
@@ -235,6 +235,87 @@ class TestStoreFitsLargestEntry:
         write_json(path, data)
         cfg = load_experiment(bundle / "experiment.json")
         assert cfg.topology.servers[0].store.capacity_bytes == 2304
+
+
+class TestArraySizeBounds:
+    """No array sized from the bundle may exceed MAX_ARRAY_ELEMENTS: the LSH
+    hyperplanes, a stage's map and a service's class projections. An
+    oversized field is a config error at load, and `edgereuse run` exits 2;
+    nothing here builds such an array."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        import edgereuse.hashing
+        import edgereuse.services
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was sized from the bundle")
+        monkeypatch.setattr(edgereuse.hashing.LshFamily, "__init__", refuse)
+        monkeypatch.setattr(edgereuse.services, "_transform_matrix", refuse)
+        monkeypatch.setattr(edgereuse.services, "_class_projections", refuse)
+
+    def assert_rejected(self, bundle, tmp_path, capsys, name, mutate, field):
+        path = bundle / name
+        data = json.loads(path.read_text())
+        mutate(data)
+        write_json(path, data)
+        with pytest.raises(ConfigError, match="^" + re.escape(field) + ": "):
+            load_experiment(bundle / "experiment.json")
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "results")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    def test_lsh_tables_bounded(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["lsh"]["tables"] = 10**12
+        self.assert_rejected(bundle, tmp_path, capsys, "experiment.json", mutate,
+                             "experiment.lsh.tables")
+
+    def test_lsh_tables_at_the_budget_load(self, bundle, tmp_path, capsys):
+        # dim 64 and k 16: 16,384 tables are exactly the budget.
+        tables = MAX_ARRAY_ELEMENTS // (16 * 64)
+        data = load_bundle_data(bundle)
+        data["lsh"]["tables"] = tables
+        assert load_experiment(rewrite(bundle, data)).lsh.tables == tables
+
+        def mutate(data):
+            data["lsh"]["tables"] = tables + 1
+        self.assert_rejected(bundle, tmp_path, capsys, "experiment.json", mutate,
+                             "experiment.lsh.tables")
+
+    def test_dim_bounded(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["dim"] = 10**12
+        self.assert_rejected(bundle, tmp_path, capsys, "experiment.json", mutate,
+                             "experiment.dim")
+
+    def test_first_stage_out_dim_bounded(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["services"][0]["stages"][0]["out_dim"] = 10**12
+        self.assert_rejected(bundle, tmp_path, capsys, "services.json", mutate,
+                             "services.services[0].stages[0].out_dim")
+
+    def test_later_stage_out_dim_bounded_by_its_input_width(self, bundle, tmp_path, capsys):
+        # 2^20 x 64 is over the budget, though 2^20 alone is not.
+        def mutate(data):
+            data["services"][3]["stages"][1]["out_dim"] = 1 << 20
+        self.assert_rejected(bundle, tmp_path, capsys, "services.json", mutate,
+                             "services.services[3].stages[1].out_dim")
+
+    def test_label_classes_bounded(self, bundle, tmp_path, capsys):
+        def mutate(data):
+            data["services"][2]["label_classes"] = 10**9
+        self.assert_rejected(bundle, tmp_path, capsys, "services.json", mutate,
+                             "services.services[2].label_classes")
+
+    @pytest.mark.parametrize("profile", sorted(builtin_profiles()))
+    def test_every_builtin_bundle_loads(self, tmp_path, profile):
+        from edgereuse.cli import write_bundle
+        import dataclasses
+        write_bundle(dataclasses.replace(builtin_profiles()[profile], tasks=5), 3, tmp_path)
+        cfg = load_experiment(tmp_path / "experiment.json")
+        assert cfg.lsh.tables * cfg.lsh.k * cfg.dim <= MAX_ARRAY_ELEMENTS
 
 
 class TestServicesSchema:

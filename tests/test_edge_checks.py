@@ -190,6 +190,33 @@ def test_each_distinct_input_is_prepared_once(tmp_path, monkeypatch):
         assert not q.vector.flags.writeable
 
 
+def test_trusted_envelope_equals_a_checked_one(tmp_path, monkeypatch):
+    # The replay builds each envelope without __post_init__; it must be the
+    # envelope the public constructor would have made from the same fields.
+    sim = _simulation(tmp_path)
+    offered = _record_calls(monkeypatch, [(edgereuse.simulator, "device_offload")])
+    sim.run()
+    assert len(offered) == len(sim.rows)
+    fields = [f.name for f in dataclasses.fields(TaskEnvelope)]
+    for _, task, *_ in offered:
+        row, threshold = sim.rows[task.task_id]
+        checked = TaskEnvelope(task.task_id, row.device_id, row.service_id, task.query.vector,
+                               threshold, created_at=row.time_us, query=task.query)
+        assert type(task) is TaskEnvelope
+        for name in fields:
+            a, b = getattr(task, name), getattr(checked, name)
+            assert type(a) is type(b), name
+            if name == "input":
+                assert a is b is task.query.vector
+            else:
+                assert a == b, name
+        assert task.query is sim._queries[row.vector_id]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.threshold = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.input = GOOD
+
+
 def test_router_hashes_for_a_weak_device_in_replay(tmp_path, monkeypatch):
     sim = _simulation(tmp_path, tasks=200)
     offered = _record_calls(monkeypatch, [(edgereuse.simulator, "device_offload")])

@@ -36,6 +36,9 @@ REDRAWN_METRICS_SHA256 = "edcfe06f24dfa49a6af1bef0fdd3722b1d556aa9726d8c39961166
 REBALANCED_SHA256 = "42cc1feffec7d77f5dc937c80442ad27032433b0a1e976b8bb8e8af0c3eb2eb3"
 REBALANCED_EVENTS_SHA256 = "97d591f477458f3ae86b07f63e2f50082e8d1f7783406713e358bd271723113f"
 REBALANCED_METRICS_SHA256 = "cb842d3ed92791bbf2c1161a4404cab22fdf7204a835eeacca7ae395bc909f0b"
+OUT_OF_ORDER_SHA256 = "5a6fb3a482a6d4f702e4c2d0c19b47b0c44e30907e5684d9ab1b18c8e363d909"
+OUT_OF_ORDER_EVENTS_SHA256 = "6b8f65325b2fb29f2042a0a2da2dda658e23d80f91991385dec8dcb52e7866f9"
+OUT_OF_ORDER_METRICS_SHA256 = "183fffb2717c482a8b5d09f1c189f16a7950312f5899c3d3f195e85ca17fe806"
 
 
 def _redraw_services(rows, services, seed):
@@ -46,17 +49,28 @@ def _redraw_services(rows, services, seed):
     return [dataclasses.replace(r, service_id=services[int(i)]) for r, i in zip(rows, picks)]
 
 
+def _shuffle_with_ties(rows, seed, quantum_us):
+    # Arrival times rounded down to a quantum, so several rows share each
+    # time_us, and the rows then written in a seeded random order.
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    tied = [dataclasses.replace(r, time_us=r.time_us // quantum_us * quantum_us) for r in rows]
+    return [tied[int(i)] for i in rng.permutation(len(tied))]
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _replay(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebalance=False):
+def _replay(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebalance=False,
+            shuffle_quantum_us=None):
     """Replay with the event log on; digests of per_task.csv, events.csv
     and metrics.json, in that order."""
     generated = generate_trace(profile, SEED)
     rows = generated.rows
     if redraw:
         rows = _redraw_services(rows, profile.services, SEED)
+    if shuffle_quantum_us is not None:
+        rows = _shuffle_with_ties(rows, SEED, shuffle_quantum_us)
     write_vectors_csv(tmp_path / "vectors.csv", generated.vectors)
     write_trace_csv(tmp_path / "trace.csv", rows)
     write_json(tmp_path / "topology.json",
@@ -95,3 +109,19 @@ def test_mixed_2k_rebalanced_digest(tmp_path):
     report, digests = _replay(tmp_path, profile, rebalance=True)
     assert report.aggregates["table_version"] > 1
     assert digests == (REBALANCED_SHA256, REBALANCED_EVENTS_SHA256, REBALANCED_METRICS_SHA256)
+
+
+def test_out_of_order_trace_with_tied_arrivals_digest(tmp_path):
+    # The trace file is not in time order and many rows share a time_us:
+    # tasks are numbered in file order, and tied arrivals are processed in
+    # that order too.
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=1000)
+    report, digests = _replay(tmp_path, profile, rebalance=True, shuffle_quantum_us=200_000)
+    rows = [line.split(",") for line in
+            (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+    times = [int(r[0]) for r in rows]
+    assert times != sorted(times)
+    assert len(set(times)) < len(times) // 2
+    assert report.aggregates["table_version"] > 1
+    assert digests == (OUT_OF_ORDER_SHA256, OUT_OF_ORDER_EVENTS_SHA256,
+                       OUT_OF_ORDER_METRICS_SHA256)

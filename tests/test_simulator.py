@@ -245,6 +245,46 @@ class TestEventAccounting:
             rep.write_events_csv(tmp_path / "events.csv")
 
 
+class TestArrivalStreaming:
+    # Events a 2K-task seed-42 mixed replay schedules, arrivals and the
+    # control windows included (counted before arrivals streamed).
+    MIXED_2K_EVENTS = 8088
+
+    def test_heap_holds_only_tasks_in_flight(self, tmp_path, monkeypatch):
+        import edgereuse.simulator as simulator
+        from edgereuse.cli import write_bundle
+        profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+        write_bundle(profile, 42, tmp_path / "bundle")
+        sim = Simulation(load_experiment(tmp_path / "bundle" / "experiment.json"))
+
+        arrived = []
+        offload = simulator.device_offload
+
+        def counted_offload(dev, task, *args, **kwargs):
+            arrived.append(task.task_id)
+            return offload(dev, task, *args, **kwargs)
+
+        peak = []
+        heappush = simulator.heapq.heappush
+
+        def watched_push(heap, item):
+            heappush(heap, item)
+            if heap is sim.heap:
+                in_flight = len(arrived) - len(sim.records)
+                # One pending event per task in flight, plus the next
+                # control window.
+                assert len(heap) <= in_flight + 1, (len(heap), in_flight)
+                peak.append(len(heap))
+
+        monkeypatch.setattr(simulator, "device_offload", counted_offload)
+        monkeypatch.setattr(simulator.heapq, "heappush", watched_push)
+        report = sim.run()
+        assert sorted(arrived) == list(range(2000))
+        assert len(report.records) == 2000
+        assert peak
+        assert sim.seq == self.MIXED_2K_EVENTS
+
+
 class TestAggregates:
     def test_layer_counts_and_reuse_pct(self, tmp_path):
         rows = [TraceRow(0, "dev0", "cognitive-assist", 0, 0.9),
