@@ -201,7 +201,7 @@ class Simulation:
             rows = read_trace_csv(cfg.trace_path)
         except ValueError as exc:
             raise SimulationError(str(exc)) from None
-        if self.vectors.size and self.vectors.shape[1] != cfg.dim:
+        if len(self.vectors) and self.vectors.shape[1] != cfg.dim:
             raise SimulationError(
                 f"{cfg.vectors_path}: vectors have dim {self.vectors.shape[1]}, experiment dim is {cfg.dim}")
         norms = np.linalg.norm(self.vectors, axis=1) if self.vectors.size else np.array([])

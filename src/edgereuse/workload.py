@@ -11,6 +11,8 @@ similarity thresholds.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,21 +254,86 @@ def write_vectors_csv(path, vectors: np.ndarray) -> None:
             writer.writerow([vid] + [repr(float(x)) for x in row])
 
 
+# Characters that send a vectors row through csv and float() before numpy
+# sees it: a quote needs csv's quoting rules, float() reads an underscore as
+# digit grouping ("1_0") where numpy rejects it, and numpy strips \x1c-\x1f
+# as whitespace where float() rejects them. On any other ASCII row the two
+# parsers agree: both strip the same whitespace and then call
+# PyOS_string_to_double, so they accept the same fields with the same bits.
+_NOT_FOR_NUMPY = ('"', "_", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def read_vectors_csv(path) -> np.ndarray:
+    """Read vectors.csv as an (n, dim) float64 array, row i being vector i.
+
+    One np.loadtxt pass parses every value. The file is read a second time,
+    row by row, only when that pass fails, to name the first bad row; the
+    accepted files and the arrays they give are those of the row-by-row read.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "vector_id":
-            raise ValueError(f"{path}: not a vectors file (bad header)")
-        dim = len(header) - 1
+        dim = _vectors_dim(path, fh)
+        lines = _numpy_lines(fh, dim)
+        try:
+            first = next(lines, None)
+            if first is None:
+                return np.empty((0, dim))
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != dim + 1:
+        return _scan_vectors(path)
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _vectors_dim(path: Path, fh) -> int:
+    header = next(csv.reader(fh), None)
+    if not header or header[0] != "vector_id":
+        raise ValueError(f"{path}: not a vectors file (bad header)")
+    return len(header) - 1
+
+
+def _numpy_lines(fh, dim: int):
+    """Yield each row left in fh as a line np.loadtxt reads to the values
+    that csv and float() give it.
+
+    A plain ASCII row passes through as it is. Any other is split by csv (a
+    quoted field may span lines), parsed with int() and float(), and written
+    back with repr(), which round-trips. Raises ValueError at the first row
+    whose id is not int() of the next dense id, or whose fields int() or
+    float() reject.
+    """
+    for row, line in enumerate(fh):
+        if line.isascii() and not any(map(line.__contains__, _NOT_FOR_NUMPY)):
+            vid = int(line.partition(",")[0])
+        else:
+            vid, values = _vector_row(next(csv.reader(itertools.chain([line], fh))), dim)
+            line = ",".join([str(vid), *map(_exact_repr, values)]) + "\n"
+        if vid != row:
+            raise ValueError("vector ids must be dense and ordered")
+        yield line
+
+
+def _vector_row(fields: list[str], dim: int) -> tuple[int, list[float]]:
+    if len(fields) != dim + 1:
+        raise ValueError(f"expected {dim + 1} fields, got {len(fields)}")
+    return int(fields[0]), [float(x) for x in fields[1:]]
+
+
+def _exact_repr(x: float) -> str:
+    # repr() round-trips every float except the sign of a NaN.
+    return "-nan" if x != x and math.copysign(1.0, x) < 0 else repr(x)
+
+
+def _scan_vectors(path: Path) -> np.ndarray:
+    """The row-by-row read: raises at the first bad row, naming it."""
+    with open(path, newline="") as fh:
+        dim = _vectors_dim(path, fh)
         out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise ValueError(f"{path}: row {lineno}: expected {dim + 1} fields, got {len(row)}")
+        for lineno, fields in enumerate(csv.reader(fh), start=2):
             try:
-                vid = int(row[0])
-                values = [float(x) for x in row[1:]]
+                vid, values = _vector_row(fields, dim)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {lineno}: {exc}") from None
             if vid != len(out):
@@ -297,9 +364,14 @@ def read_trace_csv(path) -> list[TraceRow]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise ValueError(f"{path}: row {lineno}: expected 5 fields, got {len(row)}")
+            # Filled as TraceRow(...) fills it, without the object.__setattr__
+            # per field that a frozen __init__ pays; TraceRow checks nothing.
+            trace_row = object.__new__(TraceRow)
             try:
-                rows.append(TraceRow(int(row[0]), row[1], row[2], int(row[3]), float(row[4])))
+                trace_row.__dict__.update(time_us=int(row[0]), device_id=row[1], service_id=row[2],
+                                          vector_id=int(row[3]), threshold=float(row[4]))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {lineno}: {exc}") from None
+            rows.append(trace_row)
     return rows
 

@@ -103,6 +103,28 @@ class TestRun:
         assert err[0].startswith("error:")
         assert "vector 4 is not finite" in err[0]
 
+    @pytest.mark.parametrize("name, field, value, why", [
+        ("vectors.csv", None, None, "expected 65 fields, got 64"),
+        ("trace.csv", 0, "12.5", "invalid literal for int()")])
+    def test_malformed_csv_row_is_one_error_line(self, tmp_path, capsys, name, field, value, why):
+        bundle = generate(tmp_path)
+        path = bundle / name
+        lines = path.read_text().splitlines()
+        fields = lines[6].split(",")
+        if field is None:
+            fields.pop()
+        else:
+            fields[field] = value
+        lines[6] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: row 7: {why}")
+
 
 class TestSweep:
     def sweep(self, tmp_path, thresholds, capsys):
