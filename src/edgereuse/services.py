@@ -88,10 +88,17 @@ def _transform_matrix(seed: int, out_dim: int, in_dim: int) -> np.ndarray:
 def execute_stage(stage: StageSpec, x) -> np.ndarray:
     """Pure function: tanh of a seeded random linear map of the input."""
     v = as_feature_vector(x)
-    m = _transform_matrix(stage.transform_seed, stage.out_dim, v.size)
-    out = np.tanh(m @ v)
+    out = _stage_kernel(stage, v.size, v)
     out.setflags(write=False)
     return out
+
+
+def _stage_kernel(stage: StageSpec, in_dim: int, v: np.ndarray) -> np.ndarray:
+    # The one stage computation, on a vector (in_dim,) or on a stack of
+    # columns (n, in_dim, 1). numpy runs both as one gemv per vector, so a
+    # row's bits do not depend on the batch it is in; V @ M.T, one gemm,
+    # rounds differently and must not stand in for it.
+    return np.tanh(_transform_matrix(stage.transform_seed, stage.out_dim, in_dim) @ v)
 
 
 @lru_cache(maxsize=512)
@@ -115,22 +122,41 @@ def _label(svc: ServiceSpec, v: np.ndarray) -> int:
     # label_of without the check, for a final output the pipeline itself
     # produced: a frozen float64 vector of the last stage's out_dim.
     scores = _class_projections(svc.service_id, svc.label_classes, svc.output_dim) @ v
-    return int(np.argmax(scores))
+    return int(scores.argmax())
 
 
 def execute_service(svc: ServiceSpec, x) -> ServiceResult:
     """Fold the whole pipeline over the input and label the final output."""
     v = as_feature_vector(x, svc.input_dim)
-    for stage in svc.stages:
-        v = execute_stage(stage, v)
-    return ServiceResult(v, label_of(svc, v))
+    return _pipeline(svc, v[None])[0]
 
 
-def oracle(svc: ServiceSpec, x) -> ServiceResult:
-    """Ground-truth result of executing the task from scratch.
+def oracle(svc: ServiceSpec, xs) -> list[ServiceResult]:
+    """Ground truth of executing each row of xs, an (n, input_dim) matrix,
+    from scratch: row i's result is bit for bit execute_service(svc, xs[i]).
 
-    Identical to execute_service; the metrics layer invokes it for every
-    task, outside the simulated clock, to judge whether a reused result
-    matches what the task's own execution would have produced.
+    The metrics layer calls it outside the simulated clock, once per service
+    for a batch of inputs, to judge whether reused results match what the
+    tasks' own executions would have produced. Each result's output is a
+    read-only row of one (n, output_dim) array.
     """
-    return execute_service(svc, x)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != svc.input_dim:
+        raise ValueError(f"service {svc.service_id}: inputs must have shape "
+                         f"(n, {svc.input_dim}), got {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("inputs contain NaN or Inf")
+    return _pipeline(svc, xs)
+
+
+def _pipeline(svc: ServiceSpec, xs: np.ndarray) -> list[ServiceResult]:
+    # The whole service over checked, C-contiguous rows, each run as a
+    # column of one stack: every stage and the label projection are one
+    # gemv per row, as on a single vector.
+    v = xs[:, :, None]
+    for stage in svc.stages:
+        v = _stage_kernel(stage, v.shape[1], v)
+    p = _class_projections(svc.service_id, svc.label_classes, svc.output_dim)
+    labels = (p @ v)[:, :, 0].argmax(axis=1).tolist()
+    v.setflags(write=False)
+    return [ServiceResult(out, label) for out, label in zip(v[:, :, 0], labels)]

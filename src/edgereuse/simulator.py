@@ -22,11 +22,11 @@ import numpy as np
 
 from .config import ConfigError
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
-from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
-                     ServerNode, device_offload, partition_hash_space, rebalance,
+from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, ResultPayload,
+                     RouterNode, ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
 from .hashing import LshFamily, PreparedQuery
-from .services import ServiceSpec, oracle
+from .services import ServiceResult, ServiceSpec, oracle
 from .store import ReuseEntry, ReuseStore
 from .workload import TraceRow, read_trace_csv, read_vectors_csv
 
@@ -54,6 +54,9 @@ EVENTS_HEADER = ["time_us", "seq", "kind", "node_id", "task_id", "detail", "cost
 # Control windows allowed per task: each window is an event and a sample in
 # metrics.json, so this bounds the control plane's share of a replay.
 _WINDOWS_PER_TASK = 16
+
+# Reused completions queued before their accuracy is judged in one batch.
+_JUDGE_BATCH = 256
 
 
 class SimulationError(Exception):
@@ -98,7 +101,7 @@ def _agrees(truth, payload) -> bool:
     """
     return (truth.label == payload.label
             and truth.output.shape == payload.output.shape
-            and float(np.max(np.abs(truth.output - payload.output))) <= RESULT_ATOL)
+            and float(np.abs(truth.output - payload.output).max()) <= RESULT_ATOL)
 
 
 class MetricsReport:
@@ -163,7 +166,10 @@ class Simulation:
         self.event_rows: list[tuple] | None = None
         self.outstanding = 0
         self.window_samples: list[dict] = []
-        self._oracle_cache: dict[tuple[str, int], object] = {}
+        # Ground truth per (service id, vector id), for the pairs judged so
+        # far, and the reused records waiting for a judgement.
+        self._truths: dict[tuple[str, int], ServiceResult] = {}
+        self._unjudged: list[tuple[TaskRecord, ResultPayload]] = []
         # One PreparedQuery per distinct vector id, made on its first arrival.
         self._queries: dict[int, PreparedQuery] = {}
 
@@ -401,22 +407,36 @@ class Simulation:
 
     def _complete(self, journey, now: int) -> None:
         payload = journey.outcome.payload
-        accurate = None
-        if payload.reuse_layer is not ReuseLayer.NONE:
-            accurate = _agrees(self._oracle_for(journey), payload)
-        self.records.append(TaskRecord(
+        record = TaskRecord(
             journey.task_id, journey.device_id, journey.envelope.service_id,
             journey.row.vector_id, journey.envelope.created_at, now,
-            payload.reuse_layer, accurate))
+            payload.reuse_layer, None)
+        self.records.append(record)
+        if payload.reuse_layer is not ReuseLayer.NONE:
+            self._unjudged.append((record, payload))
+            if len(self._unjudged) >= _JUDGE_BATCH:
+                self._judge()
         self.outstanding -= 1
 
-    def _oracle_for(self, journey):
-        key = (journey.envelope.service_id, journey.row.vector_id)
-        cached = self._oracle_cache.get(key)
-        if cached is None:
-            cached = oracle(self.catalog[journey.envelope.service_id], journey.envelope.input)
-            self._oracle_cache[key] = cached
-        return cached
+    def _judge(self) -> None:
+        """Judge each queued reused record against its ground truth.
+
+        The truths not yet known are computed in one oracle pass per
+        service; its rows are bit for bit those of executing each input on
+        its own, so a batch judges exactly as a task at a time would.
+        """
+        truths = self._truths
+        missing: dict[str, set[int]] = {}
+        for record, _ in self._unjudged:
+            if (record.service_id, record.vector_id) not in truths:
+                missing.setdefault(record.service_id, set()).add(record.vector_id)
+        for service_id, ids in missing.items():
+            ids = sorted(ids)
+            for vector_id, truth in zip(ids, oracle(self.catalog[service_id], self.vectors[ids])):
+                truths[(service_id, vector_id)] = truth
+        for record, payload in self._unjudged:
+            record.accurate = _agrees(truths[(record.service_id, record.vector_id)], payload)
+        self._unjudged.clear()
 
     # -- control plane ------------------------------------------------------
 
@@ -487,6 +507,7 @@ class Simulation:
 
         if self.outstanding != 0:
             raise SimulationError(f"{self.outstanding} tasks never completed")
+        self._judge()
         if self.event_rows is not None:
             # Rows were written when scheduled; processing order is (time, seq).
             self.event_rows.sort()

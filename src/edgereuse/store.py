@@ -362,21 +362,23 @@ class ReuseStore:
                 raise ValueError("scores were taken for another query")
             ids, sims = scores.ids, scores.sims
         if where is None:
-            best = int(np.argmax(sims)) if ids else None
+            best = int(sims.argmax()) if ids else None
         else:
             # Filtered after scoring: a matrix-vector product can round a row
             # differently beside other rows, so scoring only the passing ids
-            # could give floats that differ from a shared scoring pass.
+            # could give floats that differ from a shared scoring pass. max()
+            # keeps the first of equal scores, the smallest id, as argmax does.
             keep = [j for j, i in enumerate(ids) if where(self._entries[i])]
-            best = keep[int(np.argmax(sims[keep]))] if keep else None
-        if best is None or sims[best] < t:
+            best = max(keep, key=sims.tolist().__getitem__) if keep else None
+        sim = None if best is None else sims.item(best)
+        if sim is None or sim < t:
             return LookupOutcome(False, None, None, self._probes)
         best_id = ids[best]
         entry = self._entries[best_id]
         entry.last_access = max(entry.last_access, now)
         entry.hit_count += 1
         self._touch(best_id, entry)
-        return LookupOutcome(True, best_id, float(sims[best]), self._probes)
+        return LookupOutcome(True, best_id, sim, self._probes)
 
     def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0,
                      scores: CandidateScores | None = None) -> LookupOutcome:

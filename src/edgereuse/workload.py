@@ -11,6 +11,7 @@ similarity thresholds.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -247,7 +248,7 @@ def _measure_stats(matrix: np.ndarray, fresh_by_cluster: list[list[int]],
 def write_vectors_csv(path, vectors: np.ndarray) -> None:
     vectors = np.asarray(vectors, dtype=np.float64)
     dim = vectors.shape[1] if vectors.ndim == 2 and vectors.size else vectors.shape[-1]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["vector_id"] + [f"v{i}" for i in range(dim)])
         for vid, row in enumerate(vectors):
@@ -263,6 +264,28 @@ def write_vectors_csv(path, vectors: np.ndarray) -> None:
 _NOT_FOR_NUMPY = ('"', "_", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
+def _naming_bad_utf8(read):
+    """Wrap a CSV reader so that a file that is not UTF-8 fails as
+    ``<path>: row N: not valid UTF-8``, N being the file line of the first
+    bad byte. The decoder's own error names neither, and its position is
+    within a buffered chunk, so the raw file is read again to count lines,
+    on this failure path only."""
+    @functools.wraps(read)
+    def read_utf8(path):
+        try:
+            return read(path)
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                row = data.count(b"\n", 0, exc.start) + 1
+                raise ValueError(f"{path}: row {row}: not valid UTF-8") from None
+            raise
+    return read_utf8
+
+
+@_naming_bad_utf8
 def read_vectors_csv(path) -> np.ndarray:
     """Read vectors.csv as an (n, dim) float64 array, row i being vector i.
 
@@ -271,7 +294,7 @@ def read_vectors_csv(path) -> np.ndarray:
     accepted files and the arrays they give are those of the row-by-row read.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         dim = _vectors_dim(path, fh)
         lines = _numpy_lines(fh, dim)
         try:
@@ -328,7 +351,7 @@ def _exact_repr(x: float) -> str:
 
 def _scan_vectors(path: Path) -> np.ndarray:
     """The row-by-row read: raises at the first bad row, naming it."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         dim = _vectors_dim(path, fh)
         out = []
         for lineno, fields in enumerate(csv.reader(fh), start=2):
@@ -346,17 +369,18 @@ TRACE_HEADER = ["time_us", "device_id", "service_id", "vector_id", "threshold"]
 
 
 def write_trace_csv(path, rows: list[TraceRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for r in rows:
             writer.writerow([r.time_us, r.device_id, r.service_id, r.vector_id, repr(float(r.threshold))])
 
 
+@_naming_bad_utf8
 def read_trace_csv(path) -> list[TraceRow]:
     path = Path(path)
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_HEADER:

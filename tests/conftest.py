@@ -13,7 +13,10 @@ def pytest_configure(config):
         "PASS/FAIL line in the terminal summary")
 
 
+@pytest.hookimpl(trylast=True)
 def pytest_collection_modifyitems(items):
+    # Last, so that items deselected with -m are gone and not listed as
+    # criteria that were not run.
     for item in items:
         marker = item.get_closest_marker("acceptance")
         if marker is not None:

@@ -125,6 +125,24 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith(f"error: {path}: row 7: {why}")
 
+    @pytest.mark.parametrize("name", ["vectors.csv", "trace.csv"])
+    @pytest.mark.parametrize("line", [1, 7, -1], ids=["header", "row-7", "last-row"])
+    def test_non_utf8_byte_is_one_error_line(self, tmp_path, capsys, name, line):
+        # The last row of vectors.csv lies beyond the reader's first buffered
+        # chunk, so its row is counted on the raw file, not on the chunk.
+        bundle = generate(tmp_path)
+        path = bundle / name
+        lines = path.read_bytes().split(b"\n")[:-1]
+        row = line if line > 0 else len(lines)
+        lines[row - 1] = lines[row - 1][:2] + b"\xff" + lines[row - 1][2:]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        capsys.readouterr()
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: row {row}: not valid UTF-8"]
+
 
 class TestSweep:
     def sweep(self, tmp_path, thresholds, capsys):

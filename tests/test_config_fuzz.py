@@ -71,9 +71,7 @@ def mutated(draw, originals):
     return name, data
 
 
-@settings(max_examples=250, deadline=None)
-@given(data=st.data())
-def test_loader_returns_config_or_names_the_field(bundle, data):
+def check_loader(bundle, data):
     out, originals, on_disk = bundle
     name, mutation = data.draw(mutated(originals))
     for file in FILES:
@@ -87,3 +85,16 @@ def test_loader_returns_config_or_names_the_field(bundle, data):
         assert FIELD_PATH.match(str(exc)), str(exc)
     else:
         assert isinstance(cfg, ExperimentConfig)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_loader_returns_config_or_names_the_field(bundle, data):
+    check_loader(bundle, data)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=10_000, deadline=None)
+@given(data=st.data())
+def test_loader_returns_config_or_names_the_field_deep(bundle, data):
+    check_loader(bundle, data)

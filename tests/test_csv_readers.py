@@ -31,7 +31,7 @@ from edgereuse.workload import TRACE_HEADER, TraceRow, read_trace_csv, read_vect
 
 def oracle_read_vectors_csv(path) -> np.ndarray:
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "vector_id":
@@ -55,7 +55,7 @@ def oracle_read_vectors_csv(path) -> np.ndarray:
 def oracle_read_trace_csv(path) -> list[TraceRow]:
     path = Path(path)
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_HEADER:
@@ -176,14 +176,14 @@ TRACE_CASES = {
 @pytest.mark.parametrize("name", VECTOR_CASES)
 def test_vectors_reader_matches_row_by_row_reader(tmp_path, name):
     path = tmp_path / "vectors.csv"
-    path.write_text(VECTOR_CASES[name], newline="")
+    path.write_text(VECTOR_CASES[name], newline="", encoding="utf-8")
     assert_vectors_agree(path)
 
 
 @pytest.mark.parametrize("name", TRACE_CASES)
 def test_trace_reader_matches_row_by_row_reader(tmp_path, name):
     path = tmp_path / "trace.csv"
-    path.write_text(TRACE_CASES[name], newline="")
+    path.write_text(TRACE_CASES[name], newline="", encoding="utf-8")
     assert_traces_agree(path)
 
 
@@ -194,14 +194,14 @@ def test_trace_reader_matches_row_by_row_reader(tmp_path, name):
 def test_vectors_errors_name_the_file_line(tmp_path, name, row):
     # row N is the file line, the header being row 1.
     path = tmp_path / "vectors.csv"
-    path.write_text(VECTOR_CASES[name], newline="")
+    path.write_text(VECTOR_CASES[name], newline="", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row {row}: "):
         read_vectors_csv(path)
 
 
 def test_header_only_vectors_file_is_empty_and_silent(tmp_path):
     path = tmp_path / "vectors.csv"
-    path.write_text("vector_id," + ",".join(f"v{i}" for i in range(7)) + "\n")
+    path.write_text("vector_id," + ",".join(f"v{i}" for i in range(7)) + "\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vectors = read_vectors_csv(path)
@@ -219,7 +219,7 @@ def test_generated_vectors_take_the_single_pass(tmp_path, rng):
 
 def test_trace_rows_stay_frozen_dataclasses(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text(TRACE_CASES["plain"])
+    path.write_text(TRACE_CASES["plain"], encoding="utf-8")
     row = read_trace_csv(path)[0]
     built = TraceRow(100, "dev0", "svc", 0, 0.8)
     assert row == built and hash(row) == hash(built) and vars(row) == vars(built)
@@ -302,7 +302,7 @@ SMALL_TRACE = T_HEAD + "".join(f"{100 * i},dev{i % 2},svc-{i % 3},{i % 4},0.{8 -
 @given(data=st.data())
 def test_mutated_vectors_read_as_row_by_row(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated-vectors.csv"
-    path.write_text(data.draw(mutated_csv(SMALL_VECTORS)), newline="")
+    path.write_text(data.draw(mutated_csv(SMALL_VECTORS)), newline="", encoding="utf-8")
     assert_vectors_agree(path)
 
 
@@ -310,7 +310,7 @@ def test_mutated_vectors_read_as_row_by_row(tmp_path_factory, data):
 @given(data=st.data())
 def test_mutated_traces_read_as_row_by_row(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated-trace.csv"
-    path.write_text(data.draw(mutated_csv(SMALL_TRACE)), newline="")
+    path.write_text(data.draw(mutated_csv(SMALL_TRACE)), newline="", encoding="utf-8")
     assert_traces_agree(path)
 
 
@@ -320,7 +320,8 @@ def test_mutated_traces_read_as_row_by_row(tmp_path_factory, data):
 def replay_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("csv-fuzz-bundle")
     write_bundle(dataclasses.replace(workload.builtin_profiles()["cctv-like"], tasks=30), 5, out)
-    originals = {name: (out / name).read_text() for name in ("vectors.csv", "trace.csv")}
+    originals = {name: (out / name).read_text(encoding="utf-8")
+                 for name in ("vectors.csv", "trace.csv")}
     return out, originals
 
 
@@ -331,9 +332,7 @@ def _replay_bytes(cfg, out):
     return (out / "per_task.csv").read_bytes(), (out / "metrics.json").read_bytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_mutated_bundle_replays_identically_or_names_its_csv(replay_bundle, data):
+def check_mutated_replay(replay_bundle, data):
     """A bundle with a mutated CSV either replays twice to identical bytes,
     or Simulation rejects it with a SimulationError that starts with the
     file's path. Two rejections name something else: a trace row whose
@@ -343,7 +342,8 @@ def test_mutated_bundle_replays_identically_or_names_its_csv(replay_bundle, data
     out, originals = replay_bundle
     name = data.draw(st.sampled_from(sorted(originals)))
     for file, text in originals.items():
-        (out / file).write_text(data.draw(mutated_csv(text)) if file == name else text, newline="")
+        (out / file).write_text(data.draw(mutated_csv(text)) if file == name else text,
+                                newline="", encoding="utf-8")
     cfg = load_experiment(out / "experiment.json")
     mutated = out / name
     try:
@@ -358,3 +358,16 @@ def test_mutated_bundle_replays_identically_or_names_its_csv(replay_bundle, data
         assert name == "trace.csv" and str(exc).startswith("experiment.control.window_us: "), str(exc)
         return
     assert _replay_bytes(cfg, out) == first
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_bundle_replays_identically_or_names_its_csv(replay_bundle, data):
+    check_mutated_replay(replay_bundle, data)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=1_000, deadline=None)
+@given(data=st.data())
+def test_mutated_bundle_replays_identically_or_names_its_csv_deep(replay_bundle, data):
+    check_mutated_replay(replay_bundle, data)

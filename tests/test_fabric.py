@@ -8,7 +8,7 @@ from edgereuse.fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport
                               RouterNode, ServerNode, UnknownServiceError, device_offload,
                               partition_hash_space, rebalance, router_forward, server_handle)
 from edgereuse.hashing import FORWARDING_SPACE, LshFamily, forwarding_hash
-from edgereuse.services import ServiceSpec, StageSpec, oracle
+from edgereuse.services import ServiceSpec, StageSpec, execute_service
 from edgereuse.store import ReuseEntry, ReuseStore
 
 BIG = 10_000_000
@@ -35,7 +35,7 @@ def make_store(family, radius=0):
 
 
 def entry_for(v, svc=SVC_A):
-    res = oracle(svc, np.asarray(v, dtype=float))
+    res = execute_service(svc, np.asarray(v, dtype=float))
     stage_outputs = {}
     x = np.asarray(v, dtype=float)
     from edgereuse.services import execute_stage
@@ -222,7 +222,7 @@ class TestDeviceOffload:
         assert out.payload is not None
         assert out.payload.reuse_layer is ReuseLayer.DEVICE
         assert [(s.kind, s.cost_us) for s in out.steps] == [("lookup", 1000)]
-        assert np.array_equal(out.payload.output, oracle(SVC_A, v).output)
+        assert np.array_equal(out.payload.output, execute_service(SVC_A, v).output)
 
     def test_lookup_is_service_filtered(self, family):
         store = make_store(family)
@@ -294,7 +294,7 @@ class TestServerHandle:
         assert [(s.kind, s.cost_us) for s in out.steps] == [
             ("lookup", 1000), ("stage_lookup", 0), ("stage_exec", 60_000),
             ("stage_lookup", 0), ("stage_exec", 40_000)]
-        truth = oracle(SVC_A, v)
+        truth = execute_service(SVC_A, v)
         assert np.array_equal(out.payload.output, truth.output)
         assert out.payload.label == truth.label
         assert set(out.entry.stage_outputs) == {"stage-shared", "tail-a"}
@@ -325,7 +325,7 @@ class TestServerHandle:
         assert [(s.kind, s.cost_us) for s in out.steps] == [
             ("lookup", 1000), ("stage_lookup", 1000), ("stage_lookup", 0),
             ("stage_exec", 40_000)]
-        truth = oracle(SVC_B, v)
+        truth = execute_service(SVC_B, v)
         assert np.array_equal(out.payload.output, truth.output)
         assert out.entry is not None and out.entry.service_id == "svc-b"
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgereuse.services import (ServiceSpec, StageSpec, execute_service, execute_stage,
                                 label_of, oracle)
@@ -114,7 +116,7 @@ class TestExecuteService:
     def test_oracle_is_full_execution(self, rng):
         svc = two_stage_service()
         x = rng.standard_normal(6)
-        a = oracle(svc, x)
+        (a,) = oracle(svc, x[None])
         b = execute_service(svc, x)
         assert np.array_equal(a.output, b.output)
         assert a.label == b.label
@@ -143,3 +145,64 @@ class TestExecuteService:
             noisy = center + 0.01 * rng.standard_normal(16)
             agree += execute_service(svc, noisy).label == base
         assert agree >= 190
+
+
+WIDTHS = (1, 3, 65)
+
+
+@st.composite
+def pipelines(draw):
+    """A service of 1-3 stages drawn from a pool of two specs, so a stage id
+    may appear twice, over widths 1, 3 and 65."""
+    pool = [StageSpec(f"stage-{i}", draw(st.integers(0, 2**32)), draw(st.sampled_from(WIDTHS)), 1)
+            for i in range(2)]
+    stages = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    return ServiceSpec("svc-p", draw(st.sampled_from(WIDTHS)), stages,
+                       label_classes=draw(st.integers(2, 12)))
+
+
+class TestOracle:
+    """The batched ground truth: row i of oracle(svc, xs) is bit for bit
+    what executing xs[i] alone gives, whatever the batch around it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(svc=pipelines(), n=st.integers(1, 50), offset=st.integers(0, 3),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32))
+    def test_rows_equal_single_executions(self, svc, n, offset, scale, seed):
+        # The batch starts at 0-3 elements into a buffer, so its rows sit
+        # at several memory alignments.
+        size = n * svc.input_dim
+        buf = np.random.default_rng(seed).standard_normal(size + offset) * scale
+        xs = buf[offset:].reshape(n, svc.input_dim)
+        results = oracle(svc, xs)
+        assert len(results) == n
+        for x, res in zip(xs, results):
+            alone = execute_service(svc, x)
+            assert np.array_equal(res.output, alone.output)
+            assert res.label == alone.label
+            # execute_service against the stage-by-stage path the servers run.
+            chained = x
+            for stage in svc.stages:
+                chained = execute_stage(stage, chained)
+            assert np.array_equal(res.output, chained)
+            assert res.label == label_of(svc, chained)
+            assert res.output.shape == (svc.output_dim,)
+            assert not res.output.flags.writeable
+            with pytest.raises(ValueError):
+                res.output[0] = 0.0
+
+    def test_empty_batch(self):
+        assert oracle(two_stage_service(), np.empty((0, 6))) == []
+
+    @pytest.mark.parametrize("xs", [
+        np.ones(6),
+        np.ones((2, 5)),
+        np.ones((2, 7)),
+        np.ones((1, 2, 6)),
+        np.array([[1.0, 2, 3, np.nan, 5, 6]]),
+        np.array([[1.0, 2, 3, 4, 5, 6], [1.0, np.inf, 3, 4, 5, 6]]),
+        np.array([[1.0, 2, 3, 4, 5, -np.inf]]),
+    ], ids=["1-d", "narrow", "wide", "3-d", "nan", "inf", "-inf"])
+    def test_rejects_bad_matrix(self, xs):
+        with pytest.raises(ValueError):
+            oracle(two_stage_service(), xs)

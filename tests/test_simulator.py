@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from edgereuse.config import (ConfigError, default_experiment_data, default_serv
                               load_experiment, write_json)
 from edgereuse.core import RESULT_ATOL, ReuseLayer, TaskResult, results_equal
 from edgereuse.fabric import ResultPayload
-from edgereuse.services import ServiceResult
+from edgereuse.services import ServiceResult, execute_service
 from edgereuse.simulator import _agrees
 from edgereuse.simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
                                  sweep_thresholds, write_sweep_csv)
@@ -485,6 +486,76 @@ class TestSweep:
             sweep_thresholds(cfg, [])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sweep_thresholds(cfg, [0.5, 1.5])
+
+
+class TestDeferredJudging:
+    """Reused completions are judged in batches against one oracle pass per
+    service; the accurate column must be the per-task judgement."""
+
+    @pytest.fixture(scope="class")
+    def mixed_1200(self, tmp_path_factory):
+        from edgereuse.cli import write_bundle
+        out = tmp_path_factory.mktemp("mixed-1200")
+        write_bundle(dataclasses.replace(builtin_profiles()["mixed"], tasks=1200), 42, out)
+        return out
+
+    def test_batches_judge_as_each_task_alone(self, mixed_1200, monkeypatch):
+        sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
+        payloads, queued = {}, []
+        complete, judge = Simulation._complete, Simulation._judge
+
+        def completing(self, journey, now):
+            payloads[journey.task_id] = journey.outcome.payload
+            complete(self, journey, now)
+
+        def judging(self):
+            queued.append(len(self._unjudged))
+            judge(self)
+
+        monkeypatch.setattr(Simulation, "_complete", completing)
+        monkeypatch.setattr(Simulation, "_judge", judging)
+        report = sim.run()
+        batch = edgereuse.simulator._JUDGE_BATCH
+        reused = sum(r.reuse_layer is not ReuseLayer.NONE for r in report.records)
+        # Both flushes ran: full batches during the replay, then the rest.
+        assert reused > batch and reused % batch
+        assert queued == [batch] * (reused // batch) + [reused % batch]
+        for r in report.records:
+            payload = payloads[r.task_id]
+            if r.reuse_layer is ReuseLayer.NONE:
+                assert r.accurate is None
+            else:
+                truth = execute_service(sim.catalog[r.service_id], sim.vectors[r.vector_id])
+                assert r.accurate is _agrees(truth, payload), r.task_id
+        assert {r.accurate for r in report.records} == {None, True, False}
+
+    def test_oracle_computes_each_pair_once(self, mixed_1200, monkeypatch):
+        sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
+        rows = []
+        oracle = edgereuse.simulator.oracle
+
+        def counted(svc, xs):
+            rows.extend((svc.service_id, x.tobytes()) for x in xs)
+            return oracle(svc, xs)
+
+        monkeypatch.setattr(edgereuse.simulator, "oracle", counted)
+        report = sim.run()
+        pairs = {(r.service_id, r.vector_id) for r in report.records
+                 if r.reuse_layer is not ReuseLayer.NONE}
+        assert len(rows) == len(set(rows)) == len(pairs)
+
+    def test_no_reuse_makes_no_oracle_call(self, mixed_1200, tmp_path, monkeypatch):
+        bundle = shutil.copytree(mixed_1200, tmp_path / "no-store")
+        topology = json.loads((bundle / "topology.json").read_text())
+        for node in topology["devices"] + topology["routers"] + topology["servers"]:
+            node["store"] = None
+        write_json(bundle / "topology.json", topology)
+        calls = []
+        monkeypatch.setattr(edgereuse.simulator, "oracle", lambda *args: calls.append(args))
+        report = run_experiment(load_experiment(bundle / "experiment.json"))
+        assert report.aggregates["reuse_pct"] == 0.0
+        assert report.aggregates["accuracy_pct"] is None
+        assert calls == []
 
 
 class TestAccuracyPredicate:

@@ -91,8 +91,12 @@ class TestInsertLookup:
         v = np.arange(1.0, 9.0)
         store.insert(make_entry(v, label=1))
         store.insert(make_entry(v.copy(), label=2))
+        store.insert(make_entry(v.copy(), label=3))
         out = store.lookup(v, 0.9)
         assert out.entry_id == 0
+        # The same rule among the candidates a filter keeps.
+        assert store.lookup(v, 0.9, where=lambda e: True).entry_id == 0
+        assert store.lookup(v, 0.9, where=lambda e: e.label != 1).entry_id == 1
 
     def test_hit_updates_recency_and_count(self, store):
         v = np.ones(8)
