@@ -10,8 +10,7 @@ metrics; the command line wraps that in generate / run / sweep / report.
 
 from .config import (ConfigError, ExperimentConfig, default_experiment_data,
                      default_services_data, default_topology_data, load_experiment)
-from .core import (RESULT_ATOL, ReuseLayer, TaskEnvelope, TaskResult, as_feature_vector,
-                   results_equal, similarity)
+from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope, as_feature_vector, similarity
 from .fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport, RouterNode,
                      ServerNode, UnknownServiceError, device_offload, partition_hash_space,
                      rebalance, router_forward, server_handle)
@@ -58,7 +57,6 @@ __all__ = [
     "SimulationError",
     "StageSpec",
     "TaskEnvelope",
-    "TaskResult",
     "UnknownServiceError",
     "WorkloadProfile",
     "as_feature_vector",
@@ -78,12 +76,11 @@ __all__ = [
     "partition_hash_space",
     "probe_masks",
     "rebalance",
-    "results_equal",
     "router_forward",
     "run_experiment",
     "server_handle",
     "similarity",
     "sweep_thresholds",
-    "write_sweep_csv",
     "vector_bytes",
+    "write_sweep_csv",
 ]

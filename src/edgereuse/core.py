@@ -116,18 +116,6 @@ def _check_forwarding_hash(h: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    """Final outcome of one task: output vector, derived label, provenance."""
-
-    task_id: int
-    service_id: str
-    output: np.ndarray
-    label: int
-    reuse_layer: ReuseLayer
-    completed_at: int = 0
-
-
 def similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [0, 1].
 
@@ -148,19 +136,3 @@ def similarity(a: np.ndarray, b: np.ndarray) -> float:
         return 1.0
     return max(c, 0.0)
 
-
-def results_equal(r1: TaskResult, r2: TaskResult) -> bool:
-    """True iff two results for the same service agree.
-
-    Agreement = equal labels and element-wise equal outputs within 1e-9.
-    This is the predicate behind the reuse-accuracy metric.
-    """
-    if r1.service_id != r2.service_id:
-        raise ValueError(f"results are for different services: {r1.service_id!r} vs {r2.service_id!r}")
-    if r1.label != r2.label:
-        return False
-    o1 = np.asarray(r1.output)
-    o2 = np.asarray(r2.output)
-    if o1.shape != o2.shape:
-        return False
-    return bool(np.allclose(o1, o2, rtol=0.0, atol=RESULT_ATOL))

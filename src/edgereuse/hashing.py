@@ -6,6 +6,11 @@ table-0 signature with k=16 doubles as the forwarding hash that routers
 partition among servers, so its value range is [0, 65535]. LshFamily.prepare
 fingerprints an input once for every table; the PreparedQuery it returns
 carries the vector, its norm and the signatures to every later use.
+
+Every signer (prepare, signature_bits, batch_signature_bits and
+forwarding_hash) runs one kernel, one (k, dim) gemv per table and vector,
+and accepts exactly what prepare accepts. So an input's fingerprint is the
+same bits whichever signer a device, router or server calls.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ FORWARDING_SPACE = 1 << FORWARDING_BITS
 
 _MAX_SEED = 1 << 64
 _NORM_OVERFLOW = "feature vector norm overflows float64"
+_NORM_UNDERFLOW = "feature vector norm underflows float64 to 0"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -84,21 +90,16 @@ class LshFamily:
             raise ValueError(f"table index {table} out of range [0, {self.tables})")
 
     def signature_bits(self, v, table: int = 0) -> int:
-        """The k-bit integer fingerprint of one vector under one table."""
+        """The k-bit integer fingerprint of one vector under one table:
+        prepare(v).bits[table]."""
         self._check_table(table)
-        v = _signable(as_feature_vector(v, self.dim))
-        dots = self.hyperplanes[table] @ v
-        return int(((dots > 0).astype(np.uint64) * self._bit_weights).sum())
-
-    def table_signature_bits(self, v) -> list[int]:
-        """Every table's k-bit fingerprint of one vector, table 0 first."""
-        return self._table_bits(_signable(as_feature_vector(v, self.dim)))
+        return self.prepare(v).bits[table]
 
     def prepare(self, v) -> PreparedQuery:
         """Validate, measure and sign one vector under every table, once.
 
-        Rejects the inputs a store cannot score: wrong dim, NaN or Inf, an
-        all-zero vector, and a norm that overflows float64.
+        Rejects the inputs a store cannot score: wrong dim, NaN or Inf, and
+        what input_norm rejects.
         """
         return self._prepare_valid(as_feature_vector(v, self.dim))
 
@@ -108,46 +109,42 @@ class LshFamily:
         return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
 
     def _table_bits(self, v: np.ndarray) -> list[int]:
-        # For callers that already hold a validated, non-zero float64 vector
-        # of length dim. The stacked matmul runs one (k, dim) product per
-        # table, the same arithmetic as signature_bits, so the bits agree
-        # exactly; one flat (tables*k, dim) product can round differently
-        # when tables*k changes which BLAS kernel computes a row.
-        return ((self.hyperplanes @ v > 0) @ self._bit_weights).tolist()
+        # Every table's bits of one vector that input_norm accepts.
+        return self._signatures(self.hyperplanes, v).tolist()
 
-    def batch_signature_bits(self, vectors: np.ndarray, table: int = 0) -> np.ndarray:
-        """Fingerprints for a (n, dim) matrix of row vectors, as uint64."""
+    def _signatures(self, planes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # The one signing product. x is one vector, signed under a stack of
+        # tables' (k, dim) planes, or a stack of columns (n, dim, 1), signed
+        # under one table's planes. Either way numpy runs one (k, dim) gemv
+        # per table and column, so a vector's bits never depend on how many
+        # others are signed with it. A row-major (n, dim) @ (dim, k) gemm
+        # would sum in another order and flip the bits of near-plane inputs.
+        return (planes @ x > 0).reshape(-1, self.k) @ self._bit_weights
+
+    def batch_signature_bits(self, vectors, table: int = 0) -> np.ndarray:
+        """Fingerprints for a (n, dim) matrix of row vectors, as uint64: row
+        i's is signature_bits(vectors[i], table), and a row that prepare
+        rejects fails the batch with prepare's error."""
         self._check_table(table)
-        m = np.asarray(vectors, dtype=np.float64)
+        m = np.ascontiguousarray(vectors, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("vectors contain NaN or Inf")
-        if np.any(~m.any(axis=1)):
-            raise ValueError("cannot fingerprint an all-zero vector")
-        if not np.all(np.isfinite(np.linalg.norm(m, axis=1))):
-            raise ValueError(_NORM_OVERFLOW)
-        dots = m @ self.hyperplanes[table].T
-        return ((dots > 0).astype(np.uint64) * self._bit_weights).sum(axis=1)
-
-
-def _signable(v: np.ndarray) -> np.ndarray:
-    # An all-zero vector has no direction to sign. A norm that overflows
-    # lets dot products overflow to inf or NaN, and a NaN would read as a 0
-    # bit. Tiny (even subnormal) non-zero vectors are signed as they are.
-    if not np.any(v):
-        raise ValueError("cannot fingerprint an all-zero vector")
-    if not math.isfinite(float(np.linalg.norm(v))):
-        raise ValueError(_NORM_OVERFLOW)
-    return v
+        # Each row's m[i] @ m[i] is the dot product input_norm's norm takes
+        # the root of, so this flags the rows prepare rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = (m[:, None, :] @ m[:, :, None]).ravel()
+        for row in m[(squares == 0.0) | ~np.isfinite(squares)]:
+            input_norm(as_feature_vector(row))
+        return self._signatures(self.hyperplanes[table], m[:, :, None])
 
 
 def input_norm(v: np.ndarray) -> float:
     """Euclidean norm of a validated vector that can be fingerprinted and
-    scored: rejects an all-zero vector and a norm that overflows float64."""
+    scored: rejects an all-zero vector, a norm that underflows to 0 and a
+    norm that overflows float64."""
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise ValueError("cannot fingerprint an all-zero vector")
+        raise ValueError(_NORM_UNDERFLOW if v.any() else "cannot fingerprint an all-zero vector")
     if not math.isfinite(norm):
         raise ValueError(_NORM_OVERFLOW)
     return norm
@@ -161,9 +158,7 @@ def forwarding_hash(family: LshFamily, v) -> int:
     scale-invariant), which is what makes hash-range routing converge
     similar tasks on one server.
     """
-    if family.k != FORWARDING_BITS:
-        raise ValueError(f"forwarding hash needs a k={FORWARDING_BITS} family, got k={family.k}")
-    return family.signature_bits(v, 0)
+    return family.prepare(v).forwarding_hash
 
 
 @functools.lru_cache(maxsize=None)

@@ -94,7 +94,9 @@ class TaskRecord:
 
 
 def _agrees(truth, payload) -> bool:
-    """results_equal's predicate, applied without building TaskResults.
+    """True iff a reused result agrees with the task's own execution: equal
+    labels, equal output shapes, and every output element within
+    RESULT_ATOL. This is the predicate behind the reuse-accuracy metric.
 
     Outputs are finite (tanh values), and for finite arrays max |diff| <= atol
     is exactly allclose with rtol=0.
@@ -210,7 +212,8 @@ class Simulation:
         if len(self.vectors) and self.vectors.shape[1] != cfg.dim:
             raise SimulationError(
                 f"{cfg.vectors_path}: vectors have dim {self.vectors.shape[1]}, experiment dim is {cfg.dim}")
-        norms = np.linalg.norm(self.vectors, axis=1) if self.vectors.size else np.array([])
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.vectors, axis=1) if self.vectors.size else np.array([])
         bad = np.nonzero(~np.isfinite(norms))[0]
         if bad.size:
             i = int(bad[0])
@@ -219,7 +222,9 @@ class Simulation:
             raise SimulationError(f"{cfg.vectors_path}: vector {i} {what}")
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
-            raise SimulationError(f"{cfg.vectors_path}: vector {int(zero[0])} is all-zero")
+            i = int(zero[0])
+            what = "has a norm that underflows float64 to 0" if self.vectors[i].any() else "is all-zero"
+            raise SimulationError(f"{cfg.vectors_path}: vector {i} {what}")
         # Checked: from here on every row is trusted as it is, and read-only.
         self.vectors.setflags(write=False)
         self.rows = []

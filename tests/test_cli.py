@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,26 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert "vector 4 is not finite" in err[0]
+
+    def test_overflowing_norm_is_one_stderr_line(self, tmp_path):
+        # Run as a process, as a user runs it: pytest would otherwise catch
+        # a warning that the CLI leaks before its error line.
+        bundle = generate(tmp_path)
+        path = bundle / "vectors.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = "1e200"
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "edgereuse", "run", "--config",
+                               str(bundle / "experiment.json"), "--out", str(tmp_path / "r")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1, proc.stderr
+        assert err[0].startswith("error:")
+        assert "vector 4 has a norm that overflows float64" in err[0]
 
     @pytest.mark.parametrize("name, field, value, why", [
         ("vectors.csv", None, None, "expected 65 fields, got 64"),

@@ -3,13 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgereuse.core import (ReuseLayer, TaskEnvelope, TaskResult, as_feature_vector,
-                            check_threshold, results_equal, similarity)
+from edgereuse.core import (ReuseLayer, TaskEnvelope, as_feature_vector, check_threshold,
+                            similarity)
+from edgereuse.fabric import ResultPayload
+from edgereuse.services import ServiceResult
+from edgereuse.simulator import _agrees
 
 
-def make_result(output, label, service_id="svc", **kw):
-    return TaskResult(0, service_id, np.asarray(output, dtype=float), label,
-                      ReuseLayer.NONE, **kw)
+def results_equal(output1, label1, output2, label2):
+    # A task's own result against a reused one, judged by the replay's predicate.
+    truth = ServiceResult(np.asarray(output1, dtype=float), label1)
+    return _agrees(truth, ResultPayload(np.asarray(output2, dtype=float), label2,
+                                        ReuseLayer.DEVICE))
 
 
 class TestFeatureVector:
@@ -100,32 +105,23 @@ class TestSimilarity:
 
 
 class TestResultsEqual:
+    """Two results agree (simulator._agrees): equal labels, equal shapes, and
+    every output element within RESULT_ATOL."""
+
     def test_identical(self):
-        a = make_result([1.0, 2.0], 3)
-        b = make_result([1.0, 2.0], 3)
-        assert results_equal(a, b)
+        assert results_equal([1.0, 2.0], 3, [1.0, 2.0], 3)
 
     def test_tolerates_tiny_drift(self):
-        a = make_result([1.0, 2.0], 3)
-        b = make_result([1.0 + 1e-10, 2.0], 3)
-        assert results_equal(a, b)
+        assert results_equal([1.0, 2.0], 3, [1.0 + 1e-10, 2.0], 3)
 
     def test_rejects_visible_drift(self):
-        a = make_result([1.0, 2.0], 3)
-        b = make_result([1.0 + 1e-8, 2.0], 3)
-        assert not results_equal(a, b)
+        assert not results_equal([1.0, 2.0], 3, [1.0 + 1e-8, 2.0], 3)
 
     def test_label_mismatch(self):
-        assert not results_equal(make_result([1.0], 1), make_result([1.0], 2))
+        assert not results_equal([1.0], 1, [1.0], 2)
 
     def test_shape_mismatch_is_unequal(self):
-        assert not results_equal(make_result([1.0], 1), make_result([1.0, 1.0], 1))
-
-    def test_cross_service_comparison_is_an_error(self):
-        a = make_result([1.0], 1, service_id="svc-a")
-        b = make_result([1.0], 1, service_id="svc-b")
-        with pytest.raises(ValueError, match="different services"):
-            results_equal(a, b)
+        assert not results_equal([1.0], 1, [1.0, 1.0], 1)
 
 
 def test_reuse_layer_values():

@@ -93,8 +93,14 @@ def _vectors_with_zeros(dim):
     return arrays(np.float64, dim, elements=coords).filter(lambda v: v.any())
 
 
+def _oracle_bits(fam, v, table):
+    # One plain gemv per table: bit j is set iff hyperplane j's dot is > 0.
+    return sum(1 << j for j, dot in enumerate(fam.hyperplanes[table] @ v) if dot > 0)
+
+
 class TestTableSignatureBits:
-    # Huge coordinates overflow the norm; both paths must reject those alike.
+    """Every table's signature bits of one input, as prepare(v).bits holds them."""
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(k=st.sampled_from([1, 16, 32]), tables=st.integers(1, 6),
@@ -102,12 +108,14 @@ class TestTableSignatureBits:
     def test_fused_equals_per_table(self, k, tables, dim, seed, data):
         fam = LshFamily(dim, k=k, tables=tables, seed=seed)
         v = data.draw(_vectors_with_zeros(dim))
-        if not np.isfinite(np.linalg.norm(v)):
-            for sign in (fam.table_signature_bits, fam.signature_bits):
-                with pytest.raises(ValueError, match="norm overflows float64"):
-                    sign(v)
+        norm = np.linalg.norm(v)
+        # A norm that underflows to 0 or overflows leaves nothing to sign.
+        if norm == 0.0 or not np.isfinite(norm):
+            fault = "underflows" if norm == 0.0 else "overflows"
+            with pytest.raises(ValueError, match=f"norm {fault} float64"):
+                fam.prepare(v)
             return
-        assert fam.table_signature_bits(v) == [fam.signature_bits(v, t) for t in range(tables)]
+        assert fam.prepare(v).bits == tuple(_oracle_bits(fam, v, t) for t in range(tables))
 
     def test_exact_zero_dot_is_bit_zero(self):
         fam = LshFamily(2, k=2, tables=2, seed=0)
@@ -115,37 +123,99 @@ class TestTableSignatureBits:
         planes.setflags(write=False)
         fam.hyperplanes = planes
         v = np.array([1.0, 0.0])
-        assert fam.table_signature_bits(v) == [0b01, 0b10]
-        assert fam.table_signature_bits(v) == [fam.signature_bits(v, t) for t in range(2)]
+        assert fam.prepare(v).bits == (0b01, 0b10)
+        assert fam.prepare(v).bits == tuple(fam.signature_bits(v, t) for t in range(2))
 
     def test_returns_plain_ints(self, rng):
         fam = LshFamily(8, k=32, tables=3, seed=2)
-        bits = fam.table_signature_bits(rng.standard_normal(8))
+        bits = fam.prepare(rng.standard_normal(8)).bits
         assert [type(b) for b in bits] == [int, int, int]
         assert all(0 <= b < 1 << 32 for b in bits)
 
     def test_input_validated(self):
         fam = LshFamily(4, k=4, tables=2, seed=0)
         with pytest.raises(ValueError, match="all-zero"):
-            fam.table_signature_bits(np.zeros(4))
+            fam.prepare(np.zeros(4))
         with pytest.raises(ValueError, match="dim"):
-            fam.table_signature_bits(np.ones(5))
+            fam.prepare(np.ones(5))
         with pytest.raises(ValueError, match="NaN"):
-            fam.table_signature_bits([1.0, float("nan"), 0.0, 0.0])
+            fam.prepare([1.0, float("nan"), 0.0, 0.0])
+
+
+def _signers(fam):
+    # Every public signer, each giving the table-0 bits of one vector.
+    return {
+        "prepare": lambda v: fam.prepare(v).bits[0],
+        "signature_bits": lambda v: fam.signature_bits(v, 0),
+        "batch_signature_bits": lambda v: int(fam.batch_signature_bits(v[None, :])[0]),
+        "forwarding_hash": lambda v: forwarding_hash(fam, v),
+    }
+
+
+class TestOneSigningKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 130), tables=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           order=st.sampled_from("CF"), data=st.data())
+    def test_near_plane_rows_sign_alike(self, dim, tables, seed, order, data):
+        # Rows with one hyperplane's component projected out put that dot
+        # product at rounding level, where its sign depends on the order
+        # the products are summed in; every signer must sum alike.
+        fam = LshFamily(dim, k=16, tables=tables, seed=seed)
+        table = data.draw(st.integers(0, tables - 1))
+        plane = fam.hyperplanes[table, data.draw(st.integers(0, fam.k - 1))]
+        m = np.random.default_rng(seed).standard_normal((48, dim))
+        m -= np.outer(m @ plane, plane)
+        m[np.linalg.norm(m, axis=1) == 0.0] = 1.0
+        m = np.asarray(m, order=order)
+        for t in range(tables):
+            batch = fam.batch_signature_bits(m, t)
+            assert batch.dtype == np.uint64
+            for i, row in enumerate(m):
+                oracle = _oracle_bits(fam, row, t)
+                assert batch[i] == fam.prepare(row).bits[t] == fam.signature_bits(row, t) == oracle
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(tables=st.integers(1, 4), dim=st.integers(1, 40), seed=st.integers(0, 2**64 - 1),
+           data=st.data())
+    def test_every_signer_has_prepares_domain(self, tables, dim, seed, data):
+        # Subnormal, zero and huge coordinates: every signer accepts the
+        # vector with the same bits, or every one rejects it alike.
+        fam = LshFamily(dim, k=FORWARDING_BITS, tables=tables, seed=seed)
+        huge = st.sampled_from([1e154, -1e154, 1e200, -1e300, 1.7e308, 1.0, 0.0])
+        v = data.draw(st.one_of(_vectors_with_zeros(dim),
+                                arrays(np.float64, dim, elements=huge).filter(lambda v: v.any())))
+        outcomes = {}
+        for name, sign in _signers(fam).items():
+            try:
+                outcomes[name] = sign(v)
+            except ValueError as exc:
+                outcomes[name] = str(exc)
+        assert len(set(outcomes.values())) == 1, outcomes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("sign", [
     lambda fam, v: fam.signature_bits(v),
-    lambda fam, v: fam.table_signature_bits(v),
+    lambda fam, v: fam.prepare(v),
     lambda fam, v: fam.batch_signature_bits(v[None, :]),
-], ids=["signature_bits", "table_signature_bits", "batch_signature_bits"])
+], ids=["signature_bits", "prepare", "batch_signature_bits"])
 def test_overflowing_norm_rejected(sign):
     # Every coordinate is finite, but the norm is not; the dot products
     # would overflow to inf or NaN and NaN would read as a 0 bit.
     fam = LshFamily(8, k=16, tables=2, seed=3)
     with pytest.raises(ValueError, match="norm overflows float64"):
         sign(fam, np.full(8, 1e308))
+
+
+@pytest.mark.parametrize("name", ["prepare", "signature_bits", "batch_signature_bits",
+                                  "forwarding_hash"])
+def test_underflowing_norm_is_not_called_all_zero(name):
+    fam = LshFamily(8, k=16, tables=2, seed=3)
+    with pytest.raises(ValueError, match="^feature vector norm underflows float64 to 0$"):
+        _signers(fam)[name](np.full(8, 1e-200))
+    with pytest.raises(ValueError, match="all-zero"):
+        _signers(fam)[name](np.zeros(8))
 
 
 class TestCollisionLaw:

@@ -12,7 +12,7 @@ import edgereuse.simulator
 from edgereuse.cli import main
 from edgereuse.config import (ConfigError, default_experiment_data, default_services_data,
                               load_experiment, write_json)
-from edgereuse.core import RESULT_ATOL, ReuseLayer, TaskResult, results_equal
+from edgereuse.core import RESULT_ATOL, ReuseLayer
 from edgereuse.fabric import ResultPayload
 from edgereuse.services import ServiceResult, execute_service
 from edgereuse.simulator import _agrees
@@ -383,6 +383,11 @@ class TestTraceValidation:
         with pytest.raises(SimulationError, match=r"vectors\.csv: vector 4 is not finite"):
             Simulation(build_bundle(tmp_path, vectors, rows))
 
+    def test_underflowing_norm_is_not_called_all_zero(self, tmp_path):
+        vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e-200)])
+        with pytest.raises(SimulationError, match="vector 1 has a norm that underflows float64 to 0"):
+            Simulation(build_bundle(tmp_path, vectors, []))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_rejected_at_load(self, tmp_path):
         vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e300)])
@@ -558,9 +563,16 @@ class TestDeferredJudging:
         assert calls == []
 
 
+def results_equal(truth, payload):
+    # The reference predicate, spelled out: equal labels, equal shapes and
+    # every element within RESULT_ATOL.
+    return (truth.label == payload.label
+            and truth.output.shape == payload.output.shape
+            and bool(np.allclose(truth.output, payload.output, rtol=0.0, atol=RESULT_ATOL)))
+
+
 class TestAccuracyPredicate:
-    """The replay judges accuracy without TaskResults; results_equal is the
-    reference it must match on every finite output."""
+    """_agrees must match the reference predicate on every finite output."""
 
     @settings(max_examples=300, deadline=None)
     @given(truth=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)),
@@ -572,7 +584,6 @@ class TestAccuracyPredicate:
         reused = truth + steps * RESULT_ATOL
         if shorter:
             reused = reused[:3]
+        truth = ServiceResult(truth, labels[0])
         payload = ResultPayload(reused, labels[1], ReuseLayer.DEVICE)
-        expected = results_equal(TaskResult(0, "svc", truth, labels[0], ReuseLayer.NONE),
-                                 TaskResult(0, "svc", reused, labels[1], ReuseLayer.DEVICE))
-        assert _agrees(ServiceResult(truth, labels[0]), payload) == expected
+        assert _agrees(truth, payload) == results_equal(truth, payload)

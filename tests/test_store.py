@@ -302,7 +302,8 @@ class TestPreparedQuery:
         assert q.family is family
         assert not q.vector.flags.writeable and np.array_equal(q.vector, v)
         assert q.norm == float(np.linalg.norm(v))
-        assert list(q.bits) == family.table_signature_bits(v)
+        assert q.bits == tuple(sum(1 << j for j, dot in enumerate(planes @ v) if dot > 0)
+                               for planes in family.hyperplanes)
 
     def test_prepare_validates(self, family):
         with pytest.raises(ValueError, match="all-zero"):
