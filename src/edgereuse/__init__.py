@@ -20,8 +20,8 @@ from .services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
                        execute_stage, label_of, oracle)
 from .simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
                         sweep_thresholds, write_sweep_csv)
-from .store import (CandidateScores, EvictionPolicy, LfuPolicy, LookupOutcome, LruPolicy,
-                    OversizedEntryError, ReuseEntry, ReuseStore, vector_bytes)
+from .store import (CandidateScores, LookupOutcome, OversizedEntryError, ReuseEntry, ReuseStore,
+                    vector_bytes)
 from .workload import CalibrationError, WorkloadProfile, builtin_profiles, generate_trace
 
 __version__ = "0.1.0"
@@ -31,16 +31,13 @@ __all__ = [
     "CandidateScores",
     "ConfigError",
     "DeviceNode",
-    "EvictionPolicy",
     "ExperimentConfig",
     "FORWARDING_BITS",
     "FORWARDING_SPACE",
     "ForwardingTable",
     "HashRange",
-    "LfuPolicy",
     "LoadReport",
     "LookupOutcome",
-    "LruPolicy",
     "LshFamily",
     "MetricsReport",
     "OversizedEntryError",

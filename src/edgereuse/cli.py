@@ -76,8 +76,9 @@ def _cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {', '.join(BUNDLE_FILES)} to {args.out}")
+    intra = stats["intra_cosine_measured"]  # None when no two tasks share a cluster
     print("tasks={tasks} unique_vectors={unique_vectors} repeat_tasks={repeat_tasks} "
-          "intra_cosine={intra_cosine_measured:.4f}".format(**stats))
+          "intra_cosine={}".format("n/a" if intra is None else f"{intra:.4f}", **stats))
     return 0
 
 

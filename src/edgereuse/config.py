@@ -23,7 +23,7 @@ import numpy as np
 
 from .hashing import FORWARDING_BITS
 from .services import ServiceSpec, StageSpec
-from .store import BYTES_PER_ELEMENT, VECTOR_OVERHEAD_BYTES
+from .store import length_bytes
 
 
 class ConfigError(Exception):
@@ -298,15 +298,12 @@ def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "to
     Devices and routers cache responses (the key and the final output);
     servers cache executions, which also carry every stage's output.
     """
-    def size(n):  # vector_bytes by length; len() cannot take a JSON-sized width
-        return BYTES_PER_ELEMENT * n + VECTOR_OVERHEAD_BYTES
-
     response = server = 0
     for svc in services:
-        entry = size(dim) + size(svc.output_dim)
+        entry = length_bytes(dim) + length_bytes(svc.output_dim)
         stages = {s.stage_id: s.out_dim for s in svc.stages}
         response = max(response, entry)
-        server = max(server, entry + sum(size(n) for n in stages.values()))
+        server = max(server, entry + sum(length_bytes(n) for n in stages.values()))
     for group, nodes, need in (("devices", topo.devices, response),
                                ("routers", topo.routers, response),
                                ("servers", topo.servers, server)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -259,11 +259,6 @@ class NodeOutcome:
     exec_busy_us: int = 0
 
 
-def _service_filter(service_id: str) -> Callable[[ReuseEntry], bool]:
-    # A cached result only substitutes for the same service's execution.
-    return lambda entry: entry.service_id == service_id
-
-
 def _query(store: ReuseStore, task: TaskEnvelope) -> PreparedQuery:
     # The task's own prepared query, or one made now for a task that
     # travels without one (or with one of another family).
@@ -277,9 +272,10 @@ def _cached_payload(store: ReuseStore, query: PreparedQuery, task: TaskEnvelope,
                     lookup_time_us: int, layer: ReuseLayer, steps: list,
                     scores: CandidateScores | None = None) -> ResultPayload | None:
     """One whole-task lookup, recorded as a costed step: the payload of the
-    matched entry, or None on a miss."""
-    found = store.lookup(query, task.threshold, now=now,
-                         where=_service_filter(task.service_id), scores=scores)
+    matched entry, or None on a miss. A cached result only substitutes for
+    the same service's execution."""
+    found = store.lookup(query, task.threshold, now=now, service=task.service_id,
+                         scores=scores)
     steps.append(CostedStep("lookup", f"{layer.value}:{'hit' if found.hit else 'miss'}",
                             lookup_time_us))
     if not found.hit:

@@ -129,11 +129,7 @@ class LshFamily:
         m = np.ascontiguousarray(vectors, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {m.shape}")
-        # Each row's m[i] @ m[i] is the dot product input_norm's norm takes
-        # the root of, so this flags the rows prepare rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares = (m[:, None, :] @ m[:, :, None]).ravel()
-        for row in m[(squares == 0.0) | ~np.isfinite(squares)]:
+        for row in m[unsignable_rows(m)]:
             input_norm(as_feature_vector(row))
         return self._signatures(self.hyperplanes[table], m[:, :, None])
 
@@ -148,6 +144,16 @@ def input_norm(v: np.ndarray) -> float:
     if not math.isfinite(norm):
         raise ValueError(_NORM_OVERFLOW)
     return norm
+
+
+def unsignable_rows(m: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of a (n, dim) float64 matrix that
+    prepare rejects as not finite or for their norm (see input_norm)."""
+    # Row i's m[i] @ m[i] runs the one dot product whose root input_norm
+    # takes, so its squares, and its verdicts, are bit for bit the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = (m[:, None, :] @ m[:, :, None]).ravel()
+    return np.flatnonzero((squares == 0.0) | ~np.isfinite(squares))
 
 
 def forwarding_hash(family: LshFamily, v) -> int:

@@ -25,7 +25,7 @@ from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, ResultPayload,
                      RouterNode, ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
-from .hashing import LshFamily, PreparedQuery
+from .hashing import LshFamily, PreparedQuery, unsignable_rows
 from .services import ServiceResult, ServiceSpec, oracle
 from .store import ReuseEntry, ReuseStore
 from .workload import TraceRow, read_trace_csv, read_vectors_csv
@@ -212,18 +212,18 @@ class Simulation:
         if len(self.vectors) and self.vectors.shape[1] != cfg.dim:
             raise SimulationError(
                 f"{cfg.vectors_path}: vectors have dim {self.vectors.shape[1]}, experiment dim is {cfg.dim}")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.vectors, axis=1) if self.vectors.size else np.array([])
-        bad = np.nonzero(~np.isfinite(norms))[0]
+        bad = unsignable_rows(self.vectors)
         if bad.size:
             i = int(bad[0])
-            what = ("is not finite" if not np.isfinite(self.vectors[i]).all()
-                    else "has a norm that overflows float64")
-            raise SimulationError(f"{cfg.vectors_path}: vector {i} {what}")
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            i = int(zero[0])
-            what = "has a norm that underflows float64 to 0" if self.vectors[i].any() else "is all-zero"
+            v = self.vectors[i]
+            if not np.isfinite(v).all():
+                what = "is not finite"
+            elif not v.any():
+                what = "is all-zero"
+            elif np.abs(v).max() < 1.0:  # then the squares sum below dim
+                what = "has a norm that underflows float64 to 0"
+            else:
+                what = "has a norm that overflows float64"
             raise SimulationError(f"{cfg.vectors_path}: vector {i} {what}")
         # Checked: from here on every row is trusted as it is, and read-only.
         self.vectors.setflags(write=False)
@@ -460,16 +460,20 @@ class Simulation:
     def _load_report(self) -> LoadReport:
         return LoadReport({s.node_id: s.executed_count for s in self.servers.values()})
 
+    def _server_counters(self) -> dict:
+        """Each server's counters, in server id order."""
+        return {s.node_id: {
+            "executed_count": s.executed_count,
+            "reused_count": s.reused_count,
+            "stored_bytes": s.store.total_bytes if s.store else 0,
+            "busy_us": s.busy_us,
+        } for s in sorted(self.servers.values(), key=lambda n: n.node_id)}
+
     def _sample_window(self, time_us: int) -> None:
         self.window_samples.append({
             "time_us": time_us,
             "table_version": self.table.version,
-            "servers": {s.node_id: {
-                "executed_count": s.executed_count,
-                "reused_count": s.reused_count,
-                "stored_bytes": s.store.total_bytes if s.store else 0,
-                "busy_us": s.busy_us,
-            } for s in sorted(self.servers.values(), key=lambda n: n.node_id)},
+            "servers": self._server_counters(),
         })
 
     # -- main loop ----------------------------------------------------------
@@ -533,15 +537,9 @@ class Simulation:
             }
         reused = [r for r in records if r.reuse_layer is not ReuseLayer.NONE]
         judged = [r for r in reused if r.accurate is not None]
-        servers = {}
-        for s in sorted(self.servers.values(), key=lambda x: x.node_id):
-            servers[s.node_id] = {
-                "executed_count": s.executed_count,
-                "reused_count": s.reused_count,
-                "stored_bytes": s.store.total_bytes if s.store else 0,
-                "busy_us": s.busy_us,
-                "busy_fraction": (s.busy_us / makespan) if makespan else 0.0,
-            }
+        servers = self._server_counters()
+        for counters in servers.values():
+            counters["busy_fraction"] = (counters["busy_us"] / makespan) if makespan else 0.0
         total_busy = sum(s.busy_us for s in self.servers.values())
         return {
             "tasks": n,

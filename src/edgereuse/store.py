@@ -5,8 +5,9 @@ the query's signatures for all tables (from a PreparedQuery, or signed once
 from a raw vector), gathers the buckets at each signature XOR each
 multi-probe mask, scores candidates by exact cosine similarity, and accepts
 the best one only if it clears the caller's threshold. Several lookups of
-one query can share one scoring pass (``score``). Eviction is LRU by
-default, LFU optionally, both pluggable.
+one query can share one scoring pass (``score``). A lookup can be limited
+to one service's entries or to entries that recorded one stage. Eviction
+is LRU by default or LFU, chosen by name.
 
 Every stored key is one row of the store's key matrix, the only copy of it;
 the key's norm and signature bits sit in arrays indexed by the same row, so
@@ -23,18 +24,21 @@ import numpy as np
 from .core import SELF_SIMILARITY_SNAP, as_feature_vector, check_threshold
 from .hashing import LshFamily, PreparedQuery, input_norm, probe_masks
 
-BYTES_PER_ELEMENT = 8
-VECTOR_OVERHEAD_BYTES = 64
 # The eviction heap may hold at most 2 items per live entry plus this many.
 HEAP_SLACK = 64
 # Rows of a store's first key matrix; it doubles from there.
 MIN_KEY_ROWS = 8
 
 
+def length_bytes(n: int) -> int:
+    """Accounted storage cost of a vector of n elements: 8 bytes per element
+    plus a 64-byte fixed overhead for metadata and indexing."""
+    return 8 * n + 64
+
+
 def vector_bytes(v) -> int:
-    """Accounted storage cost of one vector: 8 bytes per element plus a
-    64-byte fixed overhead for metadata and indexing."""
-    return BYTES_PER_ELEMENT * len(v) + VECTOR_OVERHEAD_BYTES
+    """Accounted storage cost of one vector."""
+    return length_bytes(len(v))
 
 
 class OversizedEntryError(ValueError):
@@ -124,39 +128,11 @@ class CandidateScores:
     sims: np.ndarray | None
 
 
-class EvictionPolicy:
-    """Orders entries for eviction; the smallest key goes first."""
-
-    name = "base"
-
-    def key(self, entry: ReuseEntry) -> tuple:
-        raise NotImplementedError
-
-
-class LruPolicy(EvictionPolicy):
-    name = "lru"
-
-    def key(self, entry):
-        return (entry.last_access,)
-
-
-class LfuPolicy(EvictionPolicy):
-    name = "lfu"
-
-    def key(self, entry):
-        return (entry.hit_count, entry.last_access)
-
-
-_POLICIES = {"lru": LruPolicy, "lfu": LfuPolicy}
-
-
-def _resolve_policy(policy) -> EvictionPolicy:
-    if isinstance(policy, EvictionPolicy):
-        return policy
-    try:
-        return _POLICIES[str(policy).lower()]()
-    except KeyError:
-        raise ValueError(f"unknown eviction policy {policy!r}; expected one of {sorted(_POLICIES)}")
+# Eviction order by policy name: the entry with the smallest key goes first.
+_EVICTION_KEYS = {
+    "lru": lambda e: (e.last_access,),
+    "lfu": lambda e: (e.hit_count, e.last_access),
+}
 
 
 class ReuseStore:
@@ -168,7 +144,7 @@ class ReuseStore:
     """
 
     def __init__(self, family: LshFamily, capacity_entries: int, capacity_bytes: int,
-                 policy="lru", probe_radius: int = 0):
+                 policy: str = "lru", probe_radius: int = 0):
         if capacity_entries < 0 or capacity_bytes < 0:
             raise ValueError("capacities must be non-negative")
         if not 0 <= probe_radius <= family.k:
@@ -176,7 +152,11 @@ class ReuseStore:
         self.family = family
         self.capacity_entries = capacity_entries
         self.capacity_bytes = capacity_bytes
-        self.policy = _resolve_policy(policy)
+        self.policy = str(policy).lower()
+        if not isinstance(policy, str) or self.policy not in _EVICTION_KEYS:
+            raise ValueError(f"unknown eviction policy {policy!r}; "
+                             f"expected one of {', '.join(sorted(_EVICTION_KEYS))}")
+        self._eviction_key = _EVICTION_KEYS[self.policy]
         self.probe_radius = probe_radius
         self._masks = probe_masks(family.k, probe_radius)
         # Buckets probed per lookup: every mask in every table.
@@ -194,8 +174,8 @@ class ReuseStore:
         self._rows_used = 0
         # No more entries than this can be live: each holds a key and an
         # output of at least one element.
-        self._max_rows = min(capacity_entries, capacity_bytes // (
-            BYTES_PER_ELEMENT * (family.dim + 1) + 2 * VECTOR_OVERHEAD_BYTES))
+        self._max_rows = min(capacity_entries,
+                             capacity_bytes // (length_bytes(family.dim) + length_bytes(1)))
         self._heap: list[tuple[tuple, int]] = []
         self._next_id = 0
         self._total_bytes = 0
@@ -220,7 +200,7 @@ class ReuseStore:
         return sorted(self._entries)
 
     def _touch(self, entry_id: int, entry: ReuseEntry) -> None:
-        heapq.heappush(self._heap, (self.policy.key(entry), entry_id))
+        heapq.heappush(self._heap, (self._eviction_key(entry), entry_id))
         self._bound_heap()
 
     def _bound_heap(self) -> None:
@@ -228,7 +208,7 @@ class ReuseStore:
         # entries' current keys drops only items _pop_victim would skip, so
         # the eviction order stays the same.
         if len(self._heap) > 2 * len(self._entries) + HEAP_SLACK:
-            self._heap = [(self.policy.key(e), i) for i, e in self._entries.items()]
+            self._heap = [(self._eviction_key(e), i) for i, e in self._entries.items()]
             heapq.heapify(self._heap)
 
     def _prepared(self, query) -> PreparedQuery:
@@ -339,16 +319,18 @@ class ReuseStore:
             np.fmax(sims, 0.0, out=sims)
         return ordered, sims
 
-    def lookup(self, query, threshold, *, now: int = 0, where=None,
-               scores: CandidateScores | None = None) -> LookupOutcome:
+    def lookup(self, query, threshold, *, now: int = 0, service: str | None = None,
+               stage: str | None = None, scores: CandidateScores | None = None) -> LookupOutcome:
         """Best stored neighbor of the query, gated by the threshold.
 
         ``query`` is a raw vector or a PreparedQuery of the store's family.
-        Candidates come from the union of probed buckets across all tables;
-        the best of those that pass ``where`` wins, ties on similarity going
-        to the smallest entry id. ``scores`` taken by score(query) since the
-        last insert or eviction stand in for gathering and scoring again.
-        A hit updates the entry's recency and hit count.
+        Candidates come from the union of probed buckets across all tables,
+        kept only if their ``service_id`` is ``service`` and their
+        ``stage_outputs`` hold ``stage`` (each when given); the best of those
+        wins, ties on similarity going to the smallest entry id. ``scores``
+        taken by score(query) since the last insert or eviction stand in for
+        gathering and scoring again. A hit updates the entry's recency and
+        hit count.
         """
         if scores is None:
             q = self._prepared(query)
@@ -361,14 +343,17 @@ class ReuseStore:
             if scores.query is not query:
                 raise ValueError("scores were taken for another query")
             ids, sims = scores.ids, scores.sims
-        if where is None:
+        if service is None and stage is None:
             best = int(sims.argmax()) if ids else None
         else:
             # Filtered after scoring: a matrix-vector product can round a row
-            # differently beside other rows, so scoring only the passing ids
+            # differently beside other rows, so scoring only the kept ids
             # could give floats that differ from a shared scoring pass. max()
             # keeps the first of equal scores, the smallest id, as argmax does.
-            keep = [j for j, i in enumerate(ids) if where(self._entries[i])]
+            entries = self._entries
+            keep = [j for j, i in enumerate(ids)
+                    if (service is None or entries[i].service_id == service)
+                    and (stage is None or stage in entries[i].stage_outputs)]
             best = max(keep, key=sims.tolist().__getitem__) if keep else None
         sim = None if best is None else sims.item(best)
         if sim is None or sim < t:
@@ -383,8 +368,7 @@ class ReuseStore:
     def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0,
                      scores: CandidateScores | None = None) -> LookupOutcome:
         """As lookup, restricted to entries that recorded the given stage."""
-        return self.lookup(query, threshold, now=now, scores=scores,
-                           where=lambda e: stage_id in e.stage_outputs)
+        return self.lookup(query, threshold, now=now, stage=stage_id, scores=scores)
 
     def evict(self, needed_bytes: int = 0, needed_entries: int = 0) -> list[int]:
         """Remove entries in policy order until both headrooms are free."""
@@ -408,7 +392,7 @@ class ReuseStore:
             entry = self._entries.get(entry_id)
             if entry is None:
                 continue
-            if self.policy.key(entry) != key:
+            if self._eviction_key(entry) != key:
                 continue
             return entry_id
         return None

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edgereuse.cli import BUNDLE_FILES, main
@@ -26,6 +27,12 @@ class TestGenerate:
         assert "wrote" in captured
         assert "tasks=60" in captured
         assert "intra_cosine=" in captured
+
+    def test_trace_without_same_cluster_pairs(self, tmp_path, capsys):
+        # 20 tasks over 6 unique vectors leave nothing to measure the
+        # intra-cluster cosine on.
+        generate(tmp_path, "--tasks", "20")
+        assert "intra_cosine=n/a" in capsys.readouterr().out
 
     def test_same_seed_same_bytes(self, tmp_path):
         a = generate(tmp_path / "a")
@@ -126,6 +133,28 @@ class TestRun:
         assert len(err) == 1, proc.stderr
         assert err[0].startswith("error:")
         assert "vector 4 has a norm that overflows float64" in err[0]
+
+    def test_norm_at_the_overflow_edge_is_one_stderr_line(self, tmp_path):
+        # A row whose squares sum to inf in input_norm's order but not in
+        # pairwise order: the load must reject it as the replay would.
+        draws = np.random.default_rng(7).standard_normal((120, 64))
+        v = draws[119] / np.linalg.norm(draws[119]) * np.sqrt(sys.float_info.max)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.linalg.norm(v[None], axis=1)[0]) and v.dot(v) == np.inf
+        bundle = generate(tmp_path, "--tasks", "20")
+        path = bundle / "vectors.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(["0"] + [repr(float(x)) for x in v])
+        path.write_text("\n".join(lines) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "edgereuse", "run", "--config",
+                               str(bundle / "experiment.json"), "--out", str(tmp_path / "r")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1, proc.stderr
+        assert err[0].startswith("error:")
+        assert "vector 0 has a norm that overflows float64" in err[0]
 
     @pytest.mark.parametrize("name, field, value, why", [
         ("vectors.csv", None, None, "expected 65 fields, got 64"),

@@ -31,6 +31,9 @@ MIXED_2K_SHA256 = "dde06e1b4c22354b0e0411aa8cfb8c187a7b1d22ba3d9ace1f2741eb006b8
 REDRAWN_SHA256 = "76604e1a0002c74b6bf7ce6b9c6b667c8304e52abc8dae634e1715f50ff4eaa6"
 MIXED_2K_EVENTS_SHA256 = "5739111caaa51b30e43e89a0bdc112ef6f04f326fb3ddb6f4ed323d75a8d7881"
 MIXED_2K_METRICS_SHA256 = "066a1c07181e1a13e99255de228d5f40c1fa04346f2d26085cb25dcf90fe109d"
+MIXED_2K_STRICT_SHA256 = "f4576d069ee05acf21e2c326a78ccbd3da8feff23fe7289adaf8e4d931af69ac"
+MIXED_2K_STRICT_EVENTS_SHA256 = "d3171533df36d9f273a6a0921d44f6d2074ebc8025f14e76047ec5f1bb3a1c97"
+MIXED_2K_STRICT_METRICS_SHA256 = "022ec15867c9bf3aaf4710e15d044ca4939313c36cb716c382956e98ac9d77c0"
 REDRAWN_EVENTS_SHA256 = "3216aa8cc60a51ba747fbcfbcbb61c250d251384fb0518e89f121d464267baef"
 REDRAWN_METRICS_SHA256 = "edcfe06f24dfa49a6af1bef0fdd3722b1d556aa9726d8c39961166bce15d4b70"
 REBALANCED_SHA256 = "42cc1feffec7d77f5dc937c80442ad27032433b0a1e976b8bb8e8af0c3eb2eb3"
@@ -62,7 +65,7 @@ def _sha256(path) -> str:
 
 
 def _replay(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebalance=False,
-            shuffle_quantum_us=None):
+            shuffle_quantum_us=None, threshold=None):
     """Replay with the event log on; digests of per_task.csv, events.csv
     and metrics.json, in that order."""
     generated = generate_trace(profile, SEED)
@@ -79,7 +82,8 @@ def _replay(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebal
     experiment = default_experiment_data(SEED, dim=profile.dim)
     experiment["control"]["rebalance"] = rebalance
     write_json(tmp_path / "experiment.json", experiment)
-    report = run_experiment(load_experiment(tmp_path / "experiment.json"), event_log=True)
+    report = run_experiment(load_experiment(tmp_path / "experiment.json"), event_log=True,
+                            threshold_override=threshold)
     report.write_per_task_csv(tmp_path / "per_task.csv")
     report.write_events_csv(tmp_path / "events.csv")
     report.write_metrics_json(tmp_path / "metrics.json")
@@ -94,6 +98,17 @@ def test_mixed_2k_per_task_digest(tmp_path):
     for layer in ("none", "device", "network", "server"):
         assert layers[layer]["count"] > 0, layer
     assert digests == (MIXED_2K_SHA256, MIXED_2K_EVENTS_SHA256, MIXED_2K_METRICS_SHA256)
+
+
+def test_mixed_2k_strict_threshold_digest(tmp_path):
+    # At 0.9 the service and stage filters discard most scored candidates.
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+    report, digests = _replay(tmp_path, profile, threshold=0.9)
+    layers = report.aggregates["per_layer"]
+    for layer in ("none", "device", "network", "server"):
+        assert layers[layer]["count"] > 0, layer
+    assert digests == (MIXED_2K_STRICT_SHA256, MIXED_2K_STRICT_EVENTS_SHA256,
+                       MIXED_2K_STRICT_METRICS_SHA256)
 
 
 def test_redrawn_services_per_task_digest(tmp_path):

@@ -14,6 +14,7 @@ from edgereuse.config import (ConfigError, default_experiment_data, default_serv
                               load_experiment, write_json)
 from edgereuse.core import RESULT_ATOL, ReuseLayer
 from edgereuse.fabric import ResultPayload
+from edgereuse.hashing import LshFamily
 from edgereuse.services import ServiceResult, execute_service
 from edgereuse.simulator import _agrees
 from edgereuse.simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
@@ -393,6 +394,32 @@ class TestTraceValidation:
         vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e300)])
         with pytest.raises(SimulationError, match="vector 1 has a norm that overflows"):
             Simulation(build_bundle(tmp_path, vectors, []))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), norm=st.sampled_from([1.3407807929942596e154, 3e-162]))
+    def test_load_accepts_a_row_iff_prepare_does(self, tmp_path_factory, seed, norm):
+        # Rows scaled to about where their squared norm overflows, or
+        # underflows to 0: summing the squares of such a row in another order
+        # can flip its verdict.
+        # The bundle holds every row prepare accepts, then one it rejects.
+        rows = np.random.default_rng(seed).standard_normal((32, DIM))
+        rows *= norm / np.linalg.norm(rows, axis=1, keepdims=True)
+        family = LshFamily(DIM, seed=9)
+        accepted, rejected = [], []
+        for v in rows:
+            try:
+                with np.errstate(over="ignore"):
+                    family.prepare(v)
+                accepted.append(v)
+            except ValueError:
+                rejected.append(v)
+        cfg = build_bundle(tmp_path_factory.mktemp("bundle"),
+                           np.array(accepted + rejected[:1]).reshape(-1, DIM), [])
+        if rejected:
+            with pytest.raises(SimulationError, match=f"vector {len(accepted)} has a norm that"):
+                Simulation(cfg)
+        else:
+            Simulation(cfg)
 
 
 class TestControlPlane:

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from edgereuse.core import SELF_SIMILARITY_SNAP, similarity
 from edgereuse.hashing import LshFamily
-from edgereuse.store import (HEAP_SLACK, LfuPolicy, LruPolicy, OversizedEntryError,
-                             ReuseEntry, ReuseStore, vector_bytes)
+from edgereuse.store import HEAP_SLACK, OversizedEntryError, ReuseEntry, ReuseStore, vector_bytes
 
 BIG = 10_000_000
 
@@ -89,14 +88,17 @@ class TestInsertLookup:
 
     def test_tie_goes_to_smallest_id(self, store):
         v = np.arange(1.0, 9.0)
-        store.insert(make_entry(v, label=1))
-        store.insert(make_entry(v.copy(), label=2))
-        store.insert(make_entry(v.copy(), label=3))
+        both = {"s": np.ones(2), "t": np.ones(2)}
+        store.insert(make_entry(v, service_id="svc-a", stages={"t": np.ones(2)}))
+        store.insert(make_entry(v.copy(), service_id="svc-b", stages=both))
+        store.insert(make_entry(v.copy(), service_id="svc-b", stages=both))
         out = store.lookup(v, 0.9)
         assert out.entry_id == 0
         # The same rule among the candidates a filter keeps.
-        assert store.lookup(v, 0.9, where=lambda e: True).entry_id == 0
-        assert store.lookup(v, 0.9, where=lambda e: e.label != 1).entry_id == 1
+        assert store.lookup(v, 0.9, stage="t").entry_id == 0
+        assert store.lookup(v, 0.9, service="svc-b").entry_id == 1
+        assert store.lookup(v, 0.9, stage="s").entry_id == 1
+        assert store.lookup(v, 0.9, service="svc-b", stage="t").entry_id == 1
 
     def test_hit_updates_recency_and_count(self, store):
         v = np.ones(8)
@@ -107,12 +109,19 @@ class TestInsertLookup:
         assert entry.hit_count == 2
         assert entry.last_access == 90
 
-    def test_where_filter(self, store):
+    def test_service_filter(self, store):
         v = np.ones(8)
         store.insert(make_entry(v, service_id="svc-a"))
-        out = store.lookup(v, 0.5, where=lambda e: e.service_id == "svc-b")
+        out = store.lookup(v, 0.5, service="svc-b")
         assert not out.hit
-        assert store.lookup(v, 0.5, where=lambda e: e.service_id == "svc-a").hit
+        assert store.lookup(v, 0.5, service="svc-a").hit
+
+    def test_service_and_stage_filters_combine(self, store):
+        v = np.ones(8)
+        store.insert(make_entry(v, service_id="svc-a", stages={"s1": np.ones(2)}))
+        b = store.insert(make_entry(v, service_id="svc-b", stages={"s2": np.ones(2)}))
+        assert not store.lookup(v, 0.5, service="svc-a", stage="s2").hit
+        assert store.lookup(v, 0.5, service="svc-b", stage="s2").entry_id == b
 
     def test_lookup_stage_filters_on_membership(self, store):
         v = np.ones(8)
@@ -201,7 +210,7 @@ class TestEviction:
         store.audit()
 
     def test_lfu_prefers_cold_entries(self, family):
-        store = ReuseStore(family, 2, BIG, policy=LfuPolicy())
+        store = ReuseStore(family, 2, BIG, policy="lfu")
         a = store.insert(make_entry(np.ones(8), insert_time=1))
         b = store.insert(make_entry(np.arange(1.0, 9.0), insert_time=2))
         store.lookup(np.ones(8), 0.9, now=3)
@@ -249,11 +258,20 @@ class TestEviction:
         assert len(store) == 2
         store.audit()
 
-    def test_policy_objects_and_names(self, family):
-        assert isinstance(ReuseStore(family, 1, 1, policy="lfu").policy, LfuPolicy)
-        assert isinstance(ReuseStore(family, 1, 1, policy=LruPolicy()).policy, LruPolicy)
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            ReuseStore(family, 1, 1, policy="fifo")
+    def test_policy_names(self, family):
+        assert ReuseStore(family, 1, 1).policy == "lru"
+        assert ReuseStore(family, 1, 1, policy="lfu").policy == "lfu"
+        assert ReuseStore(family, 1, 1, policy="LRU").policy == "lru"
+
+    class _NamedLru:
+        def __str__(self):
+            return "lru"
+
+    @pytest.mark.parametrize("policy", ["fifo", "", _NamedLru(), None],
+                             ids=["unknown-name", "empty-name", "object", "none"])
+    def test_policy_other_than_a_name_rejected(self, family, policy):
+        with pytest.raises(ValueError, match="unknown eviction policy .*; expected one of lfu, lru"):
+            ReuseStore(family, 1, 1, policy=policy)
 
     @pytest.mark.parametrize("policy", ["lru", "lfu"])
     def test_hits_keep_heap_bounded_and_order_intact(self, family, rng, policy):
@@ -268,7 +286,8 @@ class TestEviction:
             assert store.lookup(keys[rng.integers(8)], 1.0, now=t // 3).hit
             assert len(store._heap) <= 2 * len(store) + HEAP_SLACK
         store.audit()
-        expected = sorted(store.entry_ids(), key=lambda i: (store.policy.key(store.get(i)), i))
+        order = {"lru": lambda e: (e.last_access,), "lfu": lambda e: (e.hit_count, e.last_access)}
+        expected = sorted(store.entry_ids(), key=lambda i: (order[policy](store.get(i)), i))
         assert store.evict(needed_entries=8) == expected
         store.audit()
 
@@ -334,7 +353,7 @@ class TestPreparedQuery:
         q = family.prepare(v)
         scores = store.score(q)
         assert scores.ids == [a, b]
-        only_b = store.lookup(q, 0.9, where=lambda e: e.service_id == "svc-b", scores=scores)
+        only_b = store.lookup(q, 0.9, service="svc-b", scores=scores)
         assert only_b.entry_id == b
         assert store.lookup_stage("s1", q, 0.9, scores=scores).entry_id == a
         assert not store.lookup_stage("s3", q, 0.9, scores=scores).hit

@@ -59,7 +59,7 @@ class TwinStores(RuleBasedStateMachine):
         if store.probe_radius < K:
             return
         sims = {i: similarity(store.get(i).key_input, v) for i in store.entry_ids()
-                if where is None or where(store.get(i))}
+                if where(store.get(i))}
         best = max(sims.values(), default=None)
         if best is None or abs(best - threshold) < TIE_TOL:
             return
@@ -79,14 +79,16 @@ class TwinStores(RuleBasedStateMachine):
         b = self.prepared.insert(self._entry(v, service, stages, now), self.family.prepare(v))
         assert a == b
 
-    @rule(v=vectors, threshold=thresholds, service=st.sampled_from((None,) + SERVICES))
-    def lookup(self, v, threshold, service):
+    @rule(v=vectors, threshold=thresholds, service=st.sampled_from((None,) + SERVICES),
+          stage=st.sampled_from((None,) + STAGES))
+    def lookup(self, v, threshold, service, stage):
         now = self._tick()
-        where = None if service is None else (lambda e: e.service_id == service)
-        a = self.raw.lookup(v, threshold, now=now, where=where)
-        b = self.prepared.lookup(self.family.prepare(v), threshold, now=now, where=where)
+        a = self.raw.lookup(v, threshold, now=now, service=service, stage=stage)
+        b = self.prepared.lookup(self.family.prepare(v), threshold, now=now,
+                                 service=service, stage=stage)
         assert a == b
-        self._check_against_scan(a, v, threshold, where)
+        self._check_against_scan(a, v, threshold, lambda e: (
+            service in (None, e.service_id) and (stage is None or stage in e.stage_outputs)))
 
     @rule(stage=st.sampled_from(STAGES), v=vectors, threshold=thresholds)
     def lookup_stage(self, stage, v, threshold):
@@ -102,11 +104,10 @@ class TwinStores(RuleBasedStateMachine):
         # As server_handle does: the whole-task lookup, then (on a miss) one
         # lookup per stage, with nothing inserted in between.
         now = self._tick()
-        where = lambda e: e.service_id == service  # noqa: E731
-        separate = [self.raw.lookup(v, threshold, now=now, where=where)]
+        separate = [self.raw.lookup(v, threshold, now=now, service=service)]
         q = self.family.prepare(v)
         scores = self.prepared.score(q)
-        shared = [self.prepared.lookup(q, threshold, now=now, where=where, scores=scores)]
+        shared = [self.prepared.lookup(q, threshold, now=now, service=service, scores=scores)]
         if not separate[0].hit:
             for i, stage in enumerate(stages):
                 separate.append(self.raw.lookup_stage(stage, v, threshold, now=now + i))
