@@ -7,10 +7,11 @@ partition among servers, so its value range is [0, 65535]. LshFamily.prepare
 fingerprints an input once for every table; the PreparedQuery it returns
 carries the vector, its norm and the signatures to every later use.
 
-Every signer (prepare, signature_bits, batch_signature_bits and
-forwarding_hash) runs one kernel, one (k, dim) gemv per table and vector,
-and accepts exactly what prepare accepts. So an input's fingerprint is the
-same bits whichever signer a device, router or server calls.
+Every signer (prepare, signature_bits, batch_signature_bits, forwarding_hash
+and the replay's batched pass) runs one kernel, one (k, dim) gemv per table
+and vector, and accepts exactly what prepare accepts. So an input's
+fingerprint is the same bits whichever signer a device, router or server
+calls.
 """
 
 from __future__ import annotations
@@ -105,8 +106,17 @@ class LshFamily:
 
     def _prepare_valid(self, v: np.ndarray) -> PreparedQuery:
         # For callers that already hold a read-only, finite float64 vector of
-        # length dim (a checked bundle row): the query keeps v itself, no copy.
+        # length dim: the query keeps v itself, no copy.
         return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
+
+    def _prepare_rows(self, m: np.ndarray) -> list[PreparedQuery]:
+        # _prepare_valid of every row of a read-only, C-contiguous (n, dim)
+        # float64 matrix with no unsignable row (a checked bundle), in one
+        # batched pass. Query i keeps the row view m[i], no copy.
+        norms = np.sqrt(_row_squares(m)).tolist()
+        columns = m[:, :, None]
+        bits = zip(*[self._signatures(planes, columns).tolist() for planes in self.hyperplanes])
+        return [PreparedQuery(self, v, norm, b) for v, norm, b in zip(m, norms, bits)]
 
     def _table_bits(self, v: np.ndarray) -> list[int]:
         # Every table's bits of one vector that input_norm accepts.
@@ -135,10 +145,12 @@ class LshFamily:
 
 
 def input_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a validated vector that can be fingerprinted and
-    scored: rejects an all-zero vector, a norm that underflows to 0 and a
-    norm that overflows float64."""
-    norm = float(np.linalg.norm(v))
+    """Euclidean norm of a validated (so contiguous) vector that can be
+    fingerprinted and scored: rejects an all-zero vector, a norm that
+    underflows to 0 and a norm that overflows float64."""
+    # On a contiguous vector np.vdot sums as np.linalg.norm does, bit for
+    # bit, but an overflow reaches the check below without a RuntimeWarning.
+    norm = math.sqrt(np.vdot(v, v))
     if norm == 0.0:
         raise ValueError(_NORM_UNDERFLOW if v.any() else "cannot fingerprint an all-zero vector")
     if not math.isfinite(norm):
@@ -147,13 +159,19 @@ def input_norm(v: np.ndarray) -> float:
 
 
 def unsignable_rows(m: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows of a (n, dim) float64 matrix that
-    prepare rejects as not finite or for their norm (see input_norm)."""
-    # Row i's m[i] @ m[i] runs the one dot product whose root input_norm
-    # takes, so its squares, and its verdicts, are bit for bit the same.
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = (m[:, None, :] @ m[:, :, None]).ravel()
+    """Ascending indices of the rows of a C-contiguous (n, dim) float64
+    matrix that prepare rejects as not finite or for their norm (see
+    input_norm)."""
+    squares = _row_squares(m)
     return np.flatnonzero((squares == 0.0) | ~np.isfinite(squares))
+
+
+def _row_squares(m: np.ndarray) -> np.ndarray:
+    # Every row's m[i] @ m[i], in one stacked product. On a unit-stride row
+    # it runs the one dot product that input_norm's np.vdot runs, so its
+    # squares, their roots and the verdicts on them are bit for bit the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (m[:, None, :] @ m[:, :, None]).ravel()
 
 
 def forwarding_hash(family: LshFamily, v) -> int:

@@ -172,7 +172,8 @@ class Simulation:
         # far, and the reused records waiting for a judgement.
         self._truths: dict[tuple[str, int], ServiceResult] = {}
         self._unjudged: list[tuple[TaskRecord, ResultPayload]] = []
-        # One PreparedQuery per distinct vector id, made on its first arrival.
+        # One PreparedQuery per distinct vector id of the trace, made when
+        # the replay starts.
         self._queries: dict[int, PreparedQuery] = {}
 
     def _build_store(self, store_cfg) -> ReuseStore | None:
@@ -342,15 +343,11 @@ class Simulation:
 
     def _arrive_device(self, journey, now: int) -> None:
         row = journey.row
-        # Fingerprinted on the input's first arrival; the query travels with
-        # the task, and later tasks with the same input share it.
-        query = self._queries.get(row.vector_id)
-        if query is None:
-            query = self._queries[row.vector_id] = self.family._prepare_valid(
-                self.vectors[row.vector_id])
-        # Both the row under the query and the threshold were checked at load.
+        # The query travels with the task; tasks with the same input share
+        # it. Both the row under it and the threshold were checked at load.
         envelope = TaskEnvelope._of_query(journey.task_id, row.device_id, row.service_id,
-                                          query, journey.threshold, row.time_us)
+                                          self._queries[row.vector_id], journey.threshold,
+                                          row.time_us)
         dev = self.devices[journey.device_id]
         outcome = device_offload(dev, envelope, self.family,
                                  self.config.cost.lookup_time_us, now=now)
@@ -482,6 +479,11 @@ class Simulation:
         rows = self.rows
         n = len(rows)
         self.outstanding = n
+        # One batched pass over the checked bundle fingerprints every input
+        # before the first event; the trace's inputs keep their queries.
+        queries = self.family._prepare_rows(self.vectors)
+        self._queries = {vector_id: queries[vector_id]
+                         for vector_id in {row.vector_id for row, _ in rows}}
         # Arrival i takes seq i, and the first control window seq n, as if
         # every arrival had been scheduled up front.
         if event_log:

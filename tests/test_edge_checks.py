@@ -190,6 +190,19 @@ def test_each_distinct_input_is_prepared_once(tmp_path, monkeypatch):
         assert not q.vector.flags.writeable
 
 
+def test_replay_signs_its_inputs_in_one_batch(tmp_path, monkeypatch):
+    # Every input is fingerprinted in one batched pass when run() starts;
+    # no task signs its input one vector at a time.
+    sim = _simulation(tmp_path)
+    single = _record_calls(monkeypatch, [(LshFamily, "_prepare_valid")])
+    batches = _record_calls(monkeypatch, [(LshFamily, "_prepare_rows")])
+    assert batches == [] and sim._queries == {}
+    sim.run()
+    assert single == []
+    assert len(batches) == 1 and batches[0][0] is sim.family and batches[0][1] is sim.vectors
+    assert sim._queries.keys() == {row.vector_id for row, _ in sim.rows}
+
+
 def test_trusted_envelope_equals_a_checked_one(tmp_path, monkeypatch):
     # The replay builds each envelope without __post_init__; it must be the
     # envelope the public constructor would have made from the same fields.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, feature_hash,
-                               forwarding_hash, probe_masks)
+                               forwarding_hash, input_norm, probe_masks, unsignable_rows)
 
 
 class TestLshFamily:
@@ -152,21 +153,31 @@ def _signers(fam):
     }
 
 
+def _near_plane_rows(fam, table, data, seed):
+    # Rows with one hyperplane's component projected out put that dot
+    # product at rounding level, where its sign depends on the order the
+    # products are summed in.
+    plane = fam.hyperplanes[table, data.draw(st.integers(0, fam.k - 1))]
+    m = np.random.default_rng(seed).standard_normal((48, fam.dim))
+    m -= np.outer(m @ plane, plane)
+    m[np.linalg.norm(m, axis=1) == 0.0] = 1.0
+    return m
+
+
+# Row norms from the smallest whose square stays above 0 to the largest
+# whose square stays finite; rows past either edge are dropped.
+_ROW_NORMS = [3e-162, 1e-100, 1.0, 1e100, 1.3407807929942596e154]
+
+
 class TestOneSigningKernel:
     @settings(max_examples=100, deadline=None)
     @given(dim=st.integers(1, 130), tables=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            order=st.sampled_from("CF"), data=st.data())
     def test_near_plane_rows_sign_alike(self, dim, tables, seed, order, data):
-        # Rows with one hyperplane's component projected out put that dot
-        # product at rounding level, where its sign depends on the order
-        # the products are summed in; every signer must sum alike.
+        # Every signer must sum a near-plane row's products alike.
         fam = LshFamily(dim, k=16, tables=tables, seed=seed)
         table = data.draw(st.integers(0, tables - 1))
-        plane = fam.hyperplanes[table, data.draw(st.integers(0, fam.k - 1))]
-        m = np.random.default_rng(seed).standard_normal((48, dim))
-        m -= np.outer(m @ plane, plane)
-        m[np.linalg.norm(m, axis=1) == 0.0] = 1.0
-        m = np.asarray(m, order=order)
+        m = np.asarray(_near_plane_rows(fam, table, data, seed), order=order)
         for t in range(tables):
             batch = fam.batch_signature_bits(m, t)
             assert batch.dtype == np.uint64
@@ -174,7 +185,6 @@ class TestOneSigningKernel:
                 oracle = _oracle_bits(fam, row, t)
                 assert batch[i] == fam.prepare(row).bits[t] == fam.signature_bits(row, t) == oracle
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(tables=st.integers(1, 4), dim=st.integers(1, 40), seed=st.integers(0, 2**64 - 1),
            data=st.data())
@@ -193,8 +203,32 @@ class TestOneSigningKernel:
                 outcomes[name] = str(exc)
         assert len(set(outcomes.values())) == 1, outcomes
 
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 130), tables=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_prepared_rows_equal_single_preparation(self, dim, tables, seed, data):
+        # The replay's batched pass gives every row of a checked bundle the
+        # norm and bits that preparing that row alone gives, and keeps the
+        # row itself, not a copy.
+        fam = LshFamily(dim, k=16, tables=tables, seed=seed)
+        m = _near_plane_rows(fam, data.draw(st.integers(0, tables - 1)), data, seed)
+        norms = np.random.default_rng(seed).choice(_ROW_NORMS, size=len(m))
+        m *= (norms / np.linalg.norm(m, axis=1))[:, None]
+        m = np.delete(m, unsignable_rows(m), axis=0)
+        m.setflags(write=False)
+        queries = fam._prepare_rows(m)
+        assert len(queries) == len(m)
+        for row, q in zip(m, queries):
+            single = fam._prepare_valid(row)
+            assert q.family is fam
+            assert np.float64(q.norm).tobytes() == np.float64(single.norm).tobytes()
+            assert q.bits == single.bits
+            assert all(type(b) is int for b in q.bits) and type(q.norm) is float
+            assert np.shares_memory(q.vector, row) and q.vector.tobytes() == row.tobytes()
+            assert not q.vector.flags.writeable
+            assert input_norm(row) == float(np.linalg.norm(row))
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
 @pytest.mark.parametrize("sign", [
     lambda fam, v: fam.signature_bits(v),
     lambda fam, v: fam.prepare(v),
@@ -206,6 +240,14 @@ def test_overflowing_norm_rejected(sign):
     fam = LshFamily(8, k=16, tables=2, seed=3)
     with pytest.raises(ValueError, match="norm overflows float64"):
         sign(fam, np.full(8, 1e308))
+
+
+def test_overflowing_norm_raises_without_a_warning():
+    fam = LshFamily(8, k=16, tables=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm overflows float64"):
+            fam.prepare(np.full(8, 1e200))
 
 
 @pytest.mark.parametrize("name", ["prepare", "signature_bits", "batch_signature_bits",

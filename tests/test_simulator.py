@@ -389,7 +389,6 @@ class TestTraceValidation:
         with pytest.raises(SimulationError, match="vector 1 has a norm that underflows float64 to 0"):
             Simulation(build_bundle(tmp_path, vectors, []))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_rejected_at_load(self, tmp_path):
         vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e300)])
         with pytest.raises(SimulationError, match="vector 1 has a norm that overflows"):
@@ -408,8 +407,7 @@ class TestTraceValidation:
         accepted, rejected = [], []
         for v in rows:
             try:
-                with np.errstate(over="ignore"):
-                    family.prepare(v)
+                family.prepare(v)
                 accepted.append(v)
             except ValueError:
                 rejected.append(v)

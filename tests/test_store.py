@@ -373,7 +373,6 @@ class TestPreparedQuery:
             store.lookup_stage("s", q, 0.5, scores=scores)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestOverflowingInputs:
     """A key whose norm overflows float64 used to be stored with norm inf,
     and a later lookup of it hit with similarity NaN."""
