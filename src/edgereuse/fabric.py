@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ReuseLayer, TaskEnvelope
 from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
-from .services import ServiceSpec, _label, execute_stage
+from .services import ServiceResult, ServiceSpec, _label, execute_stage
 from .store import CandidateScores, ReuseEntry, ReuseStore
 
 HASH_MAX = FORWARDING_SPACE - 1
@@ -334,11 +334,14 @@ def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
 
 
 def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
-                  now: int = 0) -> NodeOutcome:
+                  now: int = 0, own: ServiceResult | None = None) -> NodeOutcome:
     """Final layer: whole-task reuse, then per-stage reuse, then execution.
 
     Every stage is either reused (costing one lookup) or executed (costing
-    its execution time); stage lookups that miss are free. When anything was
+    its execution time); stage lookups that miss are free. ``own``, the
+    ``execute_service`` result of the task's input, stands in for running
+    the stages before the first reused one, and for labelling when none is;
+    later stages run on the reused output. When anything was
     executed and the server keeps a store, the outcome carries a fully
     populated entry for the caller to insert at completion time, so in-flight
     results are never visible early. Counter updates are deferred to the
@@ -370,7 +373,7 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     reused = 0
     executed = 0
     busy = 0
-    for stage in svc.stages:
+    for j, stage in enumerate(svc.stages):
         reused_here = False
         if server.store_enabled:
             found = server.store.lookup_stage(stage.stage_id, query, task.threshold,
@@ -384,19 +387,22 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
             else:
                 steps.append(CostedStep("stage_lookup", f"stage:{stage.stage_id}:miss", 0))
         if not reused_here:
-            current = execute_stage(stage, current)
+            if own is not None and reused == 0:
+                current = own.stage_outputs[j]
+            else:
+                current = execute_stage(stage, current)
             steps.append(CostedStep("stage_exec", f"stage:{stage.stage_id}", stage.exec_time_us))
             elapsed += stage.exec_time_us
             executed += 1
             busy += stage.exec_time_us
         stage_outputs[stage.stage_id] = current
 
-    label = _label(svc, current)
+    label = own.label if own is not None and reused == 0 else _label(svc, current)
     layer = ReuseLayer.NONE if reused == 0 else ReuseLayer.PARTIAL_SERVER
     payload = ResultPayload(current, label, layer)
     entry = None
     if executed > 0 and server.store_enabled:
         # Every array here is frozen already: the task's checked input, and
-        # stage outputs made by execute_stage or taken from stored entries.
+        # stage outputs from execute_stage, oracle or stored entries.
         entry = ReuseEntry._of_frozen(task.input, task.service_id, stage_outputs, current, label)
     return NodeOutcome(tuple(steps), task, payload, None, entry, executed, reused, busy)

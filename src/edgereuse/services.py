@@ -71,10 +71,12 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class ServiceResult:
-    """What a completed service invocation hands back."""
+    """A service invocation's final output, its label, and every stage's
+    output in pipeline order (the last is ``output``)."""
 
     output: np.ndarray
     label: int
+    stage_outputs: tuple[np.ndarray, ...] = ()
 
 
 @lru_cache(maxsize=512)
@@ -135,10 +137,11 @@ def oracle(svc: ServiceSpec, xs) -> list[ServiceResult]:
     """Ground truth of executing each row of xs, an (n, input_dim) matrix,
     from scratch: row i's result is bit for bit execute_service(svc, xs[i]).
 
-    The metrics layer calls it outside the simulated clock, once per service
-    for a batch of inputs, to judge whether reused results match what the
-    tasks' own executions would have produced. Each result's output is a
-    read-only row of one (n, output_dim) array.
+    A replay calls it once per service when it starts, outside the
+    simulated clock, over every input the trace sends to that service: the
+    servers take their own-input stage outputs from it, and the metrics
+    layer judges reused results against it. Each result's stage outputs are
+    read-only rows of one (n, out_dim) array per stage.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != svc.input_dim:
@@ -154,9 +157,11 @@ def _pipeline(svc: ServiceSpec, xs: np.ndarray) -> list[ServiceResult]:
     # column of one stack: every stage and the label projection are one
     # gemv per row, as on a single vector.
     v = xs[:, :, None]
+    stacks = []
     for stage in svc.stages:
         v = _stage_kernel(stage, v.shape[1], v)
+        v.setflags(write=False)
+        stacks.append(v[:, :, 0])
     p = _class_projections(svc.service_id, svc.label_classes, svc.output_dim)
     labels = (p @ v)[:, :, 0].argmax(axis=1).tolist()
-    v.setflags(write=False)
-    return [ServiceResult(out, label) for out, label in zip(v[:, :, 0], labels)]
+    return [ServiceResult(outs[-1], label, outs) for outs, label in zip(zip(*stacks), labels)]

@@ -9,6 +9,10 @@ the event's time is reached. Node decisions run synchronously when a task
 reaches the node, but their deferred effects (a server's entry insert, its
 load counters) apply at the simulated completion time, so an in-flight
 result is never reusable before it would exist.
+
+Before the first event, the replay runs each (service, input) pipeline of
+the trace once, one oracle pass per service: servers take a task's own stage
+outputs from it, and each reused result is judged against it on completion.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 
 from .config import ConfigError
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
-from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, ResultPayload,
-                     RouterNode, ServerNode, device_offload, partition_hash_space, rebalance,
+from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
+                     ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
 from .hashing import LshFamily, PreparedQuery, unsignable_rows
 from .services import ServiceResult, ServiceSpec, oracle
@@ -54,9 +58,6 @@ EVENTS_HEADER = ["time_us", "seq", "kind", "node_id", "task_id", "detail", "cost
 # Control windows allowed per task: each window is an event and a sample in
 # metrics.json, so this bounds the control plane's share of a replay.
 _WINDOWS_PER_TASK = 16
-
-# Reused completions queued before their accuracy is judged in one batch.
-_JUDGE_BATCH = 256
 
 
 class SimulationError(Exception):
@@ -168,13 +169,11 @@ class Simulation:
         self.event_rows: list[tuple] | None = None
         self.outstanding = 0
         self.window_samples: list[dict] = []
-        # Ground truth per (service id, vector id), for the pairs judged so
-        # far, and the reused records waiting for a judgement.
-        self._truths: dict[tuple[str, int], ServiceResult] = {}
-        self._unjudged: list[tuple[TaskRecord, ResultPayload]] = []
-        # One PreparedQuery per distinct vector id of the trace, made when
-        # the replay starts.
+        # One PreparedQuery per distinct vector id of the trace, and the
+        # ground truth of every (service id, vector id) pair of the trace,
+        # both made when the replay starts.
         self._queries: dict[int, PreparedQuery] = {}
+        self._truths: dict[tuple[str, int], ServiceResult] = {}
 
     def _build_store(self, store_cfg) -> ReuseStore | None:
         if store_cfg is None:
@@ -375,8 +374,9 @@ class Simulation:
 
     def _arrive_server(self, journey, now: int) -> None:
         server = self.servers[journey.server_id]
-        outcome = server_handle(server, journey.envelope,
-                                self.config.cost.lookup_time_us, now=now)
+        envelope = journey.envelope
+        outcome = server_handle(server, envelope, self.config.cost.lookup_time_us, now=now,
+                                own=self._truths[(envelope.service_id, journey.row.vector_id)])
         self._visit(journey, server.node_id, now, outcome, self._leave_server)
 
     def _leave_server(self, journey, now: int) -> None:
@@ -409,36 +409,13 @@ class Simulation:
 
     def _complete(self, journey, now: int) -> None:
         payload = journey.outcome.payload
-        record = TaskRecord(
-            journey.task_id, journey.device_id, journey.envelope.service_id,
-            journey.row.vector_id, journey.envelope.created_at, now,
-            payload.reuse_layer, None)
-        self.records.append(record)
-        if payload.reuse_layer is not ReuseLayer.NONE:
-            self._unjudged.append((record, payload))
-            if len(self._unjudged) >= _JUDGE_BATCH:
-                self._judge()
+        key = (journey.envelope.service_id, journey.row.vector_id)
+        accurate = (None if payload.reuse_layer is ReuseLayer.NONE
+                    else _agrees(self._truths[key], payload))
+        self.records.append(TaskRecord(journey.task_id, journey.device_id, *key,
+                                       journey.envelope.created_at, now,
+                                       payload.reuse_layer, accurate))
         self.outstanding -= 1
-
-    def _judge(self) -> None:
-        """Judge each queued reused record against its ground truth.
-
-        The truths not yet known are computed in one oracle pass per
-        service; its rows are bit for bit those of executing each input on
-        its own, so a batch judges exactly as a task at a time would.
-        """
-        truths = self._truths
-        missing: dict[str, set[int]] = {}
-        for record, _ in self._unjudged:
-            if (record.service_id, record.vector_id) not in truths:
-                missing.setdefault(record.service_id, set()).add(record.vector_id)
-        for service_id, ids in missing.items():
-            ids = sorted(ids)
-            for vector_id, truth in zip(ids, oracle(self.catalog[service_id], self.vectors[ids])):
-                truths[(service_id, vector_id)] = truth
-        for record, payload in self._unjudged:
-            record.accurate = _agrees(truths[(record.service_id, record.vector_id)], payload)
-        self._unjudged.clear()
 
     # -- control plane ------------------------------------------------------
 
@@ -481,9 +458,18 @@ class Simulation:
         self.outstanding = n
         # One batched pass over the checked bundle fingerprints every input
         # before the first event; the trace's inputs keep their queries.
+        # Then one oracle pass per service runs each input the trace sends
+        # to it, bit for bit as executing that input alone would.
+        ids_of: dict[str, set[int]] = {}
+        for row, _ in rows:
+            ids_of.setdefault(row.service_id, set()).add(row.vector_id)
         queries = self.family._prepare_rows(self.vectors)
         self._queries = {vector_id: queries[vector_id]
-                         for vector_id in {row.vector_id for row, _ in rows}}
+                         for vector_id in set().union(*ids_of.values())}
+        for service_id, ids in ids_of.items():
+            ids = sorted(ids)
+            for vector_id, truth in zip(ids, oracle(self.catalog[service_id], self.vectors[ids])):
+                self._truths[(service_id, vector_id)] = truth
         # Arrival i takes seq i, and the first control window seq n, as if
         # every arrival had been scheduled up front.
         if event_log:
@@ -518,7 +504,6 @@ class Simulation:
 
         if self.outstanding != 0:
             raise SimulationError(f"{self.outstanding} tasks never completed")
-        self._judge()
         if self.event_rows is not None:
             # Rows were written when scheduled; processing order is (time, seq).
             self.event_rows.sort()

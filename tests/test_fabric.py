@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import edgereuse.fabric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,8 @@ from edgereuse.fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport
                               RouterNode, ServerNode, UnknownServiceError, device_offload,
                               partition_hash_space, rebalance, router_forward, server_handle)
 from edgereuse.hashing import FORWARDING_SPACE, LshFamily, forwarding_hash
-from edgereuse.services import ServiceSpec, StageSpec, execute_service
+from edgereuse.services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
+                                execute_stage, label_of)
 from edgereuse.store import ReuseEntry, ReuseStore
 
 BIG = 10_000_000
@@ -36,12 +39,7 @@ def make_store(family, radius=0):
 
 def entry_for(v, svc=SVC_A):
     res = execute_service(svc, np.asarray(v, dtype=float))
-    stage_outputs = {}
-    x = np.asarray(v, dtype=float)
-    from edgereuse.services import execute_stage
-    for stage in svc.stages:
-        x = execute_stage(stage, x)
-        stage_outputs[stage.stage_id] = x
+    stage_outputs = {s.stage_id: out for s, out in zip(svc.stages, res.stage_outputs)}
     return ReuseEntry(np.asarray(v, dtype=float), svc.service_id, stage_outputs,
                       res.output, res.label)
 
@@ -337,6 +335,47 @@ class TestServerHandle:
         assert out.executed_stages == 2
         assert [(s.kind, s.cost_us) for s in out.steps] == [
             ("stage_exec", 60_000), ("stage_exec", 40_000)]
+
+
+class TestOwnGroundTruth:
+    """A server given the task's own result takes the stages it would run
+    from it until a stage is reused; every later stage runs for real."""
+
+    def test_stages_after_a_reuse_run_on_the_reused_output(self, family):
+        store = make_store(family, radius=1)
+        v = np.arange(1.0, DIM + 1)
+        other = v * np.linspace(1.0, 1.01, DIM)
+        stored = store.get(store.insert(entry_for(other, SVC_A)))
+        truth = execute_service(SVC_B, v)
+        poison = np.full(DIM, 0.5)
+        poison.setflags(write=False)
+        own = ServiceResult(poison, 99, (truth.stage_outputs[0], poison))
+        server = ServerNode("s0", CATALOG, store)
+        out = server_handle(server, make_task(v, service_id="svc-b"), LOOKUP_US, own=own)
+        assert out.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
+        assert (out.executed_stages, out.reused_stages) == (1, 1)
+        reused = stored.stage_outputs["stage-shared"]
+        assert not np.array_equal(reused, truth.stage_outputs[0])
+        want = execute_stage(SVC_B.stages[1], reused)
+        assert out.payload.output.tobytes() == want.tobytes()
+        assert out.payload.label == label_of(SVC_B, want)
+        assert out.entry.stage_outputs["tail-b"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_nothing_reused_runs_no_stage(self, family, monkeypatch, with_store):
+        calls = []
+        monkeypatch.setattr(edgereuse.fabric, "execute_stage", lambda *args: calls.append(args))
+        v = np.arange(1.0, DIM + 1)
+        own = execute_service(SVC_A, v)
+        server = ServerNode("s0", CATALOG, make_store(family) if with_store else None)
+        out = server_handle(server, make_task(v), LOOKUP_US, own=own)
+        assert calls == []
+        assert out.payload.reuse_layer is ReuseLayer.NONE
+        assert out.payload.output is own.output and out.payload.label == own.label
+        assert (out.executed_stages, out.exec_busy_us) == (2, 100_000)
+        if with_store:
+            kept = [out.entry.stage_outputs[s.stage_id] for s in SVC_A.stages]
+            assert all(a is b for a, b in zip(kept, own.stage_outputs, strict=True))
 
 
 class TestPreparedQueryTravels:

@@ -206,3 +206,41 @@ class TestOracle:
     def test_rejects_bad_matrix(self, xs):
         with pytest.raises(ValueError):
             oracle(two_stage_service(), xs)
+
+
+@st.composite
+def staged_pipelines(draw):
+    """A service of 1-4 stages, each with its own seed and width, over an
+    input width of 1-130."""
+    widths = st.integers(1, 130)
+    stages = tuple(StageSpec(f"stage-{j}", draw(st.integers(0, 2**64 - 1)), draw(widths), 1)
+                   for j in range(draw(st.integers(1, 4))))
+    return ServiceSpec("svc-s", draw(widths), stages, label_classes=draw(st.integers(2, 12)))
+
+
+class TestStageOutputs:
+    """Each result of oracle carries every stage's output, and each one is
+    byte for byte what the stage chain a server runs gives, so a server may
+    take a task's own stage outputs from the ground-truth pass."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(svc=staged_pipelines(), exponents=st.lists(st.integers(-150, 150), min_size=1,
+                                                       max_size=12),
+           seed=st.integers(0, 2**32))
+    def test_stage_outputs_equal_the_stage_chain(self, svc, exponents, seed):
+        # Each row has its own magnitude, from 1e-150 to 1e150.
+        scales = 10.0 ** np.array(exponents, dtype=float)[:, None]
+        xs = np.random.default_rng(seed).standard_normal((len(exponents), svc.input_dim)) * scales
+        results = oracle(svc, xs)
+        for x, res in zip(xs, results):
+            assert len(res.stage_outputs) == len(svc.stages)
+            assert res.output is res.stage_outputs[-1]
+            chained = x
+            for stage, out in zip(svc.stages, res.stage_outputs):
+                chained = execute_stage(stage, chained)
+                assert out.shape == chained.shape == (stage.out_dim,)
+                assert out.tobytes() == chained.tobytes()
+                assert not out.flags.writeable
+                with pytest.raises(ValueError):
+                    out[0] = 0.0
+            assert res.label == label_of(svc, res.output)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import edgereuse.fabric
 import edgereuse.simulator
 from edgereuse.cli import main
 from edgereuse.config import (ConfigError, default_experiment_data, default_services_data,
@@ -518,9 +519,10 @@ class TestSweep:
             sweep_thresholds(cfg, [0.5, 1.5])
 
 
-class TestDeferredJudging:
-    """Reused completions are judged in batches against one oracle pass per
-    service; the accurate column must be the per-task judgement."""
+class TestGroundTruthPass:
+    """Every (service, input) pipeline of the trace runs once, in one oracle
+    pass per service when the replay starts; servers take a task's own stage
+    outputs from it and reused results are judged against it."""
 
     @pytest.fixture(scope="class")
     def mixed_1200(self, tmp_path_factory):
@@ -529,63 +531,71 @@ class TestDeferredJudging:
         write_bundle(dataclasses.replace(builtin_profiles()["mixed"], tasks=1200), 42, out)
         return out
 
-    def test_batches_judge_as_each_task_alone(self, mixed_1200, monkeypatch):
-        sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
-        payloads, queued = {}, []
-        complete, judge = Simulation._complete, Simulation._judge
+    @staticmethod
+    def run_keeping_payloads(sim, monkeypatch):
+        payloads = {}
+        complete = Simulation._complete
 
         def completing(self, journey, now):
             payloads[journey.task_id] = journey.outcome.payload
             complete(self, journey, now)
 
-        def judging(self):
-            queued.append(len(self._unjudged))
-            judge(self)
-
         monkeypatch.setattr(Simulation, "_complete", completing)
-        monkeypatch.setattr(Simulation, "_judge", judging)
-        report = sim.run()
-        batch = edgereuse.simulator._JUDGE_BATCH
-        reused = sum(r.reuse_layer is not ReuseLayer.NONE for r in report.records)
-        # Both flushes ran: full batches during the replay, then the rest.
-        assert reused > batch and reused % batch
-        assert queued == [batch] * (reused // batch) + [reused % batch]
+        return sim.run(), payloads
+
+    def test_reused_results_are_judged_against_their_own_execution(self, mixed_1200,
+                                                                   monkeypatch):
+        sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
+        report, payloads = self.run_keeping_payloads(sim, monkeypatch)
         for r in report.records:
-            payload = payloads[r.task_id]
             if r.reuse_layer is ReuseLayer.NONE:
                 assert r.accurate is None
             else:
                 truth = execute_service(sim.catalog[r.service_id], sim.vectors[r.vector_id])
-                assert r.accurate is _agrees(truth, payload), r.task_id
+                assert r.accurate is _agrees(truth, payloads[r.task_id]), r.task_id
         assert {r.accurate for r in report.records} == {None, True, False}
 
-    def test_oracle_computes_each_pair_once(self, mixed_1200, monkeypatch):
-        sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
-        rows = []
+    def test_oracle_runs_once_per_service_over_the_trace_pairs(self, mixed_1200,
+                                                                monkeypatch):
+        calls = []
         oracle = edgereuse.simulator.oracle
 
         def counted(svc, xs):
-            rows.extend((svc.service_id, x.tobytes()) for x in xs)
+            calls.append((svc.service_id, [x.tobytes() for x in xs]))
             return oracle(svc, xs)
 
         monkeypatch.setattr(edgereuse.simulator, "oracle", counted)
-        report = sim.run()
-        pairs = {(r.service_id, r.vector_id) for r in report.records
-                 if r.reuse_layer is not ReuseLayer.NONE}
-        assert len(rows) == len(set(rows)) == len(pairs)
+        sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
+        assert calls == [] and sim._truths == {}, "the pass runs in run(), not in set-up"
+        sim.run()
+        pairs = {(row.service_id, row.vector_id) for row, _ in sim.rows}
+        services = [service_id for service_id, _ in calls]
+        assert sorted(services) == sorted({service_id for service_id, _ in pairs})
+        for service_id, rows in calls:
+            ids = sorted(v for s, v in pairs if s == service_id)
+            assert rows == [sim.vectors[v].tobytes() for v in ids]
+        assert set(sim._truths) == pairs
 
-    def test_no_reuse_makes_no_oracle_call(self, mixed_1200, tmp_path, monkeypatch):
+    def test_storeless_replay_executes_no_stage(self, mixed_1200, tmp_path, monkeypatch):
         bundle = shutil.copytree(mixed_1200, tmp_path / "no-store")
         topology = json.loads((bundle / "topology.json").read_text())
         for node in topology["devices"] + topology["routers"] + topology["servers"]:
             node["store"] = None
         write_json(bundle / "topology.json", topology)
-        calls = []
-        monkeypatch.setattr(edgereuse.simulator, "oracle", lambda *args: calls.append(args))
-        report = run_experiment(load_experiment(bundle / "experiment.json"))
+        stages = []
+        monkeypatch.setattr(edgereuse.fabric, "execute_stage",
+                            lambda *args: stages.append(args))
+        sim = Simulation(load_experiment(bundle / "experiment.json"))
+        report, payloads = self.run_keeping_payloads(sim, monkeypatch)
+        assert stages == []
         assert report.aggregates["reuse_pct"] == 0.0
         assert report.aggregates["accuracy_pct"] is None
-        assert calls == []
+        for r in report.records:
+            truth = execute_service(sim.catalog[r.service_id], sim.vectors[r.vector_id])
+            payload = payloads[r.task_id]
+            assert payload.output.tobytes() == truth.output.tobytes(), r.task_id
+            assert payload.output.shape == truth.output.shape
+            assert payload.label == truth.label
 
 
 def results_equal(truth, payload):
