@@ -20,15 +20,13 @@ from .services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
                        execute_stage, label_of, oracle)
 from .simulator import (MetricsReport, Simulation, SimulationError, run_experiment,
                         sweep_thresholds, write_sweep_csv)
-from .store import (CandidateScores, LookupOutcome, OversizedEntryError, ReuseEntry, ReuseStore,
-                    vector_bytes)
+from .store import LookupOutcome, OversizedEntryError, ReuseEntry, ReuseStore
 from .workload import CalibrationError, WorkloadProfile, builtin_profiles, generate_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
-    "CandidateScores",
     "ConfigError",
     "DeviceNode",
     "ExperimentConfig",
@@ -78,6 +76,5 @@ __all__ = [
     "server_handle",
     "similarity",
     "sweep_thresholds",
-    "vector_bytes",
     "write_sweep_csv",
 ]

@@ -293,7 +293,8 @@ def parse_services(data: dict, dim: int, where: str = "services") -> tuple[Servi
 
 
 def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "topology") -> None:
-    """Every enabled store must hold the largest entry its node inserts.
+    """Every store with both capacities above 0 must hold the largest entry
+    its node inserts.
 
     Devices and routers cache responses (the key and the final output);
     servers cache executions, which also carry every stage's output.

@@ -22,7 +22,7 @@ import numpy as np
 from .core import ReuseLayer, TaskEnvelope
 from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
 from .services import ServiceResult, ServiceSpec, _label, execute_stage
-from .store import CandidateScores, ReuseEntry, ReuseStore
+from .store import ReuseEntry, ReuseStore
 
 HASH_MAX = FORWARDING_SPACE - 1
 
@@ -157,10 +157,6 @@ def _check_store(node_id: str, store: ReuseStore | None) -> None:
         raise TypeError(f"node {node_id}: store must be a ReuseStore or None")
 
 
-def _store_enabled(store: ReuseStore | None) -> bool:
-    return store is not None and store.enabled
-
-
 @dataclass
 class DeviceNode:
     node_id: str
@@ -176,14 +172,10 @@ class DeviceNode:
         if self.hash_time_us < 0:
             raise ValueError(f"device {self.node_id}: hash_time_us must be >= 0")
         _check_store(self.node_id, self.store)
-        if _store_enabled(self.store) and not self.can_hash:
+        if self.store is not None and not self.can_hash:
             raise ValueError(
                 f"device {self.node_id}: a local reuse cache needs hashing capability; "
-                "set can_hash or disable the store")
-
-    @property
-    def store_enabled(self) -> bool:
-        return _store_enabled(self.store)
+                "set can_hash or pass store=None")
 
 
 @dataclass
@@ -203,10 +195,6 @@ class RouterNode:
             raise ValueError(f"router {self.node_id}: hash_time_us must be >= 0")
         _check_store(self.node_id, self.store)
 
-    @property
-    def store_enabled(self) -> bool:
-        return _store_enabled(self.store)
-
 
 @dataclass
 class ServerNode:
@@ -219,10 +207,6 @@ class ServerNode:
 
     def __post_init__(self):
         _check_store(self.node_id, self.store)
-
-    @property
-    def store_enabled(self) -> bool:
-        return _store_enabled(self.store)
 
 
 @dataclass(slots=True)
@@ -269,13 +253,11 @@ def _query(store: ReuseStore, task: TaskEnvelope) -> PreparedQuery:
 
 
 def _cached_payload(store: ReuseStore, query: PreparedQuery, task: TaskEnvelope, now: int,
-                    lookup_time_us: int, layer: ReuseLayer, steps: list,
-                    scores: CandidateScores | None = None) -> ResultPayload | None:
+                    lookup_time_us: int, layer: ReuseLayer, steps: list) -> ResultPayload | None:
     """One whole-task lookup, recorded as a costed step: the payload of the
     matched entry, or None on a miss. A cached result only substitutes for
     the same service's execution."""
-    found = store.lookup(query, task.threshold, now=now, service=task.service_id,
-                         scores=scores)
+    found = store.lookup(query, task.threshold, now=now, service=task.service_id)
     steps.append(CostedStep("lookup", f"{layer.value}:{'hit' if found.hit else 'miss'}",
                             lookup_time_us))
     if not found.hit:
@@ -298,7 +280,7 @@ def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
     if task.device_id != dev.node_id:
         raise ValueError(f"task for device {task.device_id} offered to {dev.node_id}")
     steps = []
-    if dev.store_enabled:
+    if dev.store is not None:
         payload = _cached_payload(dev.store, _query(dev.store, task), task, now + lookup_time_us,
                                   lookup_time_us, ReuseLayer.DEVICE, steps)
         if payload is not None:
@@ -321,7 +303,7 @@ def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
         envelope = task._with_forwarding_hash(_forwarding_hash(family, task))
         steps.append(CostedStep("hash", "hash", router.hash_time_us))
         elapsed += router.hash_time_us
-    if router.store_enabled:
+    if router.store is not None:
         payload = _cached_payload(router.store, _query(router.store, envelope), envelope,
                                   now + elapsed + lookup_time_us, lookup_time_us,
                                   ReuseLayer.NETWORK, steps)
@@ -347,7 +329,8 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     results are never visible early. Counter updates are deferred to the
     caller for the same reason. Since nothing enters the store during the
     visit and hits change only recency, the whole-task lookup and every
-    stage lookup share one gathering and scoring pass over the candidates.
+    stage lookup of the task's query share the store's one gathering and
+    scoring pass over the candidates.
     """
     svc = server.catalog.get(task.service_id)
     if svc is None:
@@ -357,14 +340,14 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     if task.input.size != svc.input_dim:
         raise ValueError(f"server {server.node_id}: input has dim {task.input.size}, "
                          f"service {svc.service_id!r} expects {svc.input_dim}")
+    store = server.store
     steps = []
     elapsed = 0
-    if server.store_enabled:
-        query = _query(server.store, task)
-        scores = server.store.score(query)
+    if store is not None:
+        query = _query(store, task)
         elapsed += lookup_time_us
-        payload = _cached_payload(server.store, query, task, now + elapsed, lookup_time_us,
-                                  ReuseLayer.SERVER, steps, scores)
+        payload = _cached_payload(store, query, task, now + elapsed, lookup_time_us,
+                                  ReuseLayer.SERVER, steps)
         if payload is not None:
             return NodeOutcome(tuple(steps), task, payload)
 
@@ -375,11 +358,11 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     busy = 0
     for j, stage in enumerate(svc.stages):
         reused_here = False
-        if server.store_enabled:
-            found = server.store.lookup_stage(stage.stage_id, query, task.threshold,
-                                              now=now + elapsed + lookup_time_us, scores=scores)
+        if store is not None:
+            found = store.lookup_stage(stage.stage_id, query, task.threshold,
+                                       now=now + elapsed + lookup_time_us)
             if found.hit:
-                current = server.store.get(found.entry_id).stage_outputs[stage.stage_id]
+                current = store.get(found.entry_id).stage_outputs[stage.stage_id]
                 steps.append(CostedStep("stage_lookup", f"stage:{stage.stage_id}:reused", lookup_time_us))
                 elapsed += lookup_time_us
                 reused += 1
@@ -401,7 +384,7 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     layer = ReuseLayer.NONE if reused == 0 else ReuseLayer.PARTIAL_SERVER
     payload = ResultPayload(current, label, layer)
     entry = None
-    if executed > 0 and server.store_enabled:
+    if executed > 0 and store is not None:
         # Every array here is frozen already: the task's checked input, and
         # stage outputs from execute_stage, oracle or stored entries.
         entry = ReuseEntry._of_frozen(task.input, task.service_id, stage_outputs, current, label)

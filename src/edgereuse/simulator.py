@@ -150,7 +150,8 @@ class MetricsReport:
 
 
 class Simulation:
-    """One replay of a trace over a topology; single use, single thread."""
+    """One replay of a trace over a topology; single thread, and single use:
+    a second run() raises SimulationError."""
 
     def __init__(self, config, *, threshold_override: float | None = None):
         self.config = config
@@ -168,6 +169,7 @@ class Simulation:
         self.records: list[TaskRecord] = []
         self.event_rows: list[tuple] | None = None
         self.outstanding = 0
+        self._ran = False
         self.window_samples: list[dict] = []
         # One PreparedQuery per distinct vector id of the trace, and the
         # ground truth of every (service id, vector id) pair of the trace,
@@ -176,7 +178,8 @@ class Simulation:
         self._truths: dict[tuple[str, int], ServiceResult] = {}
 
     def _build_store(self, store_cfg) -> ReuseStore | None:
-        if store_cfg is None:
+        # A store with either capacity 0 could hold nothing: no store.
+        if store_cfg is None or store_cfg.capacity_entries == 0 or store_cfg.capacity_bytes == 0:
             return None
         radius = store_cfg.probe_radius
         if radius is None:
@@ -331,7 +334,7 @@ class Simulation:
 
     def _cache_response(self, node, journey, now: int) -> None:
         """A node caches a result that it forwards but did not serve."""
-        if node.store_enabled and journey.served_by != node.node_id:
+        if node.store is not None and journey.served_by != node.node_id:
             p = journey.outcome.payload
             envelope = journey.envelope
             entry = ReuseEntry._of_frozen(envelope.input, envelope.service_id, {},
@@ -453,6 +456,9 @@ class Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self, *, event_log: bool = False) -> MetricsReport:
+        if self._ran:
+            raise SimulationError("a Simulation runs once; build a new one to replay again")
+        self._ran = True
         rows = self.rows
         n = len(rows)
         self.outstanding = n

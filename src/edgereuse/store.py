@@ -4,10 +4,11 @@ Entries are indexed under their LSH signature in every table; lookup takes
 the query's signatures for all tables (from a PreparedQuery, or signed once
 from a raw vector), gathers the buckets at each signature XOR each
 multi-probe mask, scores candidates by exact cosine similarity, and accepts
-the best one only if it clears the caller's threshold. Several lookups of
-one query can share one scoring pass (``score``). A lookup can be limited
-to one service's entries or to entries that recorded one stage. Eviction
-is LRU by default or LFU, chosen by name.
+the best one only if it clears the caller's threshold. The store remembers
+its last scoring pass, so lookups of the same PreparedQuery object with no
+insert or removal in between share it. A lookup can be limited to one
+service's entries or to entries that recorded one stage. Eviction is LRU by
+default or LFU, chosen by name.
 
 Every stored key is one row of the store's key matrix, the only copy of it;
 the key's norm and signature bits sit in arrays indexed by the same row, so
@@ -34,11 +35,6 @@ def length_bytes(n: int) -> int:
     """Accounted storage cost of a vector of n elements: 8 bytes per element
     plus a 64-byte fixed overhead for metadata and indexing."""
     return 8 * n + 64
-
-
-def vector_bytes(v) -> int:
-    """Accounted storage cost of one vector."""
-    return length_bytes(len(v))
 
 
 class OversizedEntryError(ValueError):
@@ -80,9 +76,9 @@ class ReuseEntry:
             self.last_access = self.insert_time
 
     def _size(self) -> int:
-        size = vector_bytes(self.key_input) + vector_bytes(self.output)
+        size = length_bytes(self.key_input.size) + length_bytes(self.output.size)
         for v in self.stage_outputs.values():
-            size += vector_bytes(v)
+            size += length_bytes(v.size)
         return size
 
     @classmethod
@@ -112,22 +108,6 @@ class LookupOutcome:
     probes_used: int
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CandidateScores:
-    """Every candidate of one query, gathered and scored once.
-
-    ``ids`` ascend and ``sims[j]`` is the clamped cosine of entry ``ids[j]``
-    (None when there are no candidates). Valid while the store's entries
-    stay the same; hits change only recency, so they keep it valid.
-    """
-
-    store: "ReuseStore"
-    membership: int
-    query: PreparedQuery
-    ids: list[int]
-    sims: np.ndarray | None
-
-
 # Eviction order by policy name: the entry with the smallest key goes first.
 _EVICTION_KEYS = {
     "lru": lambda e: (e.last_access,),
@@ -145,8 +125,9 @@ class ReuseStore:
 
     def __init__(self, family: LshFamily, capacity_entries: int, capacity_bytes: int,
                  policy: str = "lru", probe_radius: int = 0):
-        if capacity_entries < 0 or capacity_bytes < 0:
-            raise ValueError("capacities must be non-negative")
+        if capacity_entries < 1 or capacity_bytes < 1:
+            raise ValueError(f"capacities must be positive, got {capacity_entries} entries and "
+                             f"{capacity_bytes} bytes; a node without a cache takes store=None")
         if not 0 <= probe_radius <= family.k:
             raise ValueError(f"probe_radius must be in [0, {family.k}], got {probe_radius}")
         self.family = family
@@ -179,12 +160,11 @@ class ReuseStore:
         self._heap: list[tuple[tuple, int]] = []
         self._next_id = 0
         self._total_bytes = 0
-        # Counts inserts and removals, so stale CandidateScores are caught.
+        # Counts inserts and removals. The last scoring pass, kept with the
+        # query object and the count it was taken at, serves later lookups
+        # of that query while the count stays: hits change only recency.
         self._membership = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity_entries > 0 and self.capacity_bytes > 0
+        self._last_score: tuple[PreparedQuery, int, list[int], np.ndarray | None] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -231,16 +211,14 @@ class ReuseStore:
                 raise ValueError("query was prepared from another vector than the entry key")
         elif key.size != self.family.dim:
             raise ValueError(f"entry dim {key.size} != store dim {self.family.dim}")
-        if self.capacity_entries < 1 or entry.size_bytes > self.capacity_bytes:
+        if entry.size_bytes > self.capacity_bytes:
             raise OversizedEntryError(
                 f"entry of {entry.size_bytes} bytes can never fit store capacity "
                 f"({self.capacity_entries} entries, {self.capacity_bytes} bytes)")
         if query is None:
             # ReuseEntry already validated the key, so sign it unchecked.
-            norm = input_norm(key)
-            bits = self.family._table_bits(key)
-        else:
-            norm, bits = query.norm, query.bits
+            query = self.family._prepare_valid(key)
+        norm, bits = query.norm, query.bits
         self.evict(needed_bytes=entry.size_bytes, needed_entries=1)
         entry_id = self._next_id
         self._next_id += 1
@@ -291,15 +269,11 @@ class ReuseStore:
         view.setflags(write=False)
         return view
 
-    def score(self, query) -> CandidateScores:
-        """Gather and score the query's candidates once, for several lookups
-        of the same query to share (lookup's ``scores``)."""
-        q = self._prepared(query)
-        ids, sims = self._score(q)
-        return CandidateScores(self, self._membership, q, ids, sims)
-
     def _score(self, q: PreparedQuery) -> tuple[list[int], np.ndarray | None]:
         # The candidates' ids, ascending, and their scores (None if none).
+        last = self._last_score
+        if last is not None and last[0] is q and last[1] == self._membership:
+            return last[2], last[3]
         ids: set[int] = set()
         masks = self._masks
         for table, bits in zip(self._tables, q.bits):
@@ -317,32 +291,25 @@ class ReuseStore:
             sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
             # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
             np.fmax(sims, 0.0, out=sims)
+        self._last_score = (q, self._membership, ordered, sims)
         return ordered, sims
 
     def lookup(self, query, threshold, *, now: int = 0, service: str | None = None,
-               stage: str | None = None, scores: CandidateScores | None = None) -> LookupOutcome:
+               stage: str | None = None) -> LookupOutcome:
         """Best stored neighbor of the query, gated by the threshold.
 
         ``query`` is a raw vector or a PreparedQuery of the store's family.
         Candidates come from the union of probed buckets across all tables,
         kept only if their ``service_id`` is ``service`` and their
         ``stage_outputs`` hold ``stage`` (each when given); the best of those
-        wins, ties on similarity going to the smallest entry id. ``scores``
-        taken by score(query) since the last insert or eviction stand in for
-        gathering and scoring again. A hit updates the entry's recency and
+        wins, ties on similarity going to the smallest entry id. Lookups of
+        one PreparedQuery object with no insert or removal in between gather
+        and score its candidates once. A hit updates the entry's recency and
         hit count.
         """
-        if scores is None:
-            q = self._prepared(query)
-            t = check_threshold(threshold)
-            ids, sims = self._score(q)
-        else:
-            t = check_threshold(threshold)
-            if scores.store is not self or scores.membership != self._membership:
-                raise ValueError("stale scores: the store's entries changed since they were taken")
-            if scores.query is not query:
-                raise ValueError("scores were taken for another query")
-            ids, sims = scores.ids, scores.sims
+        q = self._prepared(query)
+        t = check_threshold(threshold)
+        ids, sims = self._score(q)
         if service is None and stage is None:
             best = int(sims.argmax()) if ids else None
         else:
@@ -365,10 +332,9 @@ class ReuseStore:
         self._touch(best_id, entry)
         return LookupOutcome(True, best_id, sim, self._probes)
 
-    def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0,
-                     scores: CandidateScores | None = None) -> LookupOutcome:
+    def lookup_stage(self, stage_id: str, query, threshold, *, now: int = 0) -> LookupOutcome:
         """As lookup, restricted to entries that recorded the given stage."""
-        return self.lookup(query, threshold, now=now, stage=stage_id, scores=scores)
+        return self.lookup(query, threshold, now=now, stage=stage_id)
 
     def evict(self, needed_bytes: int = 0, needed_entries: int = 0) -> list[int]:
         """Remove entries in policy order until both headrooms are free."""

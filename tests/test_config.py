@@ -200,8 +200,9 @@ class TestProbePathFields:
 
 
 class TestStoreFitsLargestEntry:
-    """An enabled store smaller than the largest entry its node inserts is a
-    config error at load, not an OversizedEntryError mid-replay. With the
+    """A store with both capacities above 0 but smaller than the largest
+    entry its node inserts is a config error at load, not an
+    OversizedEntryError mid-replay. With the
     default catalog at dim 64, a response entry (key and output) is 1152
     bytes and a server entry (also two stage outputs) is 2304 bytes."""
 

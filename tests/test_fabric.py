@@ -177,10 +177,6 @@ class TestNodeValidation:
         with pytest.raises(TypeError, match="store"):
             ServerNode("s0", CATALOG, store="not-a-store")
 
-    def test_disabled_store_counts_as_none(self, family):
-        dev = DeviceNode("dev0", "r0", 1000, False, 0, ReuseStore(family, 0, 0))
-        assert not dev.store_enabled
-
 
 class TestDeviceOffload:
     def test_wrong_device_rejected(self, family):
@@ -403,15 +399,24 @@ class TestPreparedQueryTravels:
         with pytest.raises(ValueError, match="task input"):
             make_task(np.ones(DIM), query=family.prepare(np.arange(1.0, DIM + 1)))
 
-    def test_server_visit_scores_candidates_once(self, family):
+    def test_server_visit_gathers_candidates_once(self, family):
+        # The whole-task miss and both stage lookups share one gathering
+        # pass: every table's bucket is probed once.
         store = make_store(family)
         v = np.arange(1.0, DIM + 1)
         store.insert(entry_for(v, SVC_A))
-        calls = []
-        score = store.score
-        store.score = lambda q: calls.append(q) or score(q)
+        probes = []
+
+        class CountedTable(dict):
+            def get(self, key, default=None):
+                probes.append(key)
+                return super().get(key, default)
+
+        store._tables = [CountedTable(table) for table in store._tables]
         q = family.prepare(v)
         out = server_handle(ServerNode("s0", CATALOG, store),
                             make_task(q.vector, service_id="svc-b", query=q), LOOKUP_US)
         assert out.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
-        assert calls == [q]
+        assert [s.kind for s in out.steps] == ["lookup", "stage_lookup", "stage_lookup",
+                                               "stage_exec"]
+        assert len(probes) == family.tables

@@ -175,6 +175,37 @@ class TestDeterminism:
                      "trace.csv", "vectors.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_zero_capacity_stores_replay_as_no_store(self, tmp_path):
+        # A store with either capacity 0 could hold nothing, so its node
+        # replays byte for byte as one with no store.
+        from edgereuse.cli import write_bundle
+        profile = dataclasses.replace(builtin_profiles()["pandaset-like"], tasks=300)
+        zeroed = {("devices", 0): "capacity_entries", ("routers", 0): "capacity_bytes",
+                  ("servers", 1): "capacity_entries"}
+        for tag in ("zero", "none"):
+            out = tmp_path / tag
+            write_bundle(profile, 11, out)
+            path = out / "topology.json"
+            data = json.loads(path.read_text())
+            for (group, i), field in zeroed.items():
+                if tag == "zero":
+                    data[group][i]["store"][field] = 0
+                else:
+                    data[group][i]["store"] = None
+            write_json(path, data)
+            sim = Simulation(load_experiment(out / "experiment.json"))
+            assert [sim.devices["dev0"].store, sim.routers["r0"].store,
+                    sim.servers["s1"].store] == [None, None, None]
+            assert sim.routers["r1"].store is not None and sim.servers["s0"].store is not None
+            rep = sim.run(event_log=True)
+            assert rep.aggregates["reuse_pct"] > 0
+            rep.write_per_task_csv(out / "per_task.csv")
+            rep.write_metrics_json(out / "metrics.json")
+            rep.write_events_csv(out / "events.csv")
+        for name in ("per_task.csv", "metrics.json", "events.csv"):
+            assert ((tmp_path / "zero" / name).read_bytes()
+                    == (tmp_path / "none" / name).read_bytes()), name
+
     def test_per_task_csv_schema(self, tmp_path):
         out = self.run_profile(tmp_path, "c")
         header = (out / "per_task.csv").read_text().splitlines()[0]
@@ -305,6 +336,14 @@ class TestAggregates:
         assert a["servers"]["s0"]["executed_count"] == 2
         assert a["servers"]["s0"]["reused_count"] == 1
         assert a["servers"]["s0"]["busy_us"] == 200_000
+
+    def test_second_run_fails_clearly(self, tmp_path):
+        cfg = build_bundle(tmp_path, fresh_vector(),
+                           [TraceRow(0, "dev0", "voice-command", 0, 0.8)])
+        sim = Simulation(cfg)
+        sim.run()
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run()
 
     def test_empty_trace(self, tmp_path):
         cfg = build_bundle(tmp_path, fresh_vector(), [])

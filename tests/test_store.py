@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from edgereuse.core import SELF_SIMILARITY_SNAP, similarity
 from edgereuse.hashing import LshFamily
-from edgereuse.store import HEAP_SLACK, OversizedEntryError, ReuseEntry, ReuseStore, vector_bytes
+from edgereuse.store import HEAP_SLACK, OversizedEntryError, ReuseEntry, ReuseStore, length_bytes
 
 BIG = 10_000_000
 
@@ -30,9 +30,9 @@ def store(family):
 
 
 class TestSizing:
-    def test_vector_bytes(self):
-        assert vector_bytes(np.zeros(64)) == 8 * 64 + 64 == 576
-        assert vector_bytes(np.zeros(1)) == 72
+    def test_length_bytes(self):
+        assert length_bytes(64) == 8 * 64 + 64 == 576
+        assert length_bytes(1) == 72
 
     def test_entry_size_sums_all_vectors(self):
         entry = ReuseEntry(np.zeros(64) + 1, "svc",
@@ -243,11 +243,11 @@ class TestEviction:
             store.insert(big)
         assert len(store) == 1
 
-    def test_zero_entry_capacity_store_is_disabled(self, family):
-        store = ReuseStore(family, 0, BIG)
-        assert not store.enabled
-        with pytest.raises(OversizedEntryError):
-            store.insert(make_entry(np.ones(8)))
+    def test_zero_capacity_rejected(self, family):
+        # A store that could hold nothing is no store: the node takes None.
+        for entries, nbytes in ((0, BIG), (16, 0), (0, 0)):
+            with pytest.raises(ValueError, match="store=None"):
+                ReuseStore(family, entries, nbytes)
 
     def test_explicit_evict_frees_headroom(self, family):
         store = ReuseStore(family, 4, BIG)
@@ -346,31 +346,37 @@ class TestPreparedQuery:
             store.insert(make_entry(np.ones(8)), family.prepare(np.arange(1.0, 9.0)))
         assert len(store) == 0
 
-    def test_scores_serve_several_lookups(self, store, family):
+    def test_filtered_lookups_of_one_query_equal_raw_lookups(self, family):
+        # Lookups of one query object share a scoring pass; each must equal
+        # the same lookup of the raw vector on a twin store.
+        stores = [ReuseStore(family, 16, BIG) for _ in range(2)]
         v = np.ones(8)
-        a = store.insert(make_entry(v, service_id="svc-a", stages={"s1": np.ones(2)}))
-        b = store.insert(make_entry(v, service_id="svc-b", stages={"s2": np.ones(2)}))
+        for store in stores:
+            store.insert(make_entry(v, service_id="svc-a", stages={"s1": np.ones(2)}))
+            store.insert(make_entry(v, service_id="svc-b", stages={"s2": np.ones(2)}))
+            store.insert(make_entry(v + 0.1, service_id="svc-a", stages={"s2": np.ones(2)}))
+        shared, raw = stores
         q = family.prepare(v)
-        scores = store.score(q)
-        assert scores.ids == [a, b]
-        only_b = store.lookup(q, 0.9, service="svc-b", scores=scores)
-        assert only_b.entry_id == b
-        assert store.lookup_stage("s1", q, 0.9, scores=scores).entry_id == a
-        assert not store.lookup_stage("s3", q, 0.9, scores=scores).hit
+        filters = [{"service": "svc-b"}, {"service": "svc-a"}, {"stage": "s1"}, {"stage": "s2"},
+                   {"stage": "s3"}, {"service": "svc-a", "stage": "s2"}, {}]
+        for now, kw in enumerate(filters):
+            assert shared.lookup(q, 0.9, now=now, **kw) == raw.lookup(v, 0.9, now=now, **kw)
+        assert shared.lookup_stage("s2", q, 0.9) == raw.lookup_stage("s2", v, 0.9)
 
-    def test_stale_or_foreign_scores_rejected(self, store, family):
+    def test_one_query_sees_inserts_and_evictions(self, store, family):
         v = np.ones(8)
-        store.insert(make_entry(v))
         q = family.prepare(v)
-        scores = store.score(q)
-        with pytest.raises(ValueError, match="another query"):
-            store.lookup(family.prepare(v), 0.5, scores=scores)
-        store.insert(make_entry(np.arange(1.0, 9.0)))
-        with pytest.raises(ValueError, match="stale"):
-            store.lookup(q, 0.5, scores=scores)
-        store.evict(needed_entries=16)
-        with pytest.raises(ValueError, match="stale"):
-            store.lookup_stage("s", q, 0.5, scores=scores)
+        assert not store.lookup(q, 0.5).hit
+        a = store.insert(make_entry(v))
+        assert store.lookup(q, 0.5).entry_id == a
+        assert not store.lookup_stage("s", q, 0.5).hit
+        b = store.insert(make_entry(v, stages={"s": np.ones(2)}))
+        assert store.lookup_stage("s", q, 0.5).entry_id == b
+        assert store.evict(needed_entries=15) == [a]
+        assert store.lookup(q, 0.5).entry_id == b
+        assert store.evict(needed_entries=16) == [b]
+        assert not store.lookup(q, 0.5).hit
+        assert not store.lookup_stage("s", q, 0.5).hit
 
 
 class TestOverflowingInputs:
@@ -522,16 +528,16 @@ def test_scores_bit_identical_to_stacked_keys(ops, radius):
             store.evict(needed_entries=store.capacity_entries - len(store) + evictions)
         sizes.add(len(store._keys))
         q = family.prepare(_POOL_8[j] + mix * _POOL_8[i])
-        scores = store.score(q)
-        if not scores.ids:
-            assert scores.sims is None
+        ids, sims = store._score(q)
+        if not ids:
+            assert sims is None
             continue
-        keys = np.concatenate([store.get(e).key_input for e in scores.ids])
-        keys = keys.reshape(len(scores.ids), family.dim)
-        norms = np.array([np.linalg.norm(store.get(e).key_input) for e in scores.ids])
+        keys = np.concatenate([store.get(e).key_input for e in ids])
+        keys = keys.reshape(len(ids), family.dim)
+        norms = np.array([np.linalg.norm(store.get(e).key_input) for e in ids])
         expected = (keys @ q.vector) / (norms * q.norm)
         expected[expected > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
         np.fmax(expected, 0.0, out=expected)
-        assert scores.sims.tobytes() == expected.tobytes()
+        assert sims.tobytes() == expected.tobytes()
     store.audit()
     assert sizes == {8, 16, 70}

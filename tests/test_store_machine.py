@@ -1,8 +1,11 @@
 """Stateful test of ReuseStore over random operation sequences.
 
-Two twin stores receive the same operations: one through raw vectors and
-separate lookups, the other through prepared queries, with each server-style
-visit (whole-task lookup, then stage lookups) sharing one scoring pass. After
+Two twin stores receive the same operations: one through raw vectors, the
+other through prepared queries, one query object per distinct vector, kept
+for the whole run. Lookups of one query object share the store's last
+scoring pass, as each server-style visit (whole-task lookup, then stage
+lookups) does. Inserts and evictions come between lookups of the same query
+object, so a scoring pass reused after either shows as a mismatch. After
 every step both must pass audit() and hold the same entries, and every
 operation must have returned the same outcome on both. When the probe radius
 covers the whole signature space, lookups are also checked against a linear
@@ -41,12 +44,19 @@ class TwinStores(RuleBasedStateMachine):
         self.family = LshFamily(DIM, k=K, tables=2, seed=7)
         self.raw = self.prepared = None
         self.now = 0
+        self.queries = {}
 
     @initialize(policy=st.sampled_from(["lru", "lfu"]), radius=st.sampled_from([0, 1, 2, K]))
     def make_stores(self, policy, radius):
         # Entries take 200 to 360 bytes, so byte capacity evicts as well.
         self.raw, self.prepared = (ReuseStore(self.family, 6, 1500, policy=policy,
                                               probe_radius=radius) for _ in range(2))
+
+    def _query(self, v):
+        q = self.queries.get(v.tobytes())
+        if q is None:
+            q = self.queries[v.tobytes()] = self.family.prepare(v)
+        return q
 
     def _tick(self) -> int:
         self.now += 1
@@ -76,7 +86,7 @@ class TwinStores(RuleBasedStateMachine):
     def insert(self, v, service, stages):
         now = self._tick()
         a = self.raw.insert(self._entry(v, service, stages, now))
-        b = self.prepared.insert(self._entry(v, service, stages, now), self.family.prepare(v))
+        b = self.prepared.insert(self._entry(v, service, stages, now), self._query(v))
         assert a == b
 
     @rule(v=vectors, threshold=thresholds, service=st.sampled_from((None,) + SERVICES),
@@ -84,7 +94,7 @@ class TwinStores(RuleBasedStateMachine):
     def lookup(self, v, threshold, service, stage):
         now = self._tick()
         a = self.raw.lookup(v, threshold, now=now, service=service, stage=stage)
-        b = self.prepared.lookup(self.family.prepare(v), threshold, now=now,
+        b = self.prepared.lookup(self._query(v), threshold, now=now,
                                  service=service, stage=stage)
         assert a == b
         self._check_against_scan(a, v, threshold, lambda e: (
@@ -94,7 +104,7 @@ class TwinStores(RuleBasedStateMachine):
     def lookup_stage(self, stage, v, threshold):
         now = self._tick()
         a = self.raw.lookup_stage(stage, v, threshold, now=now)
-        b = self.prepared.lookup_stage(stage, self.family.prepare(v), threshold, now=now)
+        b = self.prepared.lookup_stage(stage, self._query(v), threshold, now=now)
         assert a == b
         self._check_against_scan(a, v, threshold, lambda e: stage in e.stage_outputs)
 
@@ -105,14 +115,12 @@ class TwinStores(RuleBasedStateMachine):
         # lookup per stage, with nothing inserted in between.
         now = self._tick()
         separate = [self.raw.lookup(v, threshold, now=now, service=service)]
-        q = self.family.prepare(v)
-        scores = self.prepared.score(q)
-        shared = [self.prepared.lookup(q, threshold, now=now, service=service, scores=scores)]
+        q = self._query(v)
+        shared = [self.prepared.lookup(q, threshold, now=now, service=service)]
         if not separate[0].hit:
             for i, stage in enumerate(stages):
                 separate.append(self.raw.lookup_stage(stage, v, threshold, now=now + i))
-                shared.append(self.prepared.lookup_stage(stage, q, threshold, now=now + i,
-                                                         scores=scores))
+                shared.append(self.prepared.lookup_stage(stage, q, threshold, now=now + i))
         self.now += len(stages)
         assert separate == shared
 
