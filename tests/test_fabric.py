@@ -177,6 +177,14 @@ class TestNodeValidation:
         with pytest.raises(TypeError, match="store"):
             ServerNode("s0", CATALOG, store="not-a-store")
 
+    def test_disabled_store_counts_as_none(self, family):
+        # A store with no capacity cannot be built; the node takes None,
+        # which a device that cannot hash accepts, as it refuses a real store.
+        with pytest.raises(ValueError, match="store=None"):
+            ReuseStore(family, 0, 0)
+        dev = DeviceNode("dev0", "r0", 1000, False, 0, None)
+        assert dev.store is None
+
 
 class TestDeviceOffload:
     def test_wrong_device_rejected(self, family):

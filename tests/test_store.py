@@ -243,9 +243,14 @@ class TestEviction:
             store.insert(big)
         assert len(store) == 1
 
+    def test_zero_entry_capacity_store_is_disabled(self, family):
+        # A store that could hold no entry is no store: it cannot be built,
+        # so no insert can reach it, and the node takes None.
+        with pytest.raises(ValueError, match="store=None"):
+            ReuseStore(family, 0, BIG)
+
     def test_zero_capacity_rejected(self, family):
-        # A store that could hold nothing is no store: the node takes None.
-        for entries, nbytes in ((0, BIG), (16, 0), (0, 0)):
+        for entries, nbytes in ((16, 0), (0, 0)):
             with pytest.raises(ValueError, match="store=None"):
                 ReuseStore(family, entries, nbytes)
 
