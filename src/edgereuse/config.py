@@ -72,6 +72,12 @@ class StoreConfig:
     # load_experiment pins lsh.k to FORWARDING_BITS, so that bounds the radius.
     probe_radius: int | None = _json(int, None, lo=0, hi=FORWARDING_BITS)
 
+    @property
+    def builds_store(self) -> bool:
+        """Whether a node gets a store from this config: a store with either
+        capacity 0 could hold nothing, so its node has none."""
+        return self.capacity_entries > 0 and self.capacity_bytes > 0
+
 
 @dataclass(frozen=True)
 class DeviceConfig:
@@ -247,7 +253,7 @@ def _validate_topology(topo: TopologyConfig, where: str) -> None:
     for i, d in enumerate(topo.devices):
         if d.router not in router_ids:
             raise ConfigError(f"{where}.devices[{i}].router: unknown router {d.router!r}")
-        if d.store is not None and d.store.capacity_entries > 0 and not d.can_hash:
+        if d.store is not None and d.store.builds_store and not d.can_hash:
             raise ConfigError(
                 f"{where}.devices[{i}]: a device cache needs can_hash=true")
     for i, r in enumerate(topo.routers):

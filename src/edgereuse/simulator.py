@@ -178,8 +178,7 @@ class Simulation:
         self._truths: dict[tuple[str, int], ServiceResult] = {}
 
     def _build_store(self, store_cfg) -> ReuseStore | None:
-        # A store with either capacity 0 could hold nothing: no store.
-        if store_cfg is None or store_cfg.capacity_entries == 0 or store_cfg.capacity_bytes == 0:
+        if store_cfg is None or not store_cfg.builds_store:
             return None
         radius = store_cfg.probe_radius
         if radius is None:

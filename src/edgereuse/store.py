@@ -11,8 +11,11 @@ service's entries or to entries that recorded one stage. Eviction is LRU by
 default or LFU, chosen by name.
 
 Every stored key is one row of the store's key matrix, the only copy of it;
-the key's norm and signature bits sit in arrays indexed by the same row, so
-scoring gathers candidate rows by fancy indexing instead of per entry.
+the key's norm, signature bits and entry id sit in arrays indexed by the
+same row, and buckets list rows. Scoring sorts the candidate rows by their
+ids with one argsort and gathers them by fancy indexing, never per entry. A
+filtered lookup still scores every candidate in that one pass, then takes
+the best one and walks down the scores only if it fails the filter.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .hashing import LshFamily, PreparedQuery, input_norm, probe_masks
 HEAP_SLACK = 64
 # Rows of a store's first key matrix; it doubles from there.
 MIN_KEY_ROWS = 8
+# _score's result when no bucket holds a candidate.
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_SIMS = np.empty(0)
 
 
 def length_bytes(n: int) -> int:
@@ -143,13 +149,16 @@ class ReuseStore:
         # Buckets probed per lookup: every mask in every table.
         self._probes = family.tables * len(self._masks)
         self._entries: dict[int, ReuseEntry] = {}
+        # Buckets list rows of the live entries.
         self._tables: list[dict[int, list[int]]] = [{} for _ in range(family.tables)]
-        # Row r of _keys, _norms and _bits holds one stored key, its norm and
-        # every table's signature bits; _row_of maps entry id to row. Rows
-        # below _rows_used are live or listed in _free_rows.
+        # Row r of _keys, _norms, _bits and _ids holds one stored key, its
+        # norm, every table's signature bits and its entry id; _row_of maps
+        # entry id to row. Rows below _rows_used are live or listed in
+        # _free_rows.
         self._keys = np.empty((0, family.dim))
         self._norms = np.empty(0)
         self._bits = np.empty((0, family.tables), dtype=np.int64)
+        self._ids = np.empty(0, dtype=np.int64)
         self._row_of: dict[int, int] = {}
         self._free_rows: list[int] = []
         self._rows_used = 0
@@ -164,7 +173,7 @@ class ReuseStore:
         # query object and the count it was taken at, serves later lookups
         # of that query while the count stays: hits change only recency.
         self._membership = 0
-        self._last_score: tuple[PreparedQuery, int, list[int], np.ndarray | None] | None = None
+        self._last_score: tuple[PreparedQuery, int, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -217,17 +226,19 @@ class ReuseStore:
                 f"({self.capacity_entries} entries, {self.capacity_bytes} bytes)")
         if query is None:
             # ReuseEntry already validated the key, so sign it unchecked.
-            query = self.family._prepare_valid(key)
-        norm, bits = query.norm, query.bits
+            norm, bits = input_norm(key), self.family._table_bits(key)
+        else:
+            norm, bits = query.norm, query.bits
         self.evict(needed_bytes=entry.size_bytes, needed_entries=1)
         entry_id = self._next_id
         self._next_id += 1
-        for t, b in enumerate(bits):
-            self._tables[t].setdefault(b, []).append(entry_id)
         row = self._take_row()
+        for t, b in enumerate(bits):
+            self._tables[t].setdefault(b, []).append(row)
         self._keys[row] = key
         self._norms[row] = norm
         self._bits[row] = bits
+        self._ids[row] = entry_id
         entry.key_input = self._row_view(row)
         self._row_of[entry_id] = row
         self._entries[entry_id] = entry
@@ -260,7 +271,9 @@ class ReuseStore:
         norms[:used] = self._norms[:used]
         bits = np.empty((rows, self.family.tables), dtype=np.int64)
         bits[:used] = self._bits[:used]
-        self._keys, self._norms, self._bits = keys, norms, bits
+        ids = np.empty(rows, dtype=np.int64)
+        ids[:used] = self._ids[:used]
+        self._keys, self._norms, self._bits, self._ids = keys, norms, bits, ids
         for entry_id, row in self._row_of.items():
             self._entries[entry_id].key_input = self._row_view(row)
 
@@ -269,30 +282,39 @@ class ReuseStore:
         view.setflags(write=False)
         return view
 
-    def _score(self, q: PreparedQuery) -> tuple[list[int], np.ndarray | None]:
-        # The candidates' ids, ascending, and their scores (None if none).
+    def _score(self, q: PreparedQuery) -> tuple[np.ndarray, np.ndarray]:
+        # The candidates' ids, ascending, and their scores (both empty if
+        # there is no candidate).
         last = self._last_score
         if last is not None and last[0] is q and last[1] == self._membership:
             return last[2], last[3]
-        ids: set[int] = set()
+        found: set[int] = set()
         masks = self._masks
         for table, bits in zip(self._tables, q.bits):
             for mask in masks:
                 bucket = table.get(bits ^ mask)
                 if bucket:
-                    ids.update(bucket)
-        ordered = sorted(ids)
-        sims = None
-        if ordered:
+                    found.update(bucket)
+        if found:
+            rows = np.fromiter(found, np.intp, len(found))
             # The candidates' rows in id order: the same matrix, row for row,
             # as stacking their keys, so every score rounds as it would there.
-            rows = np.fromiter(map(self._row_of.__getitem__, ordered), np.intp, len(ordered))
+            ids = self._ids[rows]
+            order = ids.argsort()
+            rows, ids = rows[order], ids[order]
             sims = (self._keys[rows] @ q.vector) / (self._norms[rows] * q.norm)
             sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
             # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
             np.fmax(sims, 0.0, out=sims)
-        self._last_score = (q, self._membership, ordered, sims)
-        return ordered, sims
+        else:
+            ids, sims = _NO_IDS, _NO_SIMS
+        self._last_score = (q, self._membership, ids, sims)
+        return ids, sims
+
+    def _passes(self, entry_id: int, service: str | None, stage: str | None) -> bool:
+        entry = self._entries[entry_id]
+        return ((service is None or entry.service_id == service)
+                and (stage is None or stage in entry.stage_outputs))
 
     def lookup(self, query, threshold, *, now: int = 0, service: str | None = None,
                stage: str | None = None) -> LookupOutcome:
@@ -310,22 +332,23 @@ class ReuseStore:
         q = self._prepared(query)
         t = check_threshold(threshold)
         ids, sims = self._score(q)
-        if service is None and stage is None:
-            best = int(sims.argmax()) if ids else None
-        else:
+        # argmax keeps the first of equal scores, the smallest id.
+        best = int(sims.argmax()) if sims.size else None
+        if best is not None and sims.item(best) < t:
+            best = None
+        if best is not None and not self._passes(ids.item(best), service, stage):
             # Filtered after scoring: a matrix-vector product can round a row
             # differently beside other rows, so scoring only the kept ids
-            # could give floats that differ from a shared scoring pass. max()
-            # keeps the first of equal scores, the smallest id, as argmax does.
-            entries = self._entries
-            keep = [j for j, i in enumerate(ids)
-                    if (service is None or entries[i].service_id == service)
-                    and (stage is None or stage in entries[i].stage_outputs)]
-            best = max(keep, key=sims.tolist().__getitem__) if keep else None
-        sim = None if best is None else sims.item(best)
-        if sim is None or sim < t:
+            # could give floats that differ from a shared scoring pass. The
+            # stable sort walks equal scores in id order, down to the
+            # threshold.
+            order = np.argsort(-sims, kind="stable")[:np.count_nonzero(sims >= t)]
+            best = next((j for j in order.tolist() if self._passes(ids.item(j), service, stage)),
+                        None)
+        if best is None:
             return LookupOutcome(False, None, None, self._probes)
-        best_id = ids[best]
+        sim = sims.item(best)
+        best_id = ids.item(best)
         entry = self._entries[best_id]
         entry.last_access = max(entry.last_access, now)
         entry.hit_count += 1
@@ -373,7 +396,7 @@ class ReuseStore:
             entry.key_input = key
         for t, b in enumerate(self._bits[row].tolist()):
             bucket = self._tables[t][b]
-            bucket.remove(entry_id)
+            bucket.remove(row)
             if not bucket:
                 del self._tables[t][b]
         self._free_rows.append(row)
@@ -389,7 +412,8 @@ class ReuseStore:
         rows = list(self._row_of.values())
         assert sorted(rows + self._free_rows) == list(range(self._rows_used)), \
             "live and free rows must be distinct and cover the rows in use"
-        assert self._rows_used <= len(self._keys) == len(self._norms) == len(self._bits)
+        assert (self._rows_used <= len(self._keys) == len(self._norms) == len(self._bits)
+                == len(self._ids))
         for entry_id, entry in self._entries.items():
             row = self._row_of[entry_id]
             key = entry.key_input
@@ -399,9 +423,10 @@ class ReuseStore:
             assert self._norms[row] == input_norm(key), f"row {row} norm is stale"
             bits = self._bits[row].tolist()
             assert bits == self.family._table_bits(key), f"row {row} bits are stale"
+            assert self._ids[row] == entry_id, f"row {row} records another entry id"
             for t, b in enumerate(bits):
-                assert self._tables[t].get(b, []).count(entry_id) == 1, \
-                    f"entry {entry_id} not indexed exactly once in table {t}"
+                assert self._tables[t].get(b, []).count(row) == 1, \
+                    f"entry {entry_id} row {row} not indexed exactly once in table {t}"
         live = sum(len(bucket) for table in self._tables for bucket in table.values())
         assert live == len(self._entries) * self.family.tables, "dangling bucket references"
         assert len(self._heap) <= 2 * len(self._entries) + HEAP_SLACK, "eviction heap unbounded"

@@ -80,6 +80,27 @@ class TestRun:
         header = (out / "events.csv").read_text().splitlines()[0]
         assert header == "time_us,seq,kind,node_id,task_id,detail,cost_us"
 
+    def test_zero_byte_store_on_a_device_that_cannot_hash(self, tmp_path):
+        # A store with capacity_bytes 0 builds no store, so a device that
+        # cannot hash may carry one, and replays as with store null.
+        outputs = []
+        for tag, store in (("zero", {"capacity_entries": 8, "capacity_bytes": 0}),
+                           ("none", None)):
+            bundle = generate(tmp_path / tag)
+            path = bundle / "topology.json"
+            data = json.loads(path.read_text())
+            device = next(d for d in data["devices"] if not d["can_hash"])
+            assert device["store"] is None
+            device["store"] = store
+            path.write_text(json.dumps(data))
+            out = tmp_path / tag / "results"
+            code = main(["run", "--config", str(bundle / "experiment.json"),
+                         "--out", str(out), "--event-log"])
+            assert code == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("per_task.csv", "metrics.json", "events.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_missing_config(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "r")])

@@ -487,7 +487,7 @@ class TestKeyMatrix:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("fault", ["key", "norm", "bits", "row-shared", "row-free",
-                                       "row-leaked"])
+                                       "row-leaked", "id"])
     def test_audit_catches_row_faults(self, store, rng, fault):
         for _ in range(3):
             store.insert(make_entry(rng.standard_normal(8)))
@@ -504,8 +504,10 @@ class TestKeyMatrix:
             store._row_of[2] = row
         elif fault == "row-free":
             store._free_rows.append(row)
-        else:
+        elif fault == "row-leaked":
             store._free_rows.pop()
+        else:
+            store._ids[row] = 2
         with pytest.raises(AssertionError):
             store.audit()
 
@@ -534,15 +536,64 @@ def test_scores_bit_identical_to_stacked_keys(ops, radius):
         sizes.add(len(store._keys))
         q = family.prepare(_POOL_8[j] + mix * _POOL_8[i])
         ids, sims = store._score(q)
-        if not ids:
-            assert sims is None
+        if not ids.size:
+            assert not sims.size
             continue
-        keys = np.concatenate([store.get(e).key_input for e in ids])
-        keys = keys.reshape(len(ids), family.dim)
-        norms = np.array([np.linalg.norm(store.get(e).key_input) for e in ids])
+        ordered = ids.tolist()
+        assert ordered == sorted(ordered)
+        keys = np.concatenate([store.get(e).key_input for e in ordered])
+        keys = keys.reshape(len(ordered), family.dim)
+        norms = np.array([np.linalg.norm(store.get(e).key_input) for e in ordered])
         expected = (keys @ q.vector) / (norms * q.norm)
         expected[expected > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
         np.fmax(expected, 0.0, out=expected)
         assert sims.tobytes() == expected.tobytes()
     store.audit()
     assert sizes == {8, 16, 70}
+
+
+def _first_of_the_best(store, q, threshold, service, stage):
+    # The selection rule, spelled out: score every candidate in one pass,
+    # keep those the filter passes, take the highest score, the smallest id
+    # among equal ones, and hit only if it clears the threshold.
+    ids, sims = store._score(q)
+    kept = [(sim, entry_id) for entry_id, sim in sorted(zip(ids.tolist(), sims.tolist()))
+            if (service is None or store.get(entry_id).service_id == service)
+            and (stage is None or stage in store.get(entry_id).stage_outputs)]
+    if not kept:
+        return False, None, None
+    sim, entry_id = max(kept, key=lambda pair: pair[0])
+    return (True, entry_id, sim) if sim >= threshold else (False, None, None)
+
+
+_SERVICES = ("svc-a", "svc-b", "svc-c")
+_STAGES = ("st-1", "st-2", "st-3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(inserts=st.lists(st.tuples(st.integers(0, len(_POOL_8) - 1), st.sampled_from([1.0, 2.0]),
+                                  st.sampled_from(_SERVICES),
+                                  st.sets(st.sampled_from(_STAGES), max_size=3)),
+                        min_size=1, max_size=24),
+       lookups=st.lists(st.tuples(st.integers(0, len(_POOL_8) - 1), st.sampled_from([0.0, 0.3]),
+                                  st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                  st.sampled_from((None,) + _SERVICES),
+                                  st.sampled_from((None,) + _STAGES)),
+                        min_size=1, max_size=12),
+       radius=st.sampled_from([0, 2, 6]))
+def test_best_first_lookup_matches_the_selection_rule(inserts, lookups, radius):
+    # Repeated pool keys, alone or scaled, score equally; stage ids are
+    # shared across services; a capacity of 16 evicts and reuses rows, so
+    # row order drifts from id order.
+    family = LshFamily(8, k=6, tables=2, seed=13)
+    store = ReuseStore(family, 16, BIG, probe_radius=radius)
+    for step, (i, scale, service, stages) in enumerate(inserts):
+        key = scale * _POOL_8[i]
+        store.insert(ReuseEntry(key, service, {s: key for s in sorted(stages)}, key, 0,
+                                insert_time=step))
+    for step, (i, mix, threshold, service, stage) in enumerate(lookups):
+        q = family.prepare(_POOL_8[i] + mix * _POOL_8[(i + 1) % len(_POOL_8)])
+        expected = _first_of_the_best(store, q, threshold, service, stage)
+        out = store.lookup(q, threshold, now=len(inserts) + step, service=service, stage=stage)
+        assert (out.hit, out.entry_id, out.similarity) == expected
+    store.audit()
