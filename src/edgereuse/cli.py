@@ -53,8 +53,6 @@ def _parse_thresholds(text: str) -> list[float]:
         if v > 1.0:
             v = v / 100.0
         values.append(v)
-    if not values:
-        raise ValueError("no thresholds given")
     return values
 
 

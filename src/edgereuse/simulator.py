@@ -1,5 +1,8 @@
 """Deterministic discrete-event replay of a task trace over a topology.
 
+A Simulation loads and checks a bundle once, and each run() is a fresh
+replay of it, at the rows' own thresholds or at one given for that replay.
+
 Simulated time is integer microseconds; events are processed in (time, seq)
 order where seq is the enqueue counter, so identical configs and seeds give
 byte-identical outputs. Arrivals stream from the trace in time order, and
@@ -10,9 +13,11 @@ reaches the node, but their deferred effects (a server's entry insert, its
 load counters) apply at the simulated completion time, so an in-flight
 result is never reusable before it would exist.
 
-Before the first event, the replay runs each (service, input) pipeline of
-the trace once, one oracle pass per service: servers take a task's own stage
-outputs from it, and each reused result is judged against it on completion.
+Before the first event of the first replay, the bundle's inputs are signed
+in one batch and each (service, input) pipeline of the trace runs once, one
+oracle pass per service: servers take a task's own stage outputs from it,
+and each reused result is judged against it on completion. Later replays
+reuse both passes, which depend on the inputs alone.
 """
 
 from __future__ import annotations
@@ -150,30 +155,23 @@ class MetricsReport:
 
 
 class Simulation:
-    """One replay of a trace over a topology; single thread, and single use:
-    a second run() raises SimulationError."""
+    """A trace and a topology, loaded and checked once; single thread.
 
-    def __init__(self, config, *, threshold_override: float | None = None):
+    Each run() is a fresh replay with its own nodes, stores, clock and
+    report, so a Simulation can be replayed at as many thresholds as wanted.
+    """
+
+    def __init__(self, config):
         self.config = config
         self.catalog: dict[str, ServiceSpec] = config.service_map()
         # The inputs are read and checked before anything is sized by dim.
-        self._load_inputs(threshold_override)
+        self._load_inputs()
         self._check_windows()
         self.family = LshFamily(config.dim, k=config.lsh.k, tables=config.lsh.tables,
                                 seed=config.seed)
-        self._build_nodes()
-        self.table = partition_hash_space([s.node_id for s in self.servers.values()])
-        self.heap: list[tuple] = []
-        self.seq = 0
-        self.clock = 0
-        self.records: list[TaskRecord] = []
-        self.event_rows: list[tuple] | None = None
-        self.outstanding = 0
-        self._ran = False
-        self.window_samples: list[dict] = []
         # One PreparedQuery per distinct vector id of the trace, and the
         # ground truth of every (service id, vector id) pair of the trace,
-        # both made when the replay starts.
+        # both made when the first replay starts.
         self._queries: dict[int, PreparedQuery] = {}
         self._truths: dict[tuple[str, int], ServiceResult] = {}
 
@@ -204,7 +202,7 @@ class Simulation:
             self.servers[s.node_id] = ServerNode(s.node_id, self.catalog,
                                                  self._build_store(s.store))
 
-    def _load_inputs(self, threshold_override: float | None) -> None:
+    def _load_inputs(self) -> None:
         cfg = self.config
         try:
             self.vectors = read_vectors_csv(cfg.vectors_path)
@@ -241,11 +239,7 @@ class Simulation:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: unknown vector {row.vector_id}")
             if row.time_us < 0:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: negative time")
-            threshold = row.threshold
-            if threshold_override is not None:
-                threshold = threshold_override
-            else:
-                threshold = cfg.thresholds.get(row.service_id, threshold)
+            threshold = cfg.thresholds.get(row.service_id, row.threshold)
             if not 0.0 <= threshold <= 1.0:
                 raise SimulationError(f"{cfg.trace_path}: row {lineno}: threshold {threshold} outside [0, 1]")
             self.rows.append((row, float(threshold)))
@@ -285,20 +279,10 @@ class Simulation:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _log(self, time_us: int, kind: str, node_id: str, journey, detail: str,
-             cost_us: int) -> int:
-        """Take the next seq, writing the event to the log when one is kept."""
-        seq = self.seq
-        self.seq += 1
-        if self.event_rows is not None:
-            self.event_rows.append((time_us, seq, kind, node_id,
-                                    "" if journey is None else journey.task_id, detail, cost_us))
-        return seq
-
     def _push(self, time_us: int, kind: str, node_id: str, journey, detail: str,
               cost_us: int, then) -> None:
         """Schedule ``then(journey, time_us)`` under the next seq, writing
-        the event to the log when one is kept (as _log does, inlined)."""
+        the event to the log when one is kept."""
         seq = self.seq
         self.seq = seq + 1
         if self.event_rows is not None:
@@ -322,11 +306,13 @@ class Simulation:
             then(journey, now)
             return
         t = now
+        event_rows = self.event_rows
         for step in steps[:-1]:
             t += step.cost_us
-            if self.event_rows is not None:
-                self._log(t, _STEP_EVENT_KIND[step.kind], node_id, journey,
-                          step.detail, step.cost_us)
+            if event_rows is not None:
+                event_rows.append((t, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
+                                   journey.task_id, step.detail, step.cost_us))
+                self.seq += 1
         last = steps[-1]
         self._push(t + last.cost_us, _STEP_EVENT_KIND[last.kind], node_id, journey,
                    last.detail, last.cost_us, then)
@@ -454,29 +440,39 @@ class Simulation:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, *, event_log: bool = False) -> MetricsReport:
-        if self._ran:
-            raise SimulationError("a Simulation runs once; build a new one to replay again")
-        self._ran = True
+    def run(self, *, threshold: float | None = None, event_log: bool = False) -> MetricsReport:
+        """Replay the trace from a cold start: every task at ``threshold``
+        when one is given, else at its row's own. Each call builds its own
+        nodes, stores and report, and leaves earlier reports as they were."""
+        if threshold is not None and not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold {threshold} outside [0, 1]")
         rows = self.rows
         n = len(rows)
+        if rows and not self._truths:
+            # The first replay fingerprints every input of the checked bundle
+            # in one batched pass; the trace's inputs keep their queries.
+            # Then one oracle pass per service runs each input the trace
+            # sends to it, bit for bit as executing that input alone would.
+            ids_of: dict[str, set[int]] = {}
+            for row, _ in rows:
+                ids_of.setdefault(row.service_id, set()).add(row.vector_id)
+            queries = self.family._prepare_rows(self.vectors)
+            self._queries = {vector_id: queries[vector_id]
+                             for vector_id in set().union(*ids_of.values())}
+            for service_id, ids in ids_of.items():
+                ids = sorted(ids)
+                for vector_id, truth in zip(ids, oracle(self.catalog[service_id], self.vectors[ids])):
+                    self._truths[(service_id, vector_id)] = truth
+        self._build_nodes()
+        self.table = partition_hash_space([s.node_id for s in self.servers.values()])
+        self.heap: list[tuple] = []
+        self.clock = 0
+        self.records: list[TaskRecord] = []
+        self.window_samples: list[dict] = []
         self.outstanding = n
-        # One batched pass over the checked bundle fingerprints every input
-        # before the first event; the trace's inputs keep their queries.
-        # Then one oracle pass per service runs each input the trace sends
-        # to it, bit for bit as executing that input alone would.
-        ids_of: dict[str, set[int]] = {}
-        for row, _ in rows:
-            ids_of.setdefault(row.service_id, set()).add(row.vector_id)
-        queries = self.family._prepare_rows(self.vectors)
-        self._queries = {vector_id: queries[vector_id]
-                         for vector_id in set().union(*ids_of.values())}
-        for service_id, ids in ids_of.items():
-            ids = sorted(ids)
-            for vector_id, truth in zip(ids, oracle(self.catalog[service_id], self.vectors[ids])):
-                self._truths[(service_id, vector_id)] = truth
         # Arrival i takes seq i, and the first control window seq n, as if
         # every arrival had been scheduled up front.
+        self.event_rows: list[tuple] | None = None
         if event_log:
             self.event_rows = [(row.time_us, i, EVENT_TASK_ARRIVAL, row.device_id, i, "", 0)
                                for i, (row, _) in enumerate(rows)]
@@ -496,10 +492,10 @@ class Simulation:
             if k < n and (not heap or rows[arrivals[k]][0].time_us <= heap[0][0]):
                 task_id = arrivals[k]
                 k += 1
-                row, threshold = rows[task_id]
+                row, row_threshold = rows[task_id]
                 time_us, then = row.time_us, self._arrive_device
-                journey = _Journey(task_id, row, threshold, row.device_id,
-                                   self.devices[row.device_id].router_id)
+                journey = _Journey(task_id, row, row_threshold if threshold is None else threshold,
+                                   row.device_id, self.devices[row.device_id].router_id)
             else:
                 time_us, _, then, journey = heapq.heappop(heap)
             if time_us < self.clock:
@@ -548,13 +544,13 @@ class Simulation:
 
 
 def run_experiment(config, *, event_log: bool = False,
-                   threshold_override: float | None = None) -> MetricsReport:
-    """Build a fresh simulation for the config and replay it once."""
-    return Simulation(config, threshold_override=threshold_override).run(event_log=event_log)
+                   threshold: float | None = None) -> MetricsReport:
+    """Load the config's bundle and replay it once."""
+    return Simulation(config).run(threshold=threshold, event_log=event_log)
 
 
 def sweep_thresholds(config, thresholds) -> list[dict]:
-    """One full run per threshold over the same trace and seed.
+    """One replay per threshold of the same bundle, loaded once.
 
     Returns one row per threshold: the threshold, reuse percentage,
     accuracy percentage (None when nothing was reused), and the full report.
@@ -566,9 +562,10 @@ def sweep_thresholds(config, thresholds) -> list[dict]:
         raise ValueError(f"thresholds must lie in [0, 1]: {values}")
     if values != sorted(values):
         raise ValueError(f"thresholds must be sorted ascending: {values}")
+    sim = Simulation(config)
     out = []
     for t in values:
-        report = run_experiment(config, threshold_override=t)
+        report = sim.run(threshold=t)
         out.append({
             "threshold": t,
             "reuse_pct": report.aggregates["reuse_pct"],

@@ -251,6 +251,25 @@ class TestSweep:
         code, _, captured = self.sweep(tmp_path, " ", capsys)
         assert code == 2
 
+    def test_row_threshold_outside_unit_interval_aborts(self, tmp_path, capsys):
+        # The sweep checks the trace as a run does, although each replay
+        # sets every task's threshold itself.
+        bundle = generate(tmp_path)
+        trace = bundle / "trace.csv"
+        lines = trace.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",1.5"
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        config = str(bundle / "experiment.json")
+        errors = []
+        for argv in (["run", "--out", str(tmp_path / "results")],
+                     ["sweep", "--thresholds", "0.6,0.8", "--out", str(tmp_path / "sweep.csv")]):
+            assert main([argv[0], "--config", config, *argv[1:]]) == 1
+            errors.append(capsys.readouterr().err)
+        assert "row 3: threshold 1.5 outside [0, 1]" in errors[0]
+        assert errors[1] == errors[0]
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestReport:
     def test_prints_summary_tables(self, tmp_path, capsys):

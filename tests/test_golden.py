@@ -10,6 +10,9 @@ or whether a reused result is accurate. ``metrics.json`` adds the
 aggregates and the control-window samples; its floats are ratios of those
 integers.
 
+The threshold sweep pins ``sweep.csv``: one bundle replayed at several
+thresholds, with each replay's reuse and accuracy percentages.
+
 Only a deliberate behaviour change may re-pin a digest here, and such a
 change is listed in CHANGES.md with its reason. A refactor or a speed-up
 that changes a digest is a bug in that change.
@@ -22,7 +25,7 @@ import numpy as np
 
 from edgereuse.config import (default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, write_json)
-from edgereuse.simulator import run_experiment
+from edgereuse.simulator import run_experiment, sweep_thresholds, write_sweep_csv
 from edgereuse.workload import builtin_profiles, generate_trace, write_trace_csv, write_vectors_csv
 
 SEED = 42
@@ -42,6 +45,7 @@ REBALANCED_METRICS_SHA256 = "cb842d3ed92791bbf2c1161a4404cab22fdf7204a835eeacca7
 OUT_OF_ORDER_SHA256 = "5a6fb3a482a6d4f702e4c2d0c19b47b0c44e30907e5684d9ab1b18c8e363d909"
 OUT_OF_ORDER_EVENTS_SHA256 = "6b8f65325b2fb29f2042a0a2da2dda658e23d80f91991385dec8dcb52e7866f9"
 OUT_OF_ORDER_METRICS_SHA256 = "183fffb2717c482a8b5d09f1c189f16a7950312f5899c3d3f195e85ca17fe806"
+MIXED_2K_SWEEP_SHA256 = "89db083e58fc7ac9512513a4ebe06dabefe4a44afbb07ee2ced4615eeddc8a22"
 
 
 def _redraw_services(rows, services, seed):
@@ -64,10 +68,9 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _replay(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebalance=False,
-            shuffle_quantum_us=None, threshold=None):
-    """Replay with the event log on; digests of per_task.csv, events.csv
-    and metrics.json, in that order."""
+def _bundle(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebalance=False,
+            shuffle_quantum_us=None):
+    """Write a seed-42 bundle of the profile and load its config."""
     generated = generate_trace(profile, SEED)
     rows = generated.rows
     if redraw:
@@ -82,8 +85,14 @@ def _replay(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebal
     experiment = default_experiment_data(SEED, dim=profile.dim)
     experiment["control"]["rebalance"] = rebalance
     write_json(tmp_path / "experiment.json", experiment)
-    report = run_experiment(load_experiment(tmp_path / "experiment.json"), event_log=True,
-                            threshold_override=threshold)
+    return load_experiment(tmp_path / "experiment.json")
+
+
+def _replay(tmp_path, profile, *, threshold=None, **bundle):
+    """Replay with the event log on; digests of per_task.csv, events.csv
+    and metrics.json, in that order."""
+    report = run_experiment(_bundle(tmp_path, profile, **bundle), event_log=True,
+                            threshold=threshold)
     report.write_per_task_csv(tmp_path / "per_task.csv")
     report.write_events_csv(tmp_path / "events.csv")
     report.write_metrics_json(tmp_path / "metrics.json")
@@ -140,3 +149,12 @@ def test_out_of_order_trace_with_tied_arrivals_digest(tmp_path):
     assert report.aggregates["table_version"] > 1
     assert digests == (OUT_OF_ORDER_SHA256, OUT_OF_ORDER_EVENTS_SHA256,
                        OUT_OF_ORDER_METRICS_SHA256)
+
+
+def test_mixed_2k_sweep_digest(tmp_path):
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+    rows = sweep_thresholds(_bundle(tmp_path, profile), [0.7, 0.8, 0.9])
+    reuse = [row["reuse_pct"] for row in rows]
+    assert reuse == sorted(reuse, reverse=True)
+    write_sweep_csv(tmp_path / "sweep.csv", rows)
+    assert _sha256(tmp_path / "sweep.csv") == MIXED_2K_SWEEP_SHA256

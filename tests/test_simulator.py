@@ -150,7 +150,7 @@ class TestThresholdPrecedence:
 
     def test_sweep_override_beats_config(self, tmp_path):
         cfg = self.near_pair_bundle(tmp_path, thresholds={"cognitive-assist": 1.0})
-        rep = run_experiment(cfg, threshold_override=0.9)
+        rep = run_experiment(cfg, threshold=0.9)
         assert rep.records[1].reuse_layer is ReuseLayer.SERVER
 
 
@@ -194,10 +194,10 @@ class TestDeterminism:
                     data[group][i]["store"] = None
             write_json(path, data)
             sim = Simulation(load_experiment(out / "experiment.json"))
+            rep = sim.run(event_log=True)
             assert [sim.devices["dev0"].store, sim.routers["r0"].store,
                     sim.servers["s1"].store] == [None, None, None]
             assert sim.routers["r1"].store is not None and sim.servers["s0"].store is not None
-            rep = sim.run(event_log=True)
             assert rep.aggregates["reuse_pct"] > 0
             rep.write_per_task_csv(out / "per_task.csv")
             rep.write_metrics_json(out / "metrics.json")
@@ -337,13 +337,29 @@ class TestAggregates:
         assert a["servers"]["s0"]["reused_count"] == 1
         assert a["servers"]["s0"]["busy_us"] == 200_000
 
-    def test_second_run_fails_clearly(self, tmp_path):
-        cfg = build_bundle(tmp_path, fresh_vector(),
-                           [TraceRow(0, "dev0", "voice-command", 0, 0.8)])
+    def test_replays_of_one_simulation_equal_fresh_ones(self, tmp_path):
+        from edgereuse.cli import write_bundle
+        profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=600)
+        write_bundle(profile, 42, tmp_path / "bundle")
+        cfg = load_experiment(tmp_path / "bundle" / "experiment.json")
+        thresholds = (0.9, 0.8, None)
         sim = Simulation(cfg)
-        sim.run()
-        with pytest.raises(SimulationError, match="runs once"):
-            sim.run()
+        replayed = [sim.run(threshold=t, event_log=True) for t in thresholds]
+        fresh = [Simulation(cfg).run(threshold=t, event_log=True) for t in thresholds]
+
+        # Digests are taken after every run, so a report that a later
+        # replay changed differs from its fresh twin.
+        def outputs(rep, out):
+            out.mkdir()
+            rep.write_per_task_csv(out / "per_task.csv")
+            rep.write_metrics_json(out / "metrics.json")
+            rep.write_events_csv(out / "events.csv")
+            return [(out / name).read_bytes()
+                    for name in ("per_task.csv", "metrics.json", "events.csv")]
+
+        for i, (a, b) in enumerate(zip(replayed, fresh)):
+            assert outputs(a, tmp_path / f"replayed{i}") == outputs(b, tmp_path / f"fresh{i}"), i
+        assert replayed[0].aggregates["reuse_pct"] < replayed[1].aggregates["reuse_pct"]
 
     def test_empty_trace(self, tmp_path):
         cfg = build_bundle(tmp_path, fresh_vector(), [])
@@ -557,6 +573,20 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sweep_thresholds(cfg, [0.5, 1.5])
 
+    def test_bundle_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        rows = [TraceRow(0, "dev0", "cognitive-assist", 0, 0.9),
+                TraceRow(400_000, "dev0", "cognitive-assist", 0, 0.9)]
+        cfg = build_bundle(tmp_path, fresh_vector(), rows)
+        reads = []
+        for name in ("read_vectors_csv", "read_trace_csv"):
+            def counted(path, _name=name, _read=getattr(edgereuse.simulator, name)):
+                reads.append(_name)
+                return _read(path)
+            monkeypatch.setattr(edgereuse.simulator, name, counted)
+        sweep = sweep_thresholds(cfg, [0.6, 0.7, 0.8, 0.9])
+        assert len(sweep) == 4
+        assert sorted(reads) == ["read_trace_csv", "read_vectors_csv"]
+
 
 class TestGroundTruthPass:
     """Every (service, input) pipeline of the trace runs once, in one oracle
@@ -604,9 +634,19 @@ class TestGroundTruthPass:
             return oracle(svc, xs)
 
         monkeypatch.setattr(edgereuse.simulator, "oracle", counted)
+        batches = []
+        prepare_rows = LshFamily._prepare_rows
+
+        def counted_batch(family, xs):
+            batches.append(len(xs))
+            return prepare_rows(family, xs)
+
+        monkeypatch.setattr(LshFamily, "_prepare_rows", counted_batch)
         sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
         assert calls == [] and sim._truths == {}, "the pass runs in run(), not in set-up"
+        assert batches == []
         sim.run()
+        assert len(batches) == 1
         pairs = {(row.service_id, row.vector_id) for row, _ in sim.rows}
         services = [service_id for service_id, _ in calls]
         assert sorted(services) == sorted({service_id for service_id, _ in pairs})
@@ -614,6 +654,10 @@ class TestGroundTruthPass:
             ids = sorted(v for s, v in pairs if s == service_id)
             assert rows == [sim.vectors[v].tobytes() for v in ids]
         assert set(sim._truths) == pairs
+        # Both passes depend on the inputs alone, so a second replay reuses them.
+        calls.clear()
+        sim.run(threshold=0.9)
+        assert calls == [] and len(batches) == 1
 
     def test_storeless_replay_executes_no_stage(self, mixed_1200, tmp_path, monkeypatch):
         bundle = shutil.copytree(mixed_1200, tmp_path / "no-store")
