@@ -35,16 +35,22 @@ def as_feature_vector(values, dim: int | None = None) -> np.ndarray:
     """Validate and freeze a feature vector.
 
     Returns a read-only float64 1-D array. Rejects empty, non-finite, or
-    wrong-dimension input.
+    wrong-dimension input, checking shape, then finiteness, then dim.
+
+    One check and one copy: the result is a fresh C-contiguous copy made
+    in the same call that converts to float64. A read-only input is copied
+    too, since it may be a view whose base changes, as the store's own key
+    rows do when a row is reused. A finite sum of squares proves every
+    element finite; only when it is not (a NaN or Inf, or an overflow) does
+    the element-wise test decide.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.array(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"feature vector must be 1-D and non-empty, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise ValueError("feature vector contains NaN or Inf")
     if dim is not None and v.size != dim:
         raise ValueError(f"feature vector has dim {v.size}, expected {dim}")
-    v = v.copy()
     v.setflags(write=False)
     return v
 

@@ -56,6 +56,11 @@ class ReuseEntry:
     cached from response traffic only hold the final result and leave it
     empty.
 
+    The constructor checks and copies every field once
+    (``as_feature_vector``), so no field shares memory with an argument or
+    with another field. A read-only argument is copied too, since it may be
+    a view whose base changes.
+
     While the entry is stored, ``key_input`` is a read-only view of its row
     in the store's key matrix, the key's only copy. On removal the store
     hands the entry a frozen copy of its own before the row can be reused,

@@ -1,7 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgereuse.core import (ReuseLayer, TaskEnvelope, as_feature_vector, check_threshold,
                             similarity)
@@ -39,6 +42,79 @@ class TestFeatureVector:
         as_feature_vector([1.0, 2.0], dim=2)
         with pytest.raises(ValueError, match="dim 2"):
             as_feature_vector([1.0, 2.0], dim=3)
+
+
+def _as_feature_vector_by_elements(values, dim=None):
+    # The element-wise finiteness test with a separate copy: the oracle for
+    # the one-call copy and the sum-of-squares proof.
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"feature vector must be 1-D and non-empty, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("feature vector contains NaN or Inf")
+    if dim is not None and v.size != dim:
+        raise ValueError(f"feature vector has dim {v.size}, expected {dim}")
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
+_HUGE = st.floats(1e154, 1.7e308)
+_ELEMENTS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308]),
+    _HUGE, _HUGE.map(lambda x: -x),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _raw_vectors(draw):
+    # Every form a caller may hand in: float64 arrays, read-only views of a
+    # larger base, lists, ints, float32, and the wrong shapes.
+    values = np.array(draw(st.lists(_ELEMENTS, max_size=12)))
+    kind = draw(st.sampled_from(["array", "readonly-view", "list", "int", "float32",
+                                 "0-d", "2-D"]))
+    if kind == "readonly-view":
+        base = np.concatenate([values, values, [1.0]])
+        base.setflags(write=False)
+        return base[::2][:len(values)]
+    if kind == "list":
+        return values.tolist()
+    if kind == "int":
+        return draw(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=12))
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            return values.astype(np.float32)
+    if kind == "0-d":
+        return values[0] if values.size else np.float64(1.0)
+    if kind == "2-D":
+        return np.resize(values, (2, 3)) if values.size else np.zeros((0, 3))
+    return values
+
+
+class TestFeatureVectorOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_raw_vectors(), dim=st.one_of(st.none(), st.integers(0, 12)))
+    def test_same_verdict_and_bytes_as_the_element_wise_check(self, values, dim):
+        try:
+            expected = _as_feature_vector_by_elements(values, dim)
+        except ValueError as e:
+            expected = e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = as_feature_vector(values, dim)
+            except ValueError as e:
+                got = e
+        if isinstance(expected, ValueError):
+            assert isinstance(got, ValueError) and str(got) == str(expected)
+            return
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable and got.flags.c_contiguous
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(got, values)
 
 
 class Testthreshold:

@@ -45,6 +45,20 @@ class TestSizing:
         assert not entry.output.flags.writeable
         assert entry.last_access == 50
 
+    def test_every_field_owns_its_copy(self):
+        # One array in several fields, and a read-only view of a base that
+        # later changes: every field keeps its own frozen copy.
+        base = np.arange(1.0, 17.0)
+        view = base[::2]
+        view.setflags(write=False)
+        entry = ReuseEntry(view, "svc", {"a": view}, view, 0)
+        fields = [entry.key_input, entry.stage_outputs["a"], entry.output]
+        base[:] = 0.0
+        for i, f in enumerate(fields):
+            assert f.tolist() == list(np.arange(1.0, 17.0, 2.0))
+            assert not np.shares_memory(f, base)
+            assert all(not np.shares_memory(f, g) for g in fields[i + 1:])
+
 
 class TestInsertLookup:
     def test_exact_hit_has_similarity_one(self, store, rng):
