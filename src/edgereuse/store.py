@@ -12,8 +12,11 @@ default or LFU, chosen by name.
 
 Every stored key is one row of the store's key matrix, the only copy of it;
 the key's norm, signature bits and entry id sit in arrays indexed by the
-same row, and buckets list rows. Scoring sorts the candidate rows by their
-ids with one argsort and gathers them by fancy indexing, never per entry. A
+same row, and each bucket is an int64 array of rows, with no int object per
+row. A gather that hits few buckets deduplicates their rows in a set; one
+that hits more joins the buckets' bytes into one numpy array, sorts it and
+drops adjacent repeats. Scoring sorts the candidate rows by their ids with
+one argsort and gathers them by fancy indexing, never per entry. A
 filtered lookup still scores every candidate in that one pass, then takes
 the best one and walks down the scores only if it fails the filter.
 """
@@ -21,6 +24,8 @@ the best one and walks down the scores only if it fails the filter.
 from __future__ import annotations
 
 import heapq
+import operator
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,14 @@ from .hashing import LshFamily, PreparedQuery, input_norm, probe_masks
 HEAP_SLACK = 64
 # Rows of a store's first key matrix; it doubles from there.
 MIN_KEY_ROWS = 8
+# A gather that hits at most this many buckets deduplicates their rows in a
+# set; a larger one sorts them all in numpy and drops adjacent repeats. The
+# set is cheaper below about 35 distinct rows, a count known only after
+# deduplication: 16 buckets hold about 43 in a 20,000-entry store, and
+# fewer than 20 in the small stores of a replay (BENCH_20.json).
+_SET_GATHER_MAX = 16
+# Copied to make a one-row bucket, at half the cost of array("q", (row,)).
+_ONE_ROW = array("q", (0,))
 # _score's result when no bucket holds a candidate.
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_SIMS = np.empty(0)
@@ -41,6 +54,16 @@ def length_bytes(n: int) -> int:
     """Accounted storage cost of a vector of n elements: 8 bytes per element
     plus a 64-byte fixed overhead for metadata and indexing."""
     return 8 * n + 64
+
+
+def _integer(name: str, value) -> int:
+    # Python and numpy integers pass; bools, floats and the rest do not.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class OversizedEntryError(ValueError):
@@ -136,6 +159,9 @@ class ReuseStore:
 
     def __init__(self, family: LshFamily, capacity_entries: int, capacity_bytes: int,
                  policy: str = "lru", probe_radius: int = 0):
+        capacity_entries = _integer("capacity_entries", capacity_entries)
+        capacity_bytes = _integer("capacity_bytes", capacity_bytes)
+        probe_radius = _integer("probe_radius", probe_radius)
         if capacity_entries < 1 or capacity_bytes < 1:
             raise ValueError(f"capacities must be positive, got {capacity_entries} entries and "
                              f"{capacity_bytes} bytes; a node without a cache takes store=None")
@@ -154,8 +180,8 @@ class ReuseStore:
         # Buckets probed per lookup: every mask in every table.
         self._probes = family.tables * len(self._masks)
         self._entries: dict[int, ReuseEntry] = {}
-        # Buckets list rows of the live entries.
-        self._tables: list[dict[int, list[int]]] = [{} for _ in range(family.tables)]
+        # Buckets are int64 arrays of the live entries' rows, never empty.
+        self._tables: list[dict[int, array]] = [{} for _ in range(family.tables)]
         # Row r of _keys, _norms, _bits and _ids holds one stored key, its
         # norm, every table's signature bits and its entry id; _row_of maps
         # entry id to row. Rows below _rows_used are live or listed in
@@ -238,8 +264,13 @@ class ReuseStore:
         entry_id = self._next_id
         self._next_id += 1
         row = self._take_row()
-        for t, b in enumerate(bits):
-            self._tables[t].setdefault(b, []).append(row)
+        for table, b in zip(self._tables, bits):
+            bucket = table.get(b)
+            if bucket is None:
+                bucket = table[b] = _ONE_ROW * 1
+                bucket[0] = row
+            else:
+                bucket.append(row)
         self._keys[row] = key
         self._norms[row] = norm
         self._bits[row] = bits
@@ -293,15 +324,27 @@ class ReuseStore:
         last = self._last_score
         if last is not None and last[0] is q and last[1] == self._membership:
             return last[2], last[3]
-        found: set[int] = set()
+        buckets = []
         masks = self._masks
         for table, bits in zip(self._tables, q.bits):
             for mask in masks:
                 bucket = table.get(bits ^ mask)
-                if bucket:
-                    found.update(bucket)
-        if found:
-            rows = np.fromiter(found, np.intp, len(found))
+                if bucket is not None:
+                    buckets.append(bucket)
+        if not buckets:
+            ids, sims = _NO_IDS, _NO_SIMS
+        else:
+            if len(buckets) > _SET_GATHER_MAX:
+                # A row sits in one bucket per table, so its repeats come from
+                # other tables and sit side by side once sorted.
+                rows = np.sort(np.frombuffer(b"".join(buckets), np.int64))
+                keep = np.empty(rows.size, dtype=bool)
+                keep[0] = True
+                np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+                rows = rows[keep]
+            else:
+                found = set().union(*buckets)
+                rows = np.fromiter(found, np.int64, len(found))
             # The candidates' rows in id order: the same matrix, row for row,
             # as stacking their keys, so every score rounds as it would there.
             ids = self._ids[rows]
@@ -311,8 +354,6 @@ class ReuseStore:
             sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
             # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
             np.fmax(sims, 0.0, out=sims)
-        else:
-            ids, sims = _NO_IDS, _NO_SIMS
         self._last_score = (q, self._membership, ids, sims)
         return ids, sims
 
@@ -432,6 +473,12 @@ class ReuseStore:
             for t, b in enumerate(bits):
                 assert self._tables[t].get(b, []).count(row) == 1, \
                     f"entry {entry_id} row {row} not indexed exactly once in table {t}"
+        for t, table in enumerate(self._tables):
+            for b, bucket in table.items():
+                # An empty bucket kept per distinct key would grow with run
+                # length, not with the capacities.
+                assert type(bucket) is array and bucket.typecode == "q" and bucket, \
+                    f"table {t} bucket {b} is not a non-empty int64 array"
         live = sum(len(bucket) for table in self._tables for bucket in table.values())
         assert live == len(self._entries) * self.family.tables, "dangling bucket references"
         assert len(self._heap) <= 2 * len(self._entries) + HEAP_SLACK, "eviction heap unbounded"

@@ -1,12 +1,15 @@
+import collections
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from edgereuse import store as store_module
 from edgereuse.core import SELF_SIMILARITY_SNAP, similarity
 from edgereuse.hashing import LshFamily
 from edgereuse.store import HEAP_SLACK, OversizedEntryError, ReuseEntry, ReuseStore, length_bytes
@@ -210,6 +213,25 @@ class TestMultiProbe:
     def test_probe_radius_validated(self, family):
         with pytest.raises(ValueError, match="probe_radius"):
             ReuseStore(family, 4, BIG, probe_radius=7)
+
+    @pytest.mark.parametrize("name, value", [
+        ("capacity_entries", 5.5), ("capacity_entries", True), ("capacity_entries", "4"),
+        ("capacity_entries", np.float64(4.0)), ("capacity_bytes", 1e6),
+        ("capacity_bytes", False), ("capacity_bytes", None), ("probe_radius", 1.5),
+        ("probe_radius", True), ("probe_radius", np.True_)])
+    def test_integer_arguments_must_be_integers(self, family, name, value):
+        args = {"capacity_entries": 4, "capacity_bytes": BIG, "probe_radius": 1, name: value}
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            ReuseStore(family, **args)
+
+    def test_numpy_integer_arguments_pass_as_ints(self, family):
+        store = ReuseStore(family, np.int32(4), np.int64(BIG), probe_radius=np.uint8(1))
+        assert (store.capacity_entries, store.capacity_bytes, store.probe_radius) == (4, BIG, 1)
+        assert {type(store.capacity_entries), type(store.capacity_bytes),
+                type(store.probe_radius)} == {int}
+        store.insert(make_entry(np.ones(8)))
+        assert store.lookup(np.ones(8), 0.9).hit
+        store.audit()
 
 
 class TestEviction:
@@ -501,7 +523,7 @@ class TestKeyMatrix:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("fault", ["key", "norm", "bits", "row-shared", "row-free",
-                                       "row-leaked", "id"])
+                                       "row-leaked", "id", "empty-bucket"])
     def test_audit_catches_row_faults(self, store, rng, fault):
         for _ in range(3):
             store.insert(make_entry(rng.standard_normal(8)))
@@ -520,6 +542,10 @@ class TestKeyMatrix:
             store._free_rows.append(row)
         elif fault == "row-leaked":
             store._free_rows.pop()
+        elif fault == "empty-bucket":
+            # An unused key of table 0, with an empty bucket under it.
+            key = next(b for b in range(1 << store.family.k) if b not in store._tables[0])
+            store._tables[0][key] = array("q")
         else:
             store._ids[row] = 2
         with pytest.raises(AssertionError):
@@ -555,15 +581,71 @@ def test_scores_bit_identical_to_stacked_keys(ops, radius):
             continue
         ordered = ids.tolist()
         assert ordered == sorted(ordered)
-        keys = np.concatenate([store.get(e).key_input for e in ordered])
-        keys = keys.reshape(len(ordered), family.dim)
-        norms = np.array([np.linalg.norm(store.get(e).key_input) for e in ordered])
-        expected = (keys @ q.vector) / (norms * q.norm)
-        expected[expected > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
-        np.fmax(expected, 0.0, out=expected)
-        assert sims.tobytes() == expected.tobytes()
+        assert sims.tobytes() == _stacked_scores(store, ordered, q).tobytes()
     store.audit()
     assert sizes == {8, 16, 70}
+
+
+def _stacked_scores(store, ordered, q):
+    # The scores of the entries' keys, stacked in the given id order.
+    keys = np.concatenate([store.get(e).key_input for e in ordered])
+    keys = keys.reshape(len(ordered), store.family.dim)
+    norms = np.array([np.linalg.norm(store.get(e).key_input) for e in ordered])
+    expected = (keys @ q.vector) / (norms * q.norm)
+    expected[expected > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
+    np.fmax(expected, 0.0, out=expected)
+    return expected
+
+
+_POOL_10 = np.random.default_rng(17).standard_normal((10, 8))
+_GATHER_OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([0.0, 0.5]),
+                                 st.sampled_from([1.0, 3.0]), st.integers(0, 2)),
+                       min_size=1, max_size=40)
+
+
+def test_gathers_are_exact_on_both_sides_of_the_set_crossover():
+    # A gather that hits few buckets deduplicates rows in a set, one that
+    # hits many in numpy. Either way _score must return exactly the live
+    # entries within probe_radius of the query in some table, in id order,
+    # scored as their stacked keys. Duplicate and scaled keys share buckets;
+    # evictions free rows that later inserts reuse, so row order drifts from
+    # id order.
+    paths = collections.Counter()
+
+    @settings(max_examples=50, deadline=None)
+    @given(tables=st.integers(1, 4), k=st.integers(2, 5), radius=st.integers(0, 5),
+           capacity=st.integers(4, 40), ops=_GATHER_OPS)
+    @example(tables=4, k=4, radius=4, capacity=30,
+             ops=[(i % 10, i * 7 % 10, 0.5 * (i % 2), 1.0 + 2.0 * (i % 3 == 0), i % 4 == 3)
+                  for i in range(40)])
+    @example(tables=1, k=3, radius=1, capacity=6,
+             ops=[(i % 10, i * 3 % 10, 0.5, 1.0, i % 3 == 2) for i in range(12)])
+    def check(tables, k, radius, capacity, ops):
+        radius = min(radius, k)
+        family = LshFamily(8, k=k, tables=tables, seed=29)
+        store = ReuseStore(family, capacity, BIG, probe_radius=radius)
+        bits_of = {}
+        for step, (i, j, mix, scale, evictions) in enumerate(ops):
+            entry = make_entry(scale * (_POOL_10[i] + mix * _POOL_10[j]), insert_time=step)
+            bits_of[store.insert(entry)] = family._table_bits(entry.key_input)
+            store.evict(needed_entries=store.capacity_entries - len(store) + evictions)
+            q = family.prepare(_POOL_10[j] + mix * _POOL_10[i])
+            hit = sum(bits ^ mask in table for table, bits in zip(store._tables, q.bits)
+                      for mask in store._masks)
+            paths["numpy" if hit > store_module._SET_GATHER_MAX else "set"] += 1
+            expected = [entry_id for entry_id in sorted(store._entries)
+                        if any((a ^ b).bit_count() <= radius
+                               for a, b in zip(bits_of[entry_id], q.bits))]
+            ids, sims = store._score(q)
+            assert ids.tolist() == expected
+            if expected:
+                assert sims.tobytes() == _stacked_scores(store, expected, q).tobytes()
+            else:
+                assert not sims.size
+        store.audit()
+
+    check()
+    assert paths["set"] and paths["numpy"]
 
 
 def _first_of_the_best(store, q, threshold, service, stage):
