@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import SEED_MAX
 from .hashing import FORWARDING_BITS
 from .services import ServiceSpec, StageSpec
 from .store import length_bytes
@@ -133,7 +134,7 @@ class ControlConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    seed: int = _json(int, lo=0, hi=(1 << 64) - 1)
+    seed: int = _json(int, lo=0, hi=SEED_MAX)
     # One table of k hyperplanes must fit the array budget.
     dim: int = _json(int, lo=1, hi=MAX_ARRAY_ELEMENTS // FORWARDING_BITS)
     lsh: LshConfig = _json(LshConfig, factory=LshConfig)
@@ -316,7 +317,7 @@ def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "to
                                ("servers", topo.servers, server)):
         for i, node in enumerate(nodes):
             st = node.store
-            if st is not None and 0 < st.capacity_bytes < need and st.capacity_entries > 0:
+            if st is not None and st.builds_store and st.capacity_bytes < need:
                 raise ConfigError(
                     f"{where}.{group}[{i}].store.capacity_bytes: {st.capacity_bytes} bytes "
                     f"cannot hold the largest entry this node stores ({need} bytes)")

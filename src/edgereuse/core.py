@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -19,6 +20,10 @@ if TYPE_CHECKING:
 
 SELF_SIMILARITY_SNAP = 1e-12
 RESULT_ATOL = 1e-9
+# The largest seed: every seed is a 64-bit non-negative integer.
+SEED_MAX = (1 << 64) - 1
+# Neither an integer nor a threshold, though Python and numpy convert them.
+_BOOLS = (bool, np.bool_)
 
 
 class ReuseLayer(enum.Enum):
@@ -55,8 +60,34 @@ def as_feature_vector(values, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def check_integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """The one integer rule of the library's constructors: ``value`` as a
+    plain int, within the inclusive bounds ``lo`` and ``hi`` (each when
+    given).
+
+    Python and numpy integers pass. A bool (numpy's too) or anything that
+    ``operator.index`` refuses raises TypeError, and a value out of bounds
+    raises ValueError; both messages name the argument.
+    """
+    if not isinstance(value, _BOOLS):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if (lo is None or lo <= n) and (hi is None or n <= hi):
+                return n
+            bounds = (f"in [{lo}, {hi}]" if lo is not None and hi is not None
+                      else f">= {lo}" if lo is not None else f"<= {hi}")
+            raise ValueError(f"{name} must be {bounds}, got {n}")
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def check_threshold(value: float) -> float:
-    """Validate a similarity threshold (a fraction in [0, 1])."""
+    """Validate a similarity threshold (a fraction in [0, 1]); a bool is
+    not one."""
+    if isinstance(value, _BOOLS):
+        raise TypeError(f"similarity threshold must be a number, got {value!r}")
     t = float(value)
     if math.isnan(t) or not 0.0 <= t <= 1.0:
         raise ValueError(f"similarity threshold must be in [0, 1], got {value}")

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ReuseLayer, TaskEnvelope
+from .core import ReuseLayer, TaskEnvelope, check_integer
 from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
 from .services import ServiceResult, ServiceSpec, _label, execute_stage
 from .store import ReuseEntry, ReuseStore
@@ -98,8 +98,7 @@ class LoadReport:
 
     def __post_init__(self):
         for sid, v in self.executed_count.items():
-            if v < 0:
-                raise ValueError(f"executed_count[{sid}] is negative")
+            check_integer(f"executed_count[{sid}]", v, 0)
 
 
 def rebalance(table: ForwardingTable, report: LoadReport, step_fraction: float) -> ForwardingTable:
@@ -167,10 +166,9 @@ class DeviceNode:
     store: ReuseStore | None = None
 
     def __post_init__(self):
-        if self.link_delay_us <= 0:
-            raise ValueError(f"device {self.node_id}: link delay must be > 0")
-        if self.hash_time_us < 0:
-            raise ValueError(f"device {self.node_id}: hash_time_us must be >= 0")
+        where = f"device {self.node_id}: "
+        check_integer(where + "link_delay_us (link delay)", self.link_delay_us, 1)
+        check_integer(where + "hash_time_us", self.hash_time_us, 0)
         _check_store(self.node_id, self.store)
         if self.store is not None and not self.can_hash:
             raise ValueError(
@@ -188,11 +186,10 @@ class RouterNode:
     def __post_init__(self):
         if not self.server_delays:
             raise ValueError(f"router {self.node_id}: needs at least one server link")
+        where = f"router {self.node_id}: "
         for sid, d in self.server_delays.items():
-            if d <= 0:
-                raise ValueError(f"router {self.node_id}: link delay to {sid} must be > 0")
-        if self.hash_time_us < 0:
-            raise ValueError(f"router {self.node_id}: hash_time_us must be >= 0")
+            check_integer(f"{where}server_delays[{sid!r}] (link delay to {sid})", d, 1)
+        check_integer(where + "hash_time_us", self.hash_time_us, 0)
         _check_store(self.node_id, self.store)
 
 

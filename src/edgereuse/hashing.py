@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_feature_vector
+from .core import SEED_MAX, as_feature_vector, check_integer
 
 FORWARDING_BITS = 16
 FORWARDING_SPACE = 1 << FORWARDING_BITS
 
-_MAX_SEED = 1 << 64
 _NORM_OVERFLOW = "feature vector norm overflows float64"
 _NORM_UNDERFLOW = "feature vector norm underflows float64 to 0"
 
@@ -67,18 +66,11 @@ class LshFamily:
     """
 
     def __init__(self, dim: int, k: int = 16, tables: int = 4, seed: int = 0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if not 1 <= k <= 32:
-            raise ValueError(f"k must be in [1, 32], got {k}")
-        if tables < 1:
-            raise ValueError(f"tables must be >= 1, got {tables}")
-        if not 0 <= seed < _MAX_SEED:
-            raise ValueError("seed must be a 64-bit non-negative integer")
-        self.dim = dim
-        self.k = k
-        self.tables = tables
-        self.seed = seed
+        dim = check_integer("dim", dim, 1)
+        k = check_integer("k", k, 1, 32)
+        tables = check_integer("tables", tables, 1)
+        seed = check_integer("seed", seed, 0, SEED_MAX)
+        self.dim, self.k, self.tables, self.seed = dim, k, tables, seed
         rng = np.random.default_rng(seed)
         planes = rng.standard_normal((tables, k, dim))
         planes /= np.linalg.norm(planes, axis=2, keepdims=True)
@@ -87,8 +79,7 @@ class LshFamily:
         self._bit_weights = (1 << np.arange(k, dtype=np.uint64))
 
     def _check_table(self, table: int) -> None:
-        if not 0 <= table < self.tables:
-            raise ValueError(f"table index {table} out of range [0, {self.tables})")
+        check_integer("table index", table, 0, self.tables - 1)
 
     def signature_bits(self, v, table: int = 0) -> int:
         """The k-bit integer fingerprint of one vector under one table:
@@ -185,7 +176,7 @@ def forwarding_hash(family: LshFamily, v) -> int:
     return family.prepare(v).forwarding_hash
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def probe_masks(k: int, radius: int) -> tuple[int, ...]:
     """XOR masks of the multi-probe order over k-bit signatures: 0, then
     every mask of Hamming weight 1, 2, ... up to radius.
@@ -193,12 +184,12 @@ def probe_masks(k: int, radius: int) -> tuple[int, ...]:
     Within one weight class, masks are ordered lexicographically by the
     tuple of flipped bit indices. Total length is sum over d of C(k, d); at
     radius == k the masks enumerate the whole signature space, which turns
-    bucketed lookup into exact search. Computed once per (k, radius).
+    bucketed lookup into exact search. Computed once per (k, radius), the
+    cache keyed by type too, so that a cached (16, 1) never answers
+    (16, True).
     """
-    if not 1 <= k <= 32:
-        raise ValueError(f"signature width must be in [1, 32], got {k}")
-    if not 0 <= radius <= k:
-        raise ValueError(f"radius must be in [0, {k}], got {radius}")
+    k = check_integer("k", k, 1, 32)
+    radius = check_integer("radius", radius, 0, k)
     return tuple(sum(1 << i for i in flips)
                  for d in range(radius + 1)
                  for flips in itertools.combinations(range(k), d))
@@ -224,10 +215,8 @@ def feature_hash(tokens, dim: int, seed: int = 0) -> np.ndarray:
     token order and linear in the values. An empty token list yields the
     zero vector, which callers must not feed to the LSH layer.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError("seed must be a 64-bit non-negative integer")
+    dim = check_integer("dim", dim, 1)
+    seed = check_integer("seed", seed, 0, SEED_MAX)
     out = np.zeros(dim, dtype=np.float64)
     for token, value in tokens:
         if not isinstance(token, str):

@@ -15,9 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import as_feature_vector
-
-_MAX_SEED = 1 << 64
+from .core import SEED_MAX, as_feature_vector, check_integer
 
 
 @dataclass(frozen=True)
@@ -32,12 +30,10 @@ class StageSpec:
     def __post_init__(self):
         if not self.stage_id:
             raise ValueError("stage_id must be non-empty")
-        if not 0 <= self.transform_seed < _MAX_SEED:
-            raise ValueError(f"stage {self.stage_id}: transform_seed out of range")
-        if self.out_dim < 1:
-            raise ValueError(f"stage {self.stage_id}: out_dim must be >= 1")
-        if self.exec_time_us < 0:
-            raise ValueError(f"stage {self.stage_id}: exec_time_us must be >= 0")
+        where = f"stage {self.stage_id}: "
+        check_integer(where + "transform_seed", self.transform_seed, 0, SEED_MAX)
+        check_integer(where + "out_dim", self.out_dim, 1)
+        check_integer(where + "exec_time_us", self.exec_time_us, 0)
 
 
 @dataclass(frozen=True)
@@ -53,12 +49,11 @@ class ServiceSpec:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not self.service_id:
             raise ValueError("service_id must be non-empty")
-        if self.input_dim < 1:
-            raise ValueError(f"service {self.service_id}: input_dim must be >= 1")
+        where = f"service {self.service_id}: "
+        check_integer(where + "input_dim", self.input_dim, 1)
         if not self.stages:
             raise ValueError(f"service {self.service_id}: needs at least one stage")
-        if self.label_classes < 2:
-            raise ValueError(f"service {self.service_id}: label_classes must be >= 2")
+        check_integer(where + "label_classes", self.label_classes, 2)
 
     @property
     def total_exec_us(self) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope
+from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope, check_threshold
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
@@ -444,8 +444,8 @@ class Simulation:
         """Replay the trace from a cold start: every task at ``threshold``
         when one is given, else at its row's own. Each call builds its own
         nodes, stores and report, and leaves earlier reports as they were."""
-        if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold {threshold} outside [0, 1]")
+        if threshold is not None:
+            threshold = check_threshold(threshold)
         rows = self.rows
         n = len(rows)
         if rows and not self._truths:
@@ -555,11 +555,9 @@ def sweep_thresholds(config, thresholds) -> list[dict]:
     Returns one row per threshold: the threshold, reuse percentage,
     accuracy percentage (None when nothing was reused), and the full report.
     """
-    values = [float(t) for t in thresholds]
+    values = [check_threshold(t) for t in thresholds]
     if not values:
         raise ValueError("no thresholds given")
-    if any(not 0.0 <= t <= 1.0 for t in values):
-        raise ValueError(f"thresholds must lie in [0, 1]: {values}")
     if values != sorted(values):
         raise ValueError(f"thresholds must be sorted ascending: {values}")
     sim = Simulation(config)

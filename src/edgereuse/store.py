@@ -5,10 +5,10 @@ the query's signatures for all tables (from a PreparedQuery, or signed once
 from a raw vector), gathers the buckets at each signature XOR each
 multi-probe mask, scores candidates by exact cosine similarity, and accepts
 the best one only if it clears the caller's threshold. The store remembers
-its last scoring pass, so lookups of the same PreparedQuery object with no
-insert or removal in between share it. A lookup can be limited to one
-service's entries or to entries that recorded one stage. Eviction is LRU by
-default or LFU, chosen by name.
+its last scoring pass until its next insert or removal, so lookups of the
+same PreparedQuery object in between share it. A lookup can be limited to
+one service's entries or to entries that recorded one stage. Eviction is
+LRU by default or LFU, chosen by name.
 
 Every stored key is one row of the store's key matrix, the only copy of it;
 the key's norm, signature bits and entry id sit in arrays indexed by the
@@ -24,13 +24,12 @@ the best one and walks down the scores only if it fails the filter.
 from __future__ import annotations
 
 import heapq
-import operator
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SELF_SIMILARITY_SNAP, as_feature_vector, check_threshold
+from .core import SELF_SIMILARITY_SNAP, as_feature_vector, check_integer, check_threshold
 from .hashing import LshFamily, PreparedQuery, input_norm, probe_masks
 
 # The eviction heap may hold at most 2 items per live entry plus this many.
@@ -54,16 +53,6 @@ def length_bytes(n: int) -> int:
     """Accounted storage cost of a vector of n elements: 8 bytes per element
     plus a 64-byte fixed overhead for metadata and indexing."""
     return 8 * n + 64
-
-
-def _integer(name: str, value) -> int:
-    # Python and numpy integers pass; bools, floats and the rest do not.
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class OversizedEntryError(ValueError):
@@ -159,14 +148,13 @@ class ReuseStore:
 
     def __init__(self, family: LshFamily, capacity_entries: int, capacity_bytes: int,
                  policy: str = "lru", probe_radius: int = 0):
-        capacity_entries = _integer("capacity_entries", capacity_entries)
-        capacity_bytes = _integer("capacity_bytes", capacity_bytes)
-        probe_radius = _integer("probe_radius", probe_radius)
+        capacity_entries = check_integer("capacity_entries", capacity_entries)
+        capacity_bytes = check_integer("capacity_bytes", capacity_bytes)
+        probe_radius = check_integer("probe_radius", probe_radius, 0, family.k)
         if capacity_entries < 1 or capacity_bytes < 1:
-            raise ValueError(f"capacities must be positive, got {capacity_entries} entries and "
-                             f"{capacity_bytes} bytes; a node without a cache takes store=None")
-        if not 0 <= probe_radius <= family.k:
-            raise ValueError(f"probe_radius must be in [0, {family.k}], got {probe_radius}")
+            raise ValueError(f"capacity_entries and capacity_bytes must be >= 1, got "
+                             f"{capacity_entries} and {capacity_bytes}; a node without a cache "
+                             "takes store=None")
         self.family = family
         self.capacity_entries = capacity_entries
         self.capacity_bytes = capacity_bytes
@@ -200,11 +188,10 @@ class ReuseStore:
         self._heap: list[tuple[tuple, int]] = []
         self._next_id = 0
         self._total_bytes = 0
-        # Counts inserts and removals. The last scoring pass, kept with the
-        # query object and the count it was taken at, serves later lookups
-        # of that query while the count stays: hits change only recency.
-        self._membership = 0
-        self._last_score: tuple[PreparedQuery, int, np.ndarray, np.ndarray] | None = None
+        # The last scoring pass, kept with its query object, serves later
+        # lookups of that query until an insert or a removal drops it: hits
+        # change only recency.
+        self._last_score: tuple[PreparedQuery, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -279,7 +266,7 @@ class ReuseStore:
         self._row_of[entry_id] = row
         self._entries[entry_id] = entry
         self._total_bytes += entry.size_bytes
-        self._membership += 1
+        self._last_score = None
         self._touch(entry_id, entry)
         return entry_id
 
@@ -322,8 +309,8 @@ class ReuseStore:
         # The candidates' ids, ascending, and their scores (both empty if
         # there is no candidate).
         last = self._last_score
-        if last is not None and last[0] is q and last[1] == self._membership:
-            return last[2], last[3]
+        if last is not None and last[0] is q:
+            return last[1], last[2]
         buckets = []
         masks = self._masks
         for table, bits in zip(self._tables, q.bits):
@@ -354,7 +341,7 @@ class ReuseStore:
             sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
             # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
             np.fmax(sims, 0.0, out=sims)
-        self._last_score = (q, self._membership, ids, sims)
+        self._last_score = (q, ids, sims)
         return ids, sims
 
     def _passes(self, entry_id: int, service: str | None, stage: str | None) -> bool:
@@ -447,7 +434,7 @@ class ReuseStore:
                 del self._tables[t][b]
         self._free_rows.append(row)
         self._total_bytes -= entry.size_bytes
-        self._membership += 1
+        self._last_score = None
 
     def audit(self) -> None:
         """Walk every invariant; raises AssertionError on violation."""

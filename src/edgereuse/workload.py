@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_threshold
+from .core import check_integer, check_threshold
 
 _CALIBRATION_PAIRS = 384
 _CALIBRATION_ROUNDS = 6
@@ -58,20 +58,16 @@ class WorkloadProfile:
     def __post_init__(self):
         if not self.name:
             raise ValueError("profile name must be non-empty")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 1 <= self.n_clusters <= self.dim:
-            raise ValueError(f"n_clusters must be in [1, dim={self.dim}], got {self.n_clusters}")
+        dim = check_integer("dim", self.dim, 1)
+        check_integer("n_clusters", self.n_clusters, 1, dim)
         if self.intra_cosine > 1.0:
             raise CalibrationError(f"target intra-cluster cosine {self.intra_cosine} exceeds 1")
         if self.intra_cosine <= 0.0:
             raise CalibrationError(f"target intra-cluster cosine must be positive, got {self.intra_cosine}")
         if not 0.0 <= self.repeat_fraction <= 1.0:
             raise ValueError("repeat_fraction must be in [0, 1]")
-        if self.tasks < 0:
-            raise ValueError("tasks must be >= 0")
-        if self.mean_interarrival_us < 1:
-            raise ValueError("mean_interarrival_us must be >= 1")
+        check_integer("tasks", self.tasks, 0)
+        check_integer("mean_interarrival_us", self.mean_interarrival_us, 1)
         if self.arrival not in ("fixed", "exponential"):
             raise ValueError(f"arrival must be 'fixed' or 'exponential', got {self.arrival!r}")
         check_threshold(self.threshold)
@@ -79,8 +75,7 @@ class WorkloadProfile:
             raise ValueError("profile needs at least one service")
         if not self.devices:
             raise ValueError("profile needs at least one device")
-        if self.repeat_window < 1:
-            raise ValueError("repeat_window must be >= 1")
+        check_integer("repeat_window", self.repeat_window, 1)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,11 @@ class Testthreshold:
         with pytest.raises(ValueError):
             check_threshold(t)
 
+    @pytest.mark.parametrize("t", [True, False, np.True_])
+    def test_bool_is_not_a_threshold(self, t):
+        with pytest.raises(TypeError, match="threshold"):
+            check_threshold(t)
+
 
 class TestTaskEnvelope:
     def test_construction_and_frozen(self):
@@ -147,6 +152,8 @@ class TestTaskEnvelope:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             TaskEnvelope(0, "dev0", "svc", [1.0], 1.5)
+        with pytest.raises(TypeError, match="threshold"):
+            TaskEnvelope(0, "dev0", "svc", [1.0], True)
 
 
 class TestSimilarity:

@@ -9,6 +9,7 @@ replay runs no more checks than its remaining checked paths explain.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ import edgereuse.store
 from edgereuse.config import (default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, write_json)
 from edgereuse.core import TaskEnvelope
-from edgereuse.fabric import (DeviceNode, RouterNode, ServerNode, device_offload,
+from edgereuse.fabric import (DeviceNode, LoadReport, RouterNode, ServerNode, device_offload,
                               partition_hash_space, router_forward, server_handle)
-from edgereuse.hashing import LshFamily
+from edgereuse.hashing import LshFamily, feature_hash, probe_masks
 from edgereuse.services import ServiceSpec, StageSpec, execute_stage, label_of
 from edgereuse.simulator import Simulation
 from edgereuse.store import ReuseEntry, ReuseStore
-from edgereuse.workload import builtin_profiles, generate_trace, write_trace_csv, write_vectors_csv
+from edgereuse.workload import (WorkloadProfile, builtin_profiles, generate_trace, write_trace_csv,
+                                write_vectors_csv)
 
 DIM = 8
 SEED = 42
@@ -298,3 +300,83 @@ def test_replay_checks_only_at_its_edges(tmp_path, monkeypatch, profile_name):
     report = sim.run()
     assert report.aggregates["reuse_pct"] > 0 and oracles
     assert len(checks) <= len(stages) + 2 * len(oracles)
+
+
+# The integer rule (core.check_integer): every integer argument of a library
+# constructor, as (call with that argument, its name in messages, a valid
+# value, a value out of range).
+INTEGER_ARGUMENTS = {
+    "LshFamily.dim": (lambda v: LshFamily(v), "dim", DIM, 0),
+    "LshFamily.k": (lambda v: LshFamily(DIM, k=v), "k", 16, 33),
+    "LshFamily.tables": (lambda v: LshFamily(DIM, tables=v), "tables", 4, 0),
+    "LshFamily.seed": (lambda v: LshFamily(DIM, seed=v), "seed", 7, 1 << 64),
+    "LshFamily.table": (lambda v: FAMILY.signature_bits(GOOD, v), "table index", 3, 4),
+    "feature_hash.dim": (lambda v: feature_hash([("a", 1.0)], v), "dim", DIM, 0),
+    "feature_hash.seed": (lambda v: feature_hash([("a", 1.0)], DIM, v), "seed", 3, -1),
+    "probe_masks.k": (lambda v: probe_masks(v, 1), "k", 12, 0),
+    "probe_masks.radius": (lambda v: probe_masks(12, v), "radius", 2, 13),
+    "ReuseStore.capacity_entries": (lambda v: ReuseStore(FAMILY, v, 10**6),
+                                    "capacity_entries", 4, 0),
+    "ReuseStore.capacity_bytes": (lambda v: ReuseStore(FAMILY, 4, v), "capacity_bytes", 10**6, -1),
+    "ReuseStore.probe_radius": (lambda v: ReuseStore(FAMILY, 4, 10**6, probe_radius=v),
+                                "probe_radius", 1, 17),
+    "StageSpec.transform_seed": (lambda v: StageSpec("s", v, DIM, 10), "transform_seed", 5,
+                                 1 << 64),
+    "StageSpec.out_dim": (lambda v: StageSpec("s", 5, v, 10), "out_dim", DIM, 0),
+    "StageSpec.exec_time_us": (lambda v: StageSpec("s", 5, DIM, v), "exec_time_us", 10, -1),
+    "ServiceSpec.input_dim": (lambda v: ServiceSpec("svc", v, (STAGE,)), "input_dim", DIM, 0),
+    "ServiceSpec.label_classes": (lambda v: ServiceSpec("svc", DIM, (STAGE,), v),
+                                  "label_classes", 10, 1),
+    "DeviceNode.link_delay_us": (lambda v: DeviceNode("d", "r", v, True, 10), "link_delay_us",
+                                 1000, 0),
+    "DeviceNode.hash_time_us": (lambda v: DeviceNode("d", "r", 1000, True, v), "hash_time_us",
+                                10, -1),
+    "RouterNode.server_delays": (lambda v: RouterNode("r", {"s0": 1000, "s1": v}, 10),
+                                 "server_delays['s1']", 1000, 0),
+    "RouterNode.hash_time_us": (lambda v: RouterNode("r", {"s0": 1000}, v), "hash_time_us",
+                                10, -1),
+    "LoadReport.executed_count": (lambda v: LoadReport({"s0": 3, "s1": v}), "executed_count[s1]",
+                                  2, -1),
+    "WorkloadProfile.dim": (lambda v: WorkloadProfile("p", dim=v), "dim", 64, 0),
+    "WorkloadProfile.n_clusters": (lambda v: WorkloadProfile("p", n_clusters=v), "n_clusters",
+                                   8, 65),
+    "WorkloadProfile.tasks": (lambda v: WorkloadProfile("p", tasks=v), "tasks", 10, -1),
+    "WorkloadProfile.mean_interarrival_us": (lambda v: WorkloadProfile("p", mean_interarrival_us=v),
+                                             "mean_interarrival_us", 1000, 0),
+    "WorkloadProfile.repeat_window": (lambda v: WorkloadProfile("p", repeat_window=v),
+                                      "repeat_window", 5, 0),
+}
+NOT_INTEGERS = {"bool": True, "numpy-bool": np.True_, "float": 1.5, "none": None, "str": "3"}
+
+
+@pytest.mark.parametrize("kind", NOT_INTEGERS)
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_argument_refuses_a_non_integer(argument, kind):
+    call, name, _, _ = INTEGER_ARGUMENTS[argument]
+    with pytest.raises(TypeError, match=re.escape(name) + ".* must be an integer"):
+        call(NOT_INTEGERS[kind])
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_argument_takes_a_numpy_integer(argument):
+    call, _, good, _ = INTEGER_ARGUMENTS[argument]
+    call(np.int64(good))
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_argument_out_of_range_names_it(argument):
+    call, name, _, bad = INTEGER_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=re.escape(name) + ".* must be"):
+        call(bad)
+
+
+def test_family_stores_plain_ints():
+    family = LshFamily(np.int64(DIM), k=np.int32(16), tables=np.uint8(4), seed=np.int64(2))
+    assert [type(a) for a in (family.dim, family.k, family.tables, family.seed)] == [int] * 4
+    assert np.array_equal(family.hyperplanes, FAMILY.hyperplanes)
+
+
+def test_cached_probe_masks_do_not_answer_a_bool():
+    assert probe_masks(16, 1) == probe_masks(np.int64(16), np.int64(1))
+    with pytest.raises(TypeError, match="radius must be an integer"):
+        probe_masks(16, True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from edgereuse.config import (default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, write_json)
-from edgereuse.simulator import run_experiment, sweep_thresholds, write_sweep_csv
+from edgereuse.simulator import EVENTS_HEADER, run_experiment, sweep_thresholds, write_sweep_csv
 from edgereuse.workload import builtin_profiles, generate_trace, write_trace_csv, write_vectors_csv
 
 SEED = 42
@@ -107,6 +107,19 @@ def test_mixed_2k_per_task_digest(tmp_path):
     for layer in ("none", "device", "network", "server"):
         assert layers[layer]["count"] > 0, layer
     assert digests == (MIXED_2K_SHA256, MIXED_2K_EVENTS_SHA256, MIXED_2K_METRICS_SHA256)
+
+
+def test_mixed_2k_clock_stays_integer(tmp_path):
+    # Simulated time is integer microseconds: every task's times and every
+    # event row's time and cost are Python ints, never floats or numpy
+    # scalars.
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+    report = run_experiment(_bundle(tmp_path, profile), event_log=True)
+    assert len(report.records) == 2000 and report.events
+    times = [t for r in report.records for t in (r.created_at, r.completed_at)]
+    columns = [EVENTS_HEADER.index("time_us"), EVENTS_HEADER.index("cost_us")]
+    times += [row[i] for row in report.events for i in columns]
+    assert {type(t) for t in times} == {int}
 
 
 def test_mixed_2k_strict_threshold_digest(tmp_path):

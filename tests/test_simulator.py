@@ -572,6 +572,18 @@ class TestSweep:
             sweep_thresholds(cfg, [])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sweep_thresholds(cfg, [0.5, 1.5])
+        with pytest.raises(TypeError, match="threshold"):
+            sweep_thresholds(cfg, [0.5, True])
+
+    def test_run_checks_its_threshold(self, tmp_path):
+        cfg = build_bundle(tmp_path, fresh_vector(),
+                           [TraceRow(0, "dev0", "voice-command", 0, 0.8)])
+        sim = Simulation(cfg)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sim.run(threshold=1.5)
+        for bad in (True, np.True_):
+            with pytest.raises(TypeError, match="threshold"):
+                sim.run(threshold=bad)
 
     def test_bundle_is_read_once_per_sweep(self, tmp_path, monkeypatch):
         rows = [TraceRow(0, "dev0", "cognitive-assist", 0, 0.9),
