@@ -432,6 +432,6 @@ def default_experiment_data(seed: int, *, dim: int = 64) -> dict:
 
 
 def write_json(path, data: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

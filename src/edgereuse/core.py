@@ -22,8 +22,13 @@ SELF_SIMILARITY_SNAP = 1e-12
 RESULT_ATOL = 1e-9
 # The largest seed: every seed is a 64-bit non-negative integer.
 SEED_MAX = (1 << 64) - 1
+# The forwarding hash: routers split [0, FORWARDING_HASH_MAX] among servers.
+FORWARDING_BITS = 16
+FORWARDING_SPACE = 1 << FORWARDING_BITS
+FORWARDING_HASH_MAX = FORWARDING_SPACE - 1
 # Neither an integer nor a threshold, though Python and numpy convert them.
 _BOOLS = (bool, np.bool_)
+_NOT_THRESHOLDS = _BOOLS + (str, bytes)  # float() parses these too
 
 
 class ReuseLayer(enum.Enum):
@@ -83,13 +88,26 @@ def check_integer(name: str, value, lo: int | None = None, hi: int | None = None
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_forwarding_hash(h, name: str = "forwarding hash") -> int:
+    """``h`` as a plain int in [0, FORWARDING_HASH_MAX], by the integer
+    rule: a non-integer raises TypeError, and a value out of range raises
+    ValueError; both messages name the argument."""
+    if type(h) is not int:
+        h = check_integer(name, h)
+    if not 0 <= h <= FORWARDING_HASH_MAX:
+        raise ValueError(f"{name} out of range: must be in [0, {FORWARDING_HASH_MAX}], got {h}")
+    return h
+
+
 def check_threshold(value: float) -> float:
-    """Validate a similarity threshold (a fraction in [0, 1]); a bool is
-    not one."""
-    if isinstance(value, _BOOLS):
-        raise TypeError(f"similarity threshold must be a number, got {value!r}")
-    t = float(value)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
+    """Validate a similarity threshold: a number (not a bool, str or bytes) in [0, 1]."""
+    t = value
+    if type(t) is not float:
+        if isinstance(t, _NOT_THRESHOLDS):
+            raise TypeError(f"similarity threshold must be a number, got {value!r}")
+        t = float(t)
+    # A NaN fails the comparison too.
+    if not 0.0 <= t <= 1.0:
         raise ValueError(f"similarity threshold must be in [0, 1], got {value}")
     return t
 
@@ -125,7 +143,7 @@ class TaskEnvelope:
                 raise ValueError("query was prepared from another vector than the task input")
         object.__setattr__(self, "threshold", check_threshold(self.threshold))
         if self.forwarding_hash is not None:
-            _check_forwarding_hash(self.forwarding_hash)
+            object.__setattr__(self, "forwarding_hash", check_forwarding_hash(self.forwarding_hash))
 
     @classmethod
     def _of_query(cls, task_id: int, device_id: str, service_id: str, query: PreparedQuery,
@@ -143,14 +161,8 @@ class TaskEnvelope:
         # A copy with the hash attached. Every other field was checked when
         # this envelope was made, so the copy skips __post_init__.
         twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, forwarding_hash=_check_forwarding_hash(h))
+        twin.__dict__.update(self.__dict__, forwarding_hash=check_forwarding_hash(h))
         return twin
-
-
-def _check_forwarding_hash(h: int) -> int:
-    if not 0 <= h <= 0xFFFF:
-        raise ValueError(f"forwarding hash out of range: {h}")
-    return h
 
 
 def similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,12 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ReuseLayer, TaskEnvelope, check_integer
-from .hashing import FORWARDING_SPACE, LshFamily, PreparedQuery, forwarding_hash
+from .core import (FORWARDING_HASH_MAX, FORWARDING_SPACE, ReuseLayer, TaskEnvelope,
+                   check_forwarding_hash, check_integer)
+from .hashing import LshFamily, PreparedQuery, forwarding_hash
 from .services import ServiceResult, ServiceSpec, _label, execute_stage
 from .store import ReuseEntry, ReuseStore
-
-HASH_MAX = FORWARDING_SPACE - 1
 
 
 class UnknownServiceError(KeyError):
@@ -38,7 +37,8 @@ class HashRange:
     server_id: str
 
     def __post_init__(self):
-        if not 0 <= self.lo <= self.hi <= HASH_MAX:
+        lo, hi = check_forwarding_hash(self.lo, "range lo"), check_forwarding_hash(self.hi, "range hi")
+        if lo > hi:
             raise ValueError(f"invalid hash range [{self.lo}, {self.hi}]")
 
     @property
@@ -51,19 +51,18 @@ class ForwardingTable:
 
     def __init__(self, ranges, version: int = 1):
         self.ranges = tuple(ranges)
-        self.version = version
+        self.version = check_integer("version", version, 1)
         if not self.ranges:
             raise ValueError("forwarding table needs at least one range")
-        if self.ranges[0].lo != 0 or self.ranges[-1].hi != HASH_MAX:
-            raise ValueError(f"ranges must cover [0, {HASH_MAX}]")
+        if self.ranges[0].lo != 0 or self.ranges[-1].hi != FORWARDING_HASH_MAX:
+            raise ValueError(f"ranges must cover [0, {FORWARDING_HASH_MAX}]")
         for a, b in zip(self.ranges, self.ranges[1:]):
             if b.lo != a.hi + 1:
                 raise ValueError(f"gap or overlap between [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
         self._los = [r.lo for r in self.ranges]
 
     def server_for(self, h: int) -> str:
-        if not 0 <= h <= HASH_MAX:
-            raise ValueError(f"forwarding hash {h} outside [0, {HASH_MAX}]")
+        h = check_forwarding_hash(h)
         return self.ranges[bisect.bisect_right(self._los, h) - 1].server_id
 
     def server_ids(self) -> list[str]:
@@ -83,7 +82,7 @@ def partition_hash_space(server_ids) -> ForwardingTable:
     ranges = []
     lo = 0
     for i, sid in enumerate(ids):
-        hi = HASH_MAX if i == n - 1 else lo + width - 1
+        hi = FORWARDING_HASH_MAX if i == n - 1 else lo + width - 1
         ranges.append(HashRange(lo, hi, sid))
         lo = hi + 1
     return ForwardingTable(ranges, version=1)

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SEED_MAX, as_feature_vector, check_integer
-
-FORWARDING_BITS = 16
-FORWARDING_SPACE = 1 << FORWARDING_BITS
+# The forwarding-hash space is core's; hashing re-exports its public names.
+from .core import FORWARDING_BITS, FORWARDING_SPACE, SEED_MAX, as_feature_vector, check_integer
 
 _NORM_OVERFLOW = "feature vector norm overflows float64"
 _NORM_UNDERFLOW = "feature vector norm underflows float64 to 0"
@@ -130,8 +128,7 @@ class LshFamily:
         m = np.ascontiguousarray(vectors, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {m.shape}")
-        for row in m[unsignable_rows(m)]:
-            input_norm(as_feature_vector(row))
+        check_signable_rows(m)
         return self._signatures(self.hyperplanes[table], m[:, :, None])
 
 
@@ -155,6 +152,19 @@ def unsignable_rows(m: np.ndarray) -> np.ndarray:
     input_norm)."""
     squares = _row_squares(m)
     return np.flatnonzero((squares == 0.0) | ~np.isfinite(squares))
+
+
+def check_signable_rows(m: np.ndarray) -> None:
+    """Raise prepare's own ValueError for the first row of a C-contiguous
+    (n, dim) float64 matrix that unsignable_rows flags, with that row's
+    index as the error's ``row``; return when no row is flagged."""
+    for i in unsignable_rows(m)[:1].tolist():
+        try:
+            input_norm(as_feature_vector(m[i]))
+        except ValueError as exc:
+            exc.row = i
+            raise
+        raise RuntimeError(f"row {i} is flagged unsignable, but prepare accepts it")
 
 
 def _row_squares(m: np.ndarray) -> np.ndarray:

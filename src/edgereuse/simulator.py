@@ -22,22 +22,20 @@ reuse both passes, which depend on the inputs alone.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, write_json
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope, check_threshold
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
-from .hashing import LshFamily, PreparedQuery, unsignable_rows
+from .hashing import LshFamily, PreparedQuery, check_signable_rows
 from .services import ServiceResult, ServiceSpec, oracle
 from .store import ReuseEntry, ReuseStore
-from .workload import TraceRow, read_trace_csv, read_vectors_csv
+from .workload import read_trace_csv, read_vectors_csv, write_csv
 
 EVENT_TASK_ARRIVAL = "TaskArrival"
 EVENT_LINK_DELIVERY = "LinkDelivery"
@@ -54,6 +52,8 @@ _STEP_EVENT_KIND = {
 
 LAYER_ORDER = [ReuseLayer.NONE, ReuseLayer.DEVICE, ReuseLayer.NETWORK,
                ReuseLayer.SERVER, ReuseLayer.PARTIAL_SERVER]
+# A device's and a router's own layers, as globals: cheaper than enum lookups.
+_DEVICE_LAYER, _ROUTER_LAYER = ReuseLayer.DEVICE, ReuseLayer.NETWORK
 
 PER_TASK_HEADER = ["task_id", "device_id", "service_id", "created_at_us",
                    "completed_at_us", "completion_us", "reuse_layer", "accurate"]
@@ -71,16 +71,12 @@ class SimulationError(Exception):
 
 @dataclass(slots=True)
 class _Journey:
-    task_id: int
-    row: TraceRow
-    threshold: float
-    device_id: str
+    envelope: TaskEnvelope  # the task (id, device, service, ...) as last passed on
+    vector_id: int
     router_id: str
-    envelope: TaskEnvelope | None = None  # made when the task reaches its device
     server_id: str | None = None
     # The latest node visit's outcome; the visit that serves is the last.
     outcome: NodeOutcome | None = None
-    served_by: str | None = None
 
 
 @dataclass(slots=True)
@@ -121,27 +117,18 @@ class MetricsReport:
         self.events = events
 
     def write_per_task_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(PER_TASK_HEADER)
-            for r in self.records:
-                accurate = "na" if r.accurate is None else ("true" if r.accurate else "false")
-                writer.writerow([r.task_id, r.device_id, r.service_id, r.created_at,
-                                 r.completed_at, r.completion_us, r.reuse_layer.value, accurate])
+        write_csv(path, PER_TASK_HEADER, (
+            [r.task_id, r.device_id, r.service_id, r.created_at, r.completed_at, r.completion_us,
+             r.reuse_layer.value, "na" if r.accurate is None else ("true" if r.accurate else "false")]
+            for r in self.records))
 
     def write_metrics_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.aggregates, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.aggregates)
 
     def write_events_csv(self, path) -> None:
         if self.events is None:
             raise ValueError("run() was invoked without event_log=True")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(EVENTS_HEADER)
-            for row in self.events:
-                writer.writerow(row)
+        write_csv(path, EVENTS_HEADER, self.events)
 
     def summary_line(self) -> str:
         a = self.aggregates
@@ -190,17 +177,21 @@ class Simulation:
         self.routers: dict[str, RouterNode] = {}
         self.servers: dict[str, ServerNode] = {}
         for d in cfg.topology.devices:
-            hash_us = cfg.cost.hash_time_us if d.hash_time_us is None else d.hash_time_us
             self.devices[d.node_id] = DeviceNode(
-                d.node_id, d.router, d.delay_us, d.can_hash, hash_us,
+                d.node_id, d.router, d.delay_us, d.can_hash, self._hash_time_us(d),
                 self._build_store(d.store))
         for r in cfg.topology.routers:
-            hash_us = cfg.cost.hash_time_us if r.hash_time_us is None else r.hash_time_us
             self.routers[r.node_id] = RouterNode(
-                r.node_id, dict(r.server_delays), hash_us, self._build_store(r.store))
+                r.node_id, dict(r.server_delays), self._hash_time_us(r),
+                self._build_store(r.store))
         for s in cfg.topology.servers:
             self.servers[s.node_id] = ServerNode(s.node_id, self.catalog,
                                                  self._build_store(s.store))
+
+    def _hash_time_us(self, node_cfg) -> int:
+        """A device's or router's hash time: its own, else the cost model's."""
+        own = node_cfg.hash_time_us
+        return self.config.cost.hash_time_us if own is None else own
 
     def _load_inputs(self) -> None:
         cfg = self.config
@@ -212,19 +203,10 @@ class Simulation:
         if len(self.vectors) and self.vectors.shape[1] != cfg.dim:
             raise SimulationError(
                 f"{cfg.vectors_path}: vectors have dim {self.vectors.shape[1]}, experiment dim is {cfg.dim}")
-        bad = unsignable_rows(self.vectors)
-        if bad.size:
-            i = int(bad[0])
-            v = self.vectors[i]
-            if not np.isfinite(v).all():
-                what = "is not finite"
-            elif not v.any():
-                what = "is all-zero"
-            elif np.abs(v).max() < 1.0:  # then the squares sum below dim
-                what = "has a norm that underflows float64 to 0"
-            else:
-                what = "has a norm that overflows float64"
-            raise SimulationError(f"{cfg.vectors_path}: vector {i} {what}")
+        try:
+            check_signable_rows(self.vectors)
+        except ValueError as exc:
+            raise SimulationError(f"{cfg.vectors_path}: vector {exc.row}: {exc}") from None
         # Checked: from here on every row is trusted as it is, and read-only.
         self.vectors.setflags(write=False)
         self.rows = []
@@ -260,8 +242,8 @@ class Simulation:
             return
         topo = cfg.topology
         lookup = cfg.cost.lookup_time_us
-        hash_us = max([cfg.cost.hash_time_us] + [n.hash_time_us for n in topo.devices + topo.routers
-                      if n.hash_time_us is not None])
+        hash_us = max([cfg.cost.hash_time_us]
+                      + [self._hash_time_us(n) for n in topo.devices + topo.routers])
         links = (max(d.delay_us for d in topo.devices)
                  + max(delay for r in topo.routers for delay in r.server_delays.values()))
         pipeline = max(sum(max(lookup, st.exec_time_us) for st in svc.stages)
@@ -287,7 +269,8 @@ class Simulation:
         self.seq = seq + 1
         if self.event_rows is not None:
             self.event_rows.append((time_us, seq, kind, node_id,
-                                    "" if journey is None else journey.task_id, detail, cost_us))
+                                    "" if journey is None else journey.envelope.task_id,
+                                    detail, cost_us))
         heapq.heappush(self.heap, (time_us, seq, then, journey))
 
     def _visit(self, journey, node_id: str, now: int, outcome: NodeOutcome, then) -> None:
@@ -299,8 +282,6 @@ class Simulation:
         """
         journey.outcome = outcome
         journey.envelope = outcome.envelope
-        if outcome.payload is not None:
-            journey.served_by = node_id
         steps = outcome.steps
         if not steps:
             then(journey, now)
@@ -311,16 +292,16 @@ class Simulation:
             t += step.cost_us
             if event_rows is not None:
                 event_rows.append((t, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
-                                   journey.task_id, step.detail, step.cost_us))
+                                   journey.envelope.task_id, step.detail, step.cost_us))
                 self.seq += 1
         last = steps[-1]
         self._push(t + last.cost_us, _STEP_EVENT_KIND[last.kind], node_id, journey,
                    last.detail, last.cost_us, then)
 
-    def _cache_response(self, node, journey, now: int) -> None:
-        """A node caches a result that it forwards but did not serve."""
-        if node.store is not None and journey.served_by != node.node_id:
-            p = journey.outcome.payload
+    def _cache_response(self, node, layer: ReuseLayer, journey, now: int) -> None:
+        """A node caches a result that it forwards but did not serve: one
+        whose reuse layer is not the node's own ``layer``."""
+        if node.store is not None and (p := journey.outcome.payload).reuse_layer is not layer:
             envelope = journey.envelope
             entry = ReuseEntry._of_frozen(envelope.input, envelope.service_id, {},
                                           p.output, p.label, now)
@@ -329,20 +310,14 @@ class Simulation:
     # -- a task's way: device, router, server and back -----------------------
 
     def _arrive_device(self, journey, now: int) -> None:
-        row = journey.row
-        # The query travels with the task; tasks with the same input share
-        # it. Both the row under it and the threshold were checked at load.
-        envelope = TaskEnvelope._of_query(journey.task_id, row.device_id, row.service_id,
-                                          self._queries[row.vector_id], journey.threshold,
-                                          row.time_us)
-        dev = self.devices[journey.device_id]
-        outcome = device_offload(dev, envelope, self.family,
+        dev = self.devices[journey.envelope.device_id]
+        outcome = device_offload(dev, journey.envelope, self.family,
                                  self.config.cost.lookup_time_us, now=now)
         self._visit(journey, dev.node_id, now, outcome,
                     self._leave_device if outcome.payload is None else self._respond_at_device)
 
     def _leave_device(self, journey, now: int) -> None:
-        dev = self.devices[journey.device_id]
+        dev = self.devices[journey.envelope.device_id]
         self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.router_id, journey,
                    f"{dev.node_id}->{dev.router_id}", dev.link_delay_us, self._arrive_router)
 
@@ -364,7 +339,7 @@ class Simulation:
         server = self.servers[journey.server_id]
         envelope = journey.envelope
         outcome = server_handle(server, envelope, self.config.cost.lookup_time_us, now=now,
-                                own=self._truths[(envelope.service_id, journey.row.vector_id)])
+                                own=self._truths[(envelope.service_id, journey.vector_id)])
         self._visit(journey, server.node_id, now, outcome, self._leave_server)
 
     def _leave_server(self, journey, now: int) -> None:
@@ -386,23 +361,23 @@ class Simulation:
 
     def _respond_at_router(self, journey, now: int) -> None:
         router = self.routers[journey.router_id]
-        self._cache_response(router, journey, now)
-        dev = self.devices[journey.device_id]
+        self._cache_response(router, _ROUTER_LAYER, journey, now)
+        dev = self.devices[journey.envelope.device_id]
         self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.node_id, journey,
                    f"{dev.router_id}->{dev.node_id}", dev.link_delay_us, self._respond_at_device)
 
     def _respond_at_device(self, journey, now: int) -> None:
-        self._cache_response(self.devices[journey.device_id], journey, now)
+        self._cache_response(self.devices[journey.envelope.device_id], _DEVICE_LAYER, journey, now)
         self._complete(journey, now)
 
     def _complete(self, journey, now: int) -> None:
         payload = journey.outcome.payload
-        key = (journey.envelope.service_id, journey.row.vector_id)
+        envelope = journey.envelope
+        key = (envelope.service_id, journey.vector_id)
         accurate = (None if payload.reuse_layer is ReuseLayer.NONE
                     else _agrees(self._truths[key], payload))
-        self.records.append(TaskRecord(journey.task_id, journey.device_id, *key,
-                                       journey.envelope.created_at, now,
-                                       payload.reuse_layer, accurate))
+        self.records.append(TaskRecord(envelope.task_id, envelope.device_id, *key,
+                                       envelope.created_at, now, payload.reuse_layer, accurate))
         self.outstanding -= 1
 
     # -- control plane ------------------------------------------------------
@@ -494,8 +469,14 @@ class Simulation:
                 k += 1
                 row, row_threshold = rows[task_id]
                 time_us, then = row.time_us, self._arrive_device
-                journey = _Journey(task_id, row, row_threshold if threshold is None else threshold,
-                                   row.device_id, self.devices[row.device_id].router_id)
+                # The query travels with the task; tasks with the same input
+                # share it. Both the row under it and the threshold were
+                # checked at load.
+                envelope = TaskEnvelope._of_query(
+                    task_id, row.device_id, row.service_id, self._queries[row.vector_id],
+                    row_threshold if threshold is None else threshold, time_us)
+                journey = _Journey(envelope, row.vector_id,
+                                   self.devices[row.device_id].router_id)
             else:
                 time_us, _, then, journey = heapq.heappop(heap)
             if time_us < self.clock:
@@ -575,11 +556,6 @@ def sweep_thresholds(config, thresholds) -> list[dict]:
 
 def write_sweep_csv(path, rows) -> None:
     """Threshold sweep table: one data row per threshold."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "reuse_pct", "accuracy_pct"])
-        for row in rows:
-            acc = row["accuracy_pct"]
-            writer.writerow([repr(float(row["threshold"])),
-                             f"{row['reuse_pct']:.4f}",
-                             "" if acc is None else f"{acc:.4f}"])
+    write_csv(path, ["threshold", "reuse_pct", "accuracy_pct"], (
+        [repr(float(row["threshold"])), f"{row['reuse_pct']:.4f}",
+         "" if row["accuracy_pct"] is None else f"{row['accuracy_pct']:.4f}"] for row in rows))

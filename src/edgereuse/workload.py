@@ -240,14 +240,19 @@ def _measure_stats(matrix: np.ndarray, fresh_by_cluster: list[list[int]],
     }
 
 
+def write_csv(path, header, rows) -> None:
+    """Write one CSV table, UTF-8 with LF line ends: the header, then the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_vectors_csv(path, vectors: np.ndarray) -> None:
     vectors = np.asarray(vectors, dtype=np.float64)
     dim = vectors.shape[1] if vectors.ndim == 2 and vectors.size else vectors.shape[-1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vector_id"] + [f"v{i}" for i in range(dim)])
-        for vid, row in enumerate(vectors):
-            writer.writerow([vid] + [repr(float(x)) for x in row])
+    write_csv(path, ["vector_id"] + [f"v{i}" for i in range(dim)],
+              ([vid] + [repr(float(x)) for x in row] for vid, row in enumerate(vectors)))
 
 
 # Characters that send a vectors row through csv and float() before numpy
@@ -364,11 +369,8 @@ TRACE_HEADER = ["time_us", "device_id", "service_id", "vector_id", "threshold"]
 
 
 def write_trace_csv(path, rows: list[TraceRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for r in rows:
-            writer.writerow([r.time_us, r.device_id, r.service_id, r.vector_id, repr(float(r.threshold))])
+    write_csv(path, TRACE_HEADER, ([r.time_us, r.device_id, r.service_id, r.vector_id,
+                                    repr(float(r.threshold))] for r in rows))
 
 
 @_naming_bad_utf8

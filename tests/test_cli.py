@@ -133,7 +133,7 @@ class TestRun:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:")
-        assert "vector 4 is not finite" in err[0]
+        assert "vector 4: feature vector contains NaN or Inf" in err[0]
 
     def test_overflowing_norm_is_one_stderr_line(self, tmp_path):
         # Run as a process, as a user runs it: pytest would otherwise catch
@@ -153,7 +153,7 @@ class TestRun:
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1, proc.stderr
         assert err[0].startswith("error:")
-        assert "vector 4 has a norm that overflows float64" in err[0]
+        assert "vector 4: feature vector norm overflows float64" in err[0]
 
     def test_norm_at_the_overflow_edge_is_one_stderr_line(self, tmp_path):
         # A row whose squares sum to inf in input_norm's order but not in
@@ -175,7 +175,7 @@ class TestRun:
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1, proc.stderr
         assert err[0].startswith("error:")
-        assert "vector 0 has a norm that overflows float64" in err[0]
+        assert "vector 0: feature vector norm overflows float64" in err[0]
 
     @pytest.mark.parametrize("name, field, value, why", [
         ("vectors.csv", None, None, "expected 65 fields, got 64"),

@@ -127,7 +127,8 @@ class Testthreshold:
         with pytest.raises(ValueError):
             check_threshold(t)
 
-    @pytest.mark.parametrize("t", [True, False, np.True_])
+    @pytest.mark.parametrize("t", [True, False, np.True_, pytest.param("0.5", id="str"),
+                                   pytest.param(b"0.5", id="bytes")])
     def test_bool_is_not_a_threshold(self, t):
         with pytest.raises(TypeError, match="threshold"):
             check_threshold(t)
@@ -152,8 +153,9 @@ class TestTaskEnvelope:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             TaskEnvelope(0, "dev0", "svc", [1.0], 1.5)
-        with pytest.raises(TypeError, match="threshold"):
-            TaskEnvelope(0, "dev0", "svc", [1.0], True)
+        for bad in (True, "0.9"):
+            with pytest.raises(TypeError, match="threshold"):
+                TaskEnvelope(0, "dev0", "svc", [1.0], bad)
 
 
 class TestSimilarity:

@@ -23,8 +23,9 @@ import edgereuse.store
 from edgereuse.config import (default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, write_json)
 from edgereuse.core import TaskEnvelope
-from edgereuse.fabric import (DeviceNode, LoadReport, RouterNode, ServerNode, device_offload,
-                              partition_hash_space, router_forward, server_handle)
+from edgereuse.fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport, RouterNode,
+                              ServerNode, device_offload, partition_hash_space, router_forward,
+                              server_handle)
 from edgereuse.hashing import LshFamily, feature_hash, probe_masks
 from edgereuse.services import ServiceSpec, StageSpec, execute_stage, label_of
 from edgereuse.simulator import Simulation
@@ -303,8 +304,9 @@ def test_replay_checks_only_at_its_edges(tmp_path, monkeypatch, profile_name):
 
 
 # The integer rule (core.check_integer): every integer argument of a library
-# constructor, as (call with that argument, its name in messages, a valid
-# value, a value out of range).
+# constructor, and every forwarding hash a public call takes, as (call with
+# that argument, its name in messages, a valid value, a value out of range).
+TABLE = partition_hash_space(["s0", "s1"])
 INTEGER_ARGUMENTS = {
     "LshFamily.dim": (lambda v: LshFamily(v), "dim", DIM, 0),
     "LshFamily.k": (lambda v: LshFamily(DIM, k=v), "k", 16, 33),
@@ -345,12 +347,27 @@ INTEGER_ARGUMENTS = {
                                              "mean_interarrival_us", 1000, 0),
     "WorkloadProfile.repeat_window": (lambda v: WorkloadProfile("p", repeat_window=v),
                                       "repeat_window", 5, 0),
+    "TaskEnvelope.forwarding_hash": (lambda v: TaskEnvelope(0, "dev0", "svc-a", GOOD, 0.9,
+                                                            forwarding_hash=v),
+                                     "forwarding hash", 512, 0x10000),
+    "TaskEnvelope._with_forwarding_hash": (
+        lambda v: TaskEnvelope(0, "dev0", "svc-a", GOOD, 0.9)._with_forwarding_hash(v),
+        "forwarding hash", 512, -1),
+    "HashRange.lo": (lambda v: HashRange(v, 65535, "s0"), "range lo", 0, -1),
+    "HashRange.hi": (lambda v: HashRange(0, v, "s0"), "range hi", 65535, 0x10000),
+    "ForwardingTable.server_for": (lambda v: TABLE.server_for(v), "forwarding hash", 101, 0x10000),
+    "ForwardingTable.version": (lambda v: ForwardingTable(TABLE.ranges, version=v), "version",
+                                2, 0),
 }
 NOT_INTEGERS = {"bool": True, "numpy-bool": np.True_, "float": 1.5, "none": None, "str": "3"}
+# An envelope's forwarding hash is None until a device or router attaches it.
+NONE_ALLOWED = {"TaskEnvelope.forwarding_hash"}
 
 
-@pytest.mark.parametrize("kind", NOT_INTEGERS)
-@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("argument, kind", [
+    pytest.param(argument, kind, id=f"{argument}-{kind}")
+    for argument in INTEGER_ARGUMENTS for kind in NOT_INTEGERS
+    if not (kind == "none" and argument in NONE_ALLOWED)])
 def test_integer_argument_refuses_a_non_integer(argument, kind):
     call, name, _, _ = INTEGER_ARGUMENTS[argument]
     with pytest.raises(TypeError, match=re.escape(name) + ".* must be an integer"):

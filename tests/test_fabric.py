@@ -90,6 +90,8 @@ class TestPartition:
     def test_table_validation(self):
         with pytest.raises(ValueError, match="cover"):
             ForwardingTable([HashRange(1, 65535, "a")])
+        with pytest.raises(ValueError, match="invalid hash range"):
+            HashRange(10, 9, "a")
         with pytest.raises(ValueError, match="gap or overlap"):
             ForwardingTable([HashRange(0, 10, "a"), HashRange(12, 65535, "b")])
         with pytest.raises(ValueError, match="at least one"):

@@ -18,14 +18,19 @@ change is listed in CHANGES.md with its reason. A refactor or a speed-up
 that changes a digest is a bug in that change.
 """
 
+import collections
 import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from edgereuse.config import (default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, write_json)
-from edgereuse.simulator import EVENTS_HEADER, run_experiment, sweep_thresholds, write_sweep_csv
+from edgereuse.core import ReuseLayer
+from edgereuse.simulator import (EVENTS_HEADER, Simulation, run_experiment, sweep_thresholds,
+                                 write_sweep_csv)
+from edgereuse.store import ReuseStore
 from edgereuse.workload import builtin_profiles, generate_trace, write_trace_csv, write_vectors_csv
 
 SEED = 42
@@ -120,6 +125,44 @@ def test_mixed_2k_clock_stays_integer(tmp_path):
     columns = [EVENTS_HEADER.index("time_us"), EVENTS_HEADER.index("cost_us")]
     times += [row[i] for row in report.events for i in columns]
     assert {type(t) for t in times} == {int}
+
+
+@pytest.mark.parametrize("threshold", [0.8, 0.9])
+def test_mixed_2k_nodes_cache_what_they_did_not_serve(tmp_path, monkeypatch, threshold):
+    # The response-caching rule on its own: a device with a store inserts
+    # once for each of its tasks not served at the device, a router once for
+    # each of its tasks served by a server, and a server once for each task
+    # it executed.
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+    sim = Simulation(_bundle(tmp_path, profile))
+    inserts = collections.Counter()
+    insert = ReuseStore.insert
+
+    def counted(store, *args, **kwargs):
+        inserts[id(store)] += 1
+        return insert(store, *args, **kwargs)
+
+    monkeypatch.setattr(ReuseStore, "insert", counted)
+    report = sim.run(threshold=threshold)
+    records = report.records
+    layers = report.aggregates["per_layer"]
+    assert layers["device"]["count"] > 0 and layers["network"]["count"] > 0
+    by_server = (ReuseLayer.NONE, ReuseLayer.SERVER, ReuseLayer.PARTIAL_SERVER)
+    expected = {}
+    for dev in sim.devices.values():
+        expected[dev.node_id] = sum(1 for r in records if r.device_id == dev.node_id
+                                    and r.reuse_layer is not ReuseLayer.DEVICE)
+    for router in sim.routers.values():
+        expected[router.node_id] = sum(1 for r in records if r.reuse_layer in by_server
+                                       and sim.devices[r.device_id].router_id == router.node_id)
+    for sid, counters in report.aggregates["servers"].items():
+        expected[sid] = counters["executed_count"]
+    nodes = [*sim.devices.values(), *sim.routers.values(), *sim.servers.values()]
+    with_store = [n for n in nodes if n.store is not None]
+    assert {type(n).__name__ for n in with_store} == {"DeviceNode", "RouterNode", "ServerNode"}
+    assert {n.node_id: inserts[id(n.store)] for n in with_store} == {
+        n.node_id: expected[n.node_id] for n in with_store}
+    assert sum(inserts.values()) == sum(expected[n.node_id] for n in with_store)
 
 
 def test_mixed_2k_strict_threshold_digest(tmp_path):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, feature_hash,
-                               forwarding_hash, input_norm, probe_masks, unsignable_rows)
+import edgereuse.hashing
+from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, check_signable_rows,
+                               feature_hash, forwarding_hash, input_norm, probe_masks,
+                               unsignable_rows)
 
 
 class TestLshFamily:
@@ -258,6 +260,20 @@ def test_underflowing_norm_is_not_called_all_zero(name):
         _signers(fam)[name](np.full(8, 1e-200))
     with pytest.raises(ValueError, match="all-zero"):
         _signers(fam)[name](np.zeros(8))
+
+
+def test_signable_rows_check_names_the_first_flagged_row(monkeypatch):
+    m = np.ones((4, 8))
+    m[1], m[3] = 0.0, np.nan
+    with pytest.raises(ValueError, match="all-zero") as caught:
+        check_signable_rows(m)
+    assert caught.value.row == 1
+    check_signable_rows(m[[0, 2]])
+    # A row the batch flags but the per-vector rule accepts is a bug in one
+    # of the two, not an input to sign.
+    monkeypatch.setattr(edgereuse.hashing, "input_norm", lambda v: 1.0)
+    with pytest.raises(RuntimeError, match="row 1 is flagged unsignable"):
+        check_signable_rows(m)
 
 
 class TestCollisionLaw:

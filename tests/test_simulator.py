@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 
 import numpy as np
@@ -429,7 +430,7 @@ class TestTraceValidation:
 
     def test_zero_vector_rejected(self, tmp_path):
         vectors = np.vstack([fresh_vector(), np.zeros((1, DIM))])
-        with pytest.raises(SimulationError, match="vector 1 is all-zero"):
+        with pytest.raises(SimulationError, match="vector 1: cannot fingerprint an all-zero vector"):
             Simulation(build_bundle(tmp_path, vectors, []))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -437,17 +438,17 @@ class TestTraceValidation:
         vectors = fresh_vector(n=5)
         vectors[4, 3] = bad
         rows = [TraceRow(0, "dev0", "voice-command", 4, 0.8)]
-        with pytest.raises(SimulationError, match=r"vectors\.csv: vector 4 is not finite"):
+        with pytest.raises(SimulationError, match=r"vectors\.csv: vector 4: feature vector contains NaN or Inf"):
             Simulation(build_bundle(tmp_path, vectors, rows))
 
     def test_underflowing_norm_is_not_called_all_zero(self, tmp_path):
         vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e-200)])
-        with pytest.raises(SimulationError, match="vector 1 has a norm that underflows float64 to 0"):
+        with pytest.raises(SimulationError, match="vector 1: feature vector norm underflows float64 to 0"):
             Simulation(build_bundle(tmp_path, vectors, []))
 
     def test_overflowing_norm_rejected_at_load(self, tmp_path):
         vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e300)])
-        with pytest.raises(SimulationError, match="vector 1 has a norm that overflows"):
+        with pytest.raises(SimulationError, match="vector 1: feature vector norm overflows"):
             Simulation(build_bundle(tmp_path, vectors, []))
 
     @settings(max_examples=40, deadline=None)
@@ -465,12 +466,14 @@ class TestTraceValidation:
             try:
                 family.prepare(v)
                 accepted.append(v)
-            except ValueError:
-                rejected.append(v)
+            except ValueError as exc:
+                rejected.append((v, str(exc)))
         cfg = build_bundle(tmp_path_factory.mktemp("bundle"),
-                           np.array(accepted + rejected[:1]).reshape(-1, DIM), [])
+                           np.array(accepted + [v for v, _ in rejected[:1]]).reshape(-1, DIM), [])
         if rejected:
-            with pytest.raises(SimulationError, match=f"vector {len(accepted)} has a norm that"):
+            reason = rejected[0][1]
+            assert "norm" in reason
+            with pytest.raises(SimulationError, match=re.escape(f"vector {len(accepted)}: {reason}")):
                 Simulation(cfg)
         else:
             Simulation(cfg)
@@ -581,7 +584,7 @@ class TestSweep:
         sim = Simulation(cfg)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sim.run(threshold=1.5)
-        for bad in (True, np.True_):
+        for bad in (True, np.True_, "0.5", b"0.5"):
             with pytest.raises(TypeError, match="threshold"):
                 sim.run(threshold=bad)
 
@@ -618,7 +621,7 @@ class TestGroundTruthPass:
         complete = Simulation._complete
 
         def completing(self, journey, now):
-            payloads[journey.task_id] = journey.outcome.payload
+            payloads[journey.envelope.task_id] = journey.outcome.payload
             complete(self, journey, now)
 
         monkeypatch.setattr(Simulation, "_complete", completing)
