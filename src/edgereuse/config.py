@@ -198,18 +198,29 @@ def _value(obj: dict, key, spec: _Json, where: str, default=MISSING):
     return float(v) if spec.kind is float else v
 
 
+def _known_keys_only(obj: dict, known, where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{where}.{key}: unknown field")
+
+
 def _read(cls, obj, where: str, given: dict | None = None) -> dict:
     """The declared fields of ``cls``, read from the JSON object ``obj``; a
-    field named in ``given`` takes its default from there."""
+    field named in ``given`` takes its default from there. A key of ``obj``
+    that ``cls`` does not declare is an error."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected object, got {type(obj).__name__}")
     given = given or {}
     out = {}
+    known = set()
     for f in fields(cls):
         spec = f.metadata.get("json") or _SPEC_FIELDS.get(cls, {}).get(f.name)
         if spec is not None:
             default = f.default if f.default_factory is MISSING else f.default_factory()
-            out[f.name] = _value(obj, spec.key or f.name, spec, where, given.get(f.name, default))
+            key = spec.key or f.name
+            known.add(key)
+            out[f.name] = _value(obj, key, spec, where, given.get(f.name, default))
+    _known_keys_only(obj, known, where)
     return out
 
 
@@ -267,6 +278,7 @@ def _validate_topology(topo: TopologyConfig, where: str) -> None:
 
 
 def parse_services(data: dict, dim: int, where: str = "services") -> tuple[ServiceSpec, ...]:
+    _known_keys_only(data, ("label_classes", "services"), where)
     # The catalog's label_classes, when given, is every service's default.
     classes = _value(data, "label_classes", _Json(int), where, default=None)
     given = {"input_dim": dim} if classes is None else {"input_dim": dim, "label_classes": classes}
@@ -334,7 +346,7 @@ def load_experiment(path) -> ExperimentConfig:
     for name in ("trace", "vectors"):
         if not files[name].is_file():
             raise ConfigError(f"{where}.{name}: file not found: {files[name]}")
-    own = _read(ExperimentConfig, data, where)
+    own = _read(ExperimentConfig, {k: v for k, v in data.items() if k not in files}, where)
     cfg = ExperimentConfig(
         **own, topology=parse_topology(_load_json(files["topology"], "topology")),
         services=parse_services(_load_json(files["services"], "services"), own["dim"]),

@@ -50,10 +50,9 @@ _STEP_EVENT_KIND = {
     "stage_exec": EVENT_EXECUTION_DONE,
 }
 
-LAYER_ORDER = [ReuseLayer.NONE, ReuseLayer.DEVICE, ReuseLayer.NETWORK,
-               ReuseLayer.SERVER, ReuseLayer.PARTIAL_SERVER]
-# A device's and a router's own layers, as globals: cheaper than enum lookups.
-_DEVICE_LAYER, _ROUTER_LAYER = ReuseLayer.DEVICE, ReuseLayer.NETWORK
+LAYER_ORDER = list(ReuseLayer)
+# The layers that the per-task path tests, as globals: cheaper than enum lookups.
+_NO_REUSE, _DEVICE_LAYER, _ROUTER_LAYER = ReuseLayer.NONE, ReuseLayer.DEVICE, ReuseLayer.NETWORK
 
 PER_TASK_HEADER = ["task_id", "device_id", "service_id", "created_at_us",
                    "completed_at_us", "completion_us", "reuse_layer", "accurate"]
@@ -352,7 +351,8 @@ class Simulation:
         if outcome.executed_stages > 0:
             server.executed_count += 1
             server.busy_us += outcome.exec_busy_us
-        if outcome.payload.reuse_layer in (ReuseLayer.SERVER, ReuseLayer.PARTIAL_SERVER):
+        # A server's payload layer is NONE, SERVER or PARTIAL_SERVER.
+        if outcome.payload.reuse_layer is not _NO_REUSE:
             server.reused_count += 1
         router = self.routers[journey.router_id]
         delay = router.server_delays[server.node_id]
@@ -374,7 +374,7 @@ class Simulation:
         payload = journey.outcome.payload
         envelope = journey.envelope
         key = (envelope.service_id, journey.vector_id)
-        accurate = (None if payload.reuse_layer is ReuseLayer.NONE
+        accurate = (None if payload.reuse_layer is _NO_REUSE
                     else _agrees(self._truths[key], payload))
         self.records.append(TaskRecord(envelope.task_id, envelope.device_id, *key,
                                        envelope.created_at, now, payload.reuse_layer, accurate))

@@ -11,9 +11,7 @@ similarity thresholds.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,7 +167,6 @@ def generate_trace(profile: WorkloadProfile, seed: int) -> Workload:
     rows: list[TraceRow] = []
     cluster_history: list[list[int]] = [[] for _ in range(profile.n_clusters)]
     fresh_by_cluster: list[list[int]] = [[] for _ in range(profile.n_clusters)]
-    cluster_of: list[int] = []
     repeats = 0
 
     time_us = 0
@@ -192,7 +189,6 @@ def generate_trace(profile: WorkloadProfile, seed: int) -> Workload:
             v /= np.linalg.norm(v)
             vector_id = len(vectors)
             vectors.append(v)
-            cluster_of.append(cluster)
             fresh_by_cluster[cluster].append(vector_id)
         history.append(vector_id)
         rows.append(TraceRow(time_us, device, service, vector_id, profile.threshold))
@@ -255,113 +251,96 @@ def write_vectors_csv(path, vectors: np.ndarray) -> None:
               ([vid] + [repr(float(x)) for x in row] for vid, row in enumerate(vectors)))
 
 
-# Characters that send a vectors row through csv and float() before numpy
-# sees it: a quote needs csv's quoting rules, float() reads an underscore as
-# digit grouping ("1_0") where numpy rejects it, and numpy strips \x1c-\x1f
-# as whitespace where float() rejects them. On any other ASCII row the two
-# parsers agree: both strip the same whitespace and then call
-# PyOS_string_to_double, so they accept the same fields with the same bits.
+# Characters that keep a vectors row from np.loadtxt: a quote needs csv's
+# quoting rules, float() reads an underscore as digit grouping ("1_0") where
+# numpy rejects it, and numpy strips \x1c-\x1f as whitespace where float()
+# rejects them. On any other ASCII row the two parsers agree: both strip the
+# same whitespace and then call PyOS_string_to_double, so they accept the
+# same fields with the same bits.
 _NOT_FOR_NUMPY = ('"', "_", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _naming_bad_utf8(read):
-    """Wrap a CSV reader so that a file that is not UTF-8 fails as
-    ``<path>: row N: not valid UTF-8``, N being the file line of the first
-    bad byte. The decoder's own error names neither, and its position is
-    within a buffered chunk, so the raw file is read again to count lines,
-    on this failure path only."""
-    @functools.wraps(read)
-    def read_utf8(path):
+def _csv_rows(path: Path):
+    """Yield (row number, fields) for each row of the UTF-8 CSV file at path,
+    the header being row 1.
+
+    A byte that is not UTF-8 fails as ``<path>: row N: not valid UTF-8``, N
+    being the file line of the first bad byte. The decoder's own error names
+    neither, and its position is within a buffered chunk, so the raw file is
+    read again to count lines, on this failure path only.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError:
+        data = path.read_bytes()
         try:
-            return read(path)
-        except UnicodeDecodeError:
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                row = data.count(b"\n", 0, exc.start) + 1
-                raise ValueError(f"{path}: row {row}: not valid UTF-8") from None
-            raise
-    return read_utf8
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: row {row}: not valid UTF-8") from None
+        raise
 
 
-@_naming_bad_utf8
 def read_vectors_csv(path) -> np.ndarray:
     """Read vectors.csv as an (n, dim) float64 array, row i being vector i.
 
-    One np.loadtxt pass parses every value. The file is read a second time,
-    row by row, only when that pass fails, to name the first bad row; the
-    accepted files and the arrays they give are those of the row-by-row read.
+    While every row is plain (ASCII, with none of _NOT_FOR_NUMPY), one
+    np.loadtxt pass parses every value. A file with any other row, or one
+    that pass rejects, is read again by the row-by-row reference, which
+    names the first bad row; so the accepted files and the arrays they give
+    are those of the row-by-row read.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        dim = _vectors_dim(path, fh)
-        lines = _numpy_lines(fh, dim)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            dim = _vectors_dim(path, next(csv.reader(fh), None))
+            lines = _numpy_lines(fh)
             first = next(lines, None)
             if first is None:
                 return np.empty((0, dim))
             table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                                comments=None, ndmin=2)
-        except ValueError:
-            table = None
-    if table is None or table.shape[1] != dim + 1:
+    except ValueError:  # UnicodeDecodeError included
+        return _scan_vectors(path)
+    if table.shape[1] != dim + 1:
         return _scan_vectors(path)
     return np.ascontiguousarray(table[:, 1:])
 
 
-def _vectors_dim(path: Path, fh) -> int:
-    header = next(csv.reader(fh), None)
+def _vectors_dim(path: Path, header) -> int:
     if not header or header[0] != "vector_id":
         raise ValueError(f"{path}: not a vectors file (bad header)")
     return len(header) - 1
 
 
-def _numpy_lines(fh, dim: int):
-    """Yield each row left in fh as a line np.loadtxt reads to the values
-    that csv and float() give it.
-
-    A plain ASCII row passes through as it is. Any other is split by csv (a
-    quoted field may span lines), parsed with int() and float(), and written
-    back with repr(), which round-trips. Raises ValueError at the first row
-    whose id is not int() of the next dense id, or whose fields int() or
-    float() reject.
-    """
+def _numpy_lines(fh):
+    """Yield each row left in fh, as it is, for np.loadtxt. Raises
+    ValueError at the first row that is not plain, or whose id is not
+    int() of the next dense id."""
     for row, line in enumerate(fh):
-        if line.isascii() and not any(map(line.__contains__, _NOT_FOR_NUMPY)):
-            vid = int(line.partition(",")[0])
-        else:
-            vid, values = _vector_row(next(csv.reader(itertools.chain([line], fh))), dim)
-            line = ",".join([str(vid), *map(_exact_repr, values)]) + "\n"
-        if vid != row:
+        if not line.isascii() or any(map(line.__contains__, _NOT_FOR_NUMPY)):
+            raise ValueError("not a plain row")
+        if int(line.partition(",")[0]) != row:
             raise ValueError("vector ids must be dense and ordered")
         yield line
 
 
-def _vector_row(fields: list[str], dim: int) -> tuple[int, list[float]]:
-    if len(fields) != dim + 1:
-        raise ValueError(f"expected {dim + 1} fields, got {len(fields)}")
-    return int(fields[0]), [float(x) for x in fields[1:]]
-
-
-def _exact_repr(x: float) -> str:
-    # repr() round-trips every float except the sign of a NaN.
-    return "-nan" if x != x and math.copysign(1.0, x) < 0 else repr(x)
-
-
 def _scan_vectors(path: Path) -> np.ndarray:
     """The row-by-row read: raises at the first bad row, naming it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        dim = _vectors_dim(path, fh)
-        out = []
-        for lineno, fields in enumerate(csv.reader(fh), start=2):
-            try:
-                vid, values = _vector_row(fields, dim)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: {exc}") from None
+    rows = _csv_rows(path)
+    dim = _vectors_dim(path, next(rows, (1, None))[1])
+    out = []
+    for lineno, fields in rows:
+        try:
+            if len(fields) != dim + 1:
+                raise ValueError(f"expected {dim + 1} fields, got {len(fields)}")
+            vid, values = int(fields[0]), [float(x) for x in fields[1:]]
             if vid != len(out):
-                raise ValueError(f"{path}: row {lineno}: vector ids must be dense and ordered")
-            out.append(values)
+                raise ValueError("vector ids must be dense and ordered")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from None
+        out.append(values)
     return np.array(out, dtype=np.float64).reshape(len(out), dim)
 
 
@@ -373,26 +352,23 @@ def write_trace_csv(path, rows: list[TraceRow]) -> None:
                                     repr(float(r.threshold))] for r in rows))
 
 
-@_naming_bad_utf8
 def read_trace_csv(path) -> list[TraceRow]:
     path = Path(path)
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise ValueError(f"{path}: not a trace file (expected header {','.join(TRACE_HEADER)})")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ValueError(f"{path}: row {lineno}: expected 5 fields, got {len(row)}")
-            # Filled as TraceRow(...) fills it, without the object.__setattr__
-            # per field that a frozen __init__ pays; TraceRow checks nothing.
-            trace_row = object.__new__(TraceRow)
-            try:
-                trace_row.__dict__.update(time_us=int(row[0]), device_id=row[1], service_id=row[2],
-                                          vector_id=int(row[3]), threshold=float(row[4]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: {exc}") from None
-            rows.append(trace_row)
-    return rows
-
+    rows = _csv_rows(path)
+    if next(rows, (1, None))[1] != TRACE_HEADER:
+        raise ValueError(f"{path}: not a trace file (expected header {','.join(TRACE_HEADER)})")
+    out = []
+    for lineno, fields in rows:
+        # Filled as TraceRow(...) fills it, without the object.__setattr__
+        # per field that a frozen __init__ pays; TraceRow checks nothing.
+        trace_row = object.__new__(TraceRow)
+        try:
+            if len(fields) != 5:
+                raise ValueError(f"expected 5 fields, got {len(fields)}")
+            trace_row.__dict__.update(time_us=int(fields[0]), device_id=fields[1],
+                                      service_id=fields[2], vector_id=int(fields[3]),
+                                      threshold=float(fields[4]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from None
+        out.append(trace_row)
+    return out

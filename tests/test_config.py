@@ -361,6 +361,43 @@ class TestServicesSchema:
         assert by_id["traffic-count"].label_classes == 5
 
 
+# One misspelled key in each kind of object: (file, the object's place in
+# it, the key, the field path that the error names).
+MISSPELLED_KEYS = {
+    "experiment": ("experiment.json", (), "typo_field", "experiment.typo_field"),
+    "lsh": ("experiment.json", ("lsh",), "tabels", "experiment.lsh.tabels"),
+    "cost": ("experiment.json", ("cost",), "hash_time", "experiment.cost.hash_time"),
+    "control": ("experiment.json", ("control",), "window", "experiment.control.window"),
+    "topology": ("topology.json", (), "device", "topology.device"),
+    "device": ("topology.json", ("devices", 0), "delay", "topology.devices[0].delay"),
+    "router": ("topology.json", ("routers", 0), "server", "topology.routers[0].server"),
+    "server": ("topology.json", ("servers", 0), "stores", "topology.servers[0].stores"),
+    "store": ("topology.json", ("routers", 0, "store"), "capacity",
+              "topology.routers[0].store.capacity"),
+    "services": ("services.json", (), "label_class", "services.label_class"),
+    "service": ("services.json", ("services", 0), "stage", "services.services[0].stage"),
+    "stage": ("services.json", ("services", 0, "stages", 0), "exec_time",
+              "services.services[0].stages[0].exec_time"),
+}
+
+
+@pytest.mark.parametrize("kind", MISSPELLED_KEYS)
+def test_a_key_the_schema_does_not_declare_is_an_error(bundle, tmp_path, capsys, kind):
+    name, place, key, field = MISSPELLED_KEYS[kind]
+    data = json.loads((bundle / name).read_text())
+    obj = data
+    for step in place:
+        obj = obj[step]
+    obj[key] = 9
+    write_json(bundle / name, data)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$"):
+        load_experiment(bundle / "experiment.json")
+    code = main(["run", "--config", str(bundle / "experiment.json"),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    assert f"{field}: unknown field" in capsys.readouterr().err
+
+
 class TestWriteJson:
     def test_sorted_keys_and_trailing_newline(self, tmp_path):
         path = tmp_path / "out.json"

@@ -84,9 +84,19 @@ def trace_key(rows):
             for r in rows]
 
 
+def rows_are_plain(path):
+    """Whether every row after the header is ASCII and holds no quote, no
+    underscore and none of \\x1c-\\x1f: the rows np.loadtxt may parse."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        next(csv.reader(fh), None)
+        body = fh.read()
+    return body.isascii() and not re.search('["_\x1c-\x1f]', body)
+
+
 def assert_vectors_agree(path):
     """Both readers accept with the same bytes, or reject with the same
-    message; on a file both accept, the row-by-row scan never runs."""
+    message. On a file both accept, the row-by-row scan runs once if a row
+    is not plain, and never otherwise."""
     want = outcome(oracle_read_vectors_csv, path)
     with mock.patch.object(workload, "_scan_vectors", wraps=workload._scan_vectors) as scan:
         got = outcome(read_vectors_csv, path)
@@ -95,7 +105,7 @@ def assert_vectors_agree(path):
         assert got[1].dtype == np.float64 and got[1].shape == want[1].shape
         assert got[1].tobytes() == want[1].tobytes()
         assert got[1].flags["C_CONTIGUOUS"]
-        assert scan.call_count == 0
+        assert scan.call_count == (0 if rows_are_plain(path) else 1)
     else:
         assert got[1] == want[1]
 
