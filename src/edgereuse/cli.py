@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .config import (ConfigError, default_experiment_data, default_services_data,
+from .config import (ConfigError, _load_json, default_experiment_data, default_services_data,
                      default_topology_data, load_experiment, write_json)
 from .simulator import SimulationError, run_experiment, sweep_thresholds, write_sweep_csv
 from .workload import (CalibrationError, builtin_profiles, generate_trace,
@@ -114,15 +113,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.metrics)
-    if not path.is_file():
-        print(f"error: metrics file not found: {path}", file=sys.stderr)
-        return 2
-    try:
-        with open(path) as fh:
-            metrics = json.load(fh)
-    except json.JSONDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+    metrics = _load_json(path, "metrics")
     try:
         _print_report(metrics)
     except (KeyError, TypeError) as exc:

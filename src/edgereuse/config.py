@@ -238,7 +238,7 @@ def _load_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"{what}: file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except ValueError as exc:  # malformed JSON, bad UTF-8, or an int past the digit limit
         raise ConfigError(f"{what}: {path}: invalid JSON ({exc})") from None

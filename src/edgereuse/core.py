@@ -19,6 +19,9 @@ if TYPE_CHECKING:
     from .hashing import PreparedQuery
 
 SELF_SIMILARITY_SNAP = 1e-12
+# The smallest norm whose square is a normal float: below it the sum of
+# squares is subnormal or zero, and the norm loses precision.
+_NORM_MIN = math.sqrt(np.finfo(np.float64).tiny)
 RESULT_ATOL = 1e-9
 # The largest seed: every seed is a 64-bit non-negative integer.
 SEED_MAX = (1 << 64) - 1
@@ -165,23 +168,33 @@ class TaskEnvelope:
         return twin
 
 
+def _norms_and_dot(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    return float(np.linalg.norm(a)), float(np.linalg.norm(b)), float(np.dot(a, b))
+
+
 def similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [0, 1].
 
     Values within 1e-12 of 1.0 snap to exactly 1.0 so that identical inputs
-    satisfy a threshold of 1.0. Zero vectors have no defined angle and are
-    rejected.
+    satisfy a threshold of 1.0. Inputs are checked as feature vectors, and
+    zero vectors have no defined angle, so both are rejected. When a norm
+    or the dot product overflows, or a norm is too small for its squares to
+    keep their precision, the cosine is taken of both vectors scaled by
+    their largest magnitudes, which leaves the angle as it was.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = as_feature_vector(a)
+    b = as_feature_vector(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("similarity of an all-zero vector is undefined")
-    c = float(np.dot(a, b)) / (na * nb)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        na, nb, dot = _norms_and_dot(a, b)
+        if not (na >= _NORM_MIN and nb >= _NORM_MIN
+                and math.isfinite(na * nb) and math.isfinite(dot)):
+            peak_a, peak_b = float(np.abs(a).max()), float(np.abs(b).max())
+            if peak_a == 0.0 or peak_b == 0.0:
+                raise ValueError("similarity of an all-zero vector is undefined")
+            na, nb, dot = _norms_and_dot(a / peak_a, b / peak_b)
+    c = dot / (na * nb)
     if c > 1.0 - SELF_SIMILARITY_SNAP:
         return 1.0
     return max(c, 0.0)
-

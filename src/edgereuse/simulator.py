@@ -5,13 +5,15 @@ replay of it, at the rows' own thresholds or at one given for that replay.
 
 Simulated time is integer microseconds; events are processed in (time, seq)
 order where seq is the enqueue counter, so identical configs and seeds give
-byte-identical outputs. Arrivals stream from the trace in time order, and
-the heap holds only in-flight events: each heap item is (time_us, seq,
-then, journey), with ``then`` the bound method that moves the task on once
-the event's time is reached. Node decisions run synchronously when a task
-reaches the node, but their deferred effects (a server's entry insert, its
-load counters) apply at the simulated completion time, so an in-flight
-result is never reusable before it would exist.
+byte-identical outputs. Each task is one process, a generator that walks
+device, router, server and back and yields its next event; the controller
+is another. Arrivals stream from the trace in time order, and the heap
+holds only in-flight events: each heap item is (time_us, seq, process,
+task_id), and the process resumes once the event's time is reached. Node
+decisions run synchronously when a task reaches the node, but their
+deferred effects (a server's entry insert, its load counters) apply at the
+simulated completion time, so an in-flight result is never reusable before
+it would exist.
 
 Before the first event of the first replay, the bundle's inputs are signed
 in one batch and each (service, input) pipeline of the trace runs once, one
@@ -66,16 +68,6 @@ _WINDOWS_PER_TASK = 16
 
 class SimulationError(Exception):
     """The trace or its referenced data cannot be replayed."""
-
-
-@dataclass(slots=True)
-class _Journey:
-    envelope: TaskEnvelope  # the task (id, device, service, ...) as last passed on
-    vector_id: int
-    router_id: str
-    server_id: str | None = None
-    # The latest node visit's outcome; the visit that serves is the last.
-    outcome: NodeOutcome | None = None
 
 
 @dataclass(slots=True)
@@ -260,120 +252,106 @@ class Simulation:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, time_us: int, kind: str, node_id: str, journey, detail: str,
-              cost_us: int, then) -> None:
-        """Schedule ``then(journey, time_us)`` under the next seq, writing
-        the event to the log when one is kept."""
+    def _advance(self, process, task_id) -> None:
+        """Run ``process`` to its next event and schedule it under the next
+        seq, writing it to the log when one is kept; a process that has
+        finished schedules nothing."""
+        event = next(process, None)
+        if event is None:
+            return
         seq = self.seq
         self.seq = seq + 1
+        time_us, kind, node_id, detail, cost_us = event
         if self.event_rows is not None:
-            self.event_rows.append((time_us, seq, kind, node_id,
-                                    "" if journey is None else journey.envelope.task_id,
-                                    detail, cost_us))
-        heapq.heappush(self.heap, (time_us, seq, then, journey))
+            self.event_rows.append((time_us, seq, kind, node_id, task_id, detail, cost_us))
+        heapq.heappush(self.heap, (time_us, seq, process, task_id))
 
-    def _visit(self, journey, node_id: str, now: int, outcome: NodeOutcome, then) -> None:
-        """Take in a node visit's outcome and run its steps back to back;
-        ``then`` moves the task on when the last one ends.
+    def _steps(self, outcome: NodeOutcome, node_id: str, now: int):
+        """Run a node visit's steps back to back from ``now`` and return the
+        time the last one ends.
 
         The earlier steps only advance time, so they go to the event log
-        alone, and with zero steps ``then`` runs at once.
+        alone; the last is the task's next event. A visit with no steps
+        ends at once.
         """
-        journey.outcome = outcome
-        journey.envelope = outcome.envelope
         steps = outcome.steps
         if not steps:
-            then(journey, now)
-            return
-        t = now
+            return now
         event_rows = self.event_rows
         for step in steps[:-1]:
-            t += step.cost_us
+            now += step.cost_us
             if event_rows is not None:
-                event_rows.append((t, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
-                                   journey.envelope.task_id, step.detail, step.cost_us))
+                event_rows.append((now, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
+                                   outcome.envelope.task_id, step.detail, step.cost_us))
                 self.seq += 1
         last = steps[-1]
-        self._push(t + last.cost_us, _STEP_EVENT_KIND[last.kind], node_id, journey,
-                   last.detail, last.cost_us, then)
+        now += last.cost_us
+        yield now, _STEP_EVENT_KIND[last.kind], node_id, last.detail, last.cost_us
+        return now
 
-    def _cache_response(self, node, layer: ReuseLayer, journey, now: int) -> None:
+    # -- a task's way: device, router, server and back -----------------------
+
+    def _cache_response(self, node, layer: ReuseLayer, outcome: NodeOutcome, now: int) -> None:
         """A node caches a result that it forwards but did not serve: one
         whose reuse layer is not the node's own ``layer``."""
-        if node.store is not None and (p := journey.outcome.payload).reuse_layer is not layer:
-            envelope = journey.envelope
+        if node.store is not None and (p := outcome.payload).reuse_layer is not layer:
+            envelope = outcome.envelope
             entry = ReuseEntry._of_frozen(envelope.input, envelope.service_id, {},
                                           p.output, p.label, now)
             node.store.insert(entry, envelope.query)
 
-    # -- a task's way: device, router, server and back -----------------------
+    def _task(self, envelope: TaskEnvelope, vector_id: int, now: int):
+        """One task's whole way, from its arrival at ``now`` to its record.
 
-    def _arrive_device(self, journey, now: int) -> None:
-        dev = self.devices[journey.envelope.device_id]
-        outcome = device_offload(dev, journey.envelope, self.family,
-                                 self.config.cost.lookup_time_us, now=now)
-        self._visit(journey, dev.node_id, now, outcome,
-                    self._leave_device if outcome.payload is None else self._respond_at_device)
-
-    def _leave_device(self, journey, now: int) -> None:
-        dev = self.devices[journey.envelope.device_id]
-        self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.router_id, journey,
-                   f"{dev.node_id}->{dev.router_id}", dev.link_delay_us, self._arrive_router)
-
-    def _arrive_router(self, journey, now: int) -> None:
-        router = self.routers[journey.router_id]
-        outcome = router_forward(router, journey.envelope, self.family,
-                                 self.config.cost.lookup_time_us, self.table, now=now)
-        self._visit(journey, router.node_id, now, outcome,
-                    self._leave_router if outcome.payload is None else self._respond_at_router)
-
-    def _leave_router(self, journey, now: int) -> None:
-        router = self.routers[journey.router_id]
-        sid = journey.server_id = journey.outcome.next_server
-        delay = router.server_delays[sid]
-        self._push(now + delay, EVENT_LINK_DELIVERY, sid, journey,
-                   f"{router.node_id}->{sid}", delay, self._arrive_server)
-
-    def _arrive_server(self, journey, now: int) -> None:
-        server = self.servers[journey.server_id]
-        envelope = journey.envelope
-        outcome = server_handle(server, envelope, self.config.cost.lookup_time_us, now=now,
-                                own=self._truths[(envelope.service_id, journey.vector_id)])
-        self._visit(journey, server.node_id, now, outcome, self._leave_server)
-
-    def _leave_server(self, journey, now: int) -> None:
-        server = self.servers[journey.server_id]
-        outcome = journey.outcome
-        if outcome.entry is not None:
-            outcome.entry.insert_time = now
-            outcome.entry.last_access = now
-            server.store.insert(outcome.entry, journey.envelope.query)
-        if outcome.executed_stages > 0:
-            server.executed_count += 1
-            server.busy_us += outcome.exec_busy_us
-        # A server's payload layer is NONE, SERVER or PARTIAL_SERVER.
-        if outcome.payload.reuse_layer is not _NO_REUSE:
-            server.reused_count += 1
-        router = self.routers[journey.router_id]
-        delay = router.server_delays[server.node_id]
-        self._push(now + delay, EVENT_LINK_DELIVERY, router.node_id, journey,
-                   f"{server.node_id}->{router.node_id}", delay, self._respond_at_router)
-
-    def _respond_at_router(self, journey, now: int) -> None:
-        router = self.routers[journey.router_id]
-        self._cache_response(router, _ROUTER_LAYER, journey, now)
-        dev = self.devices[journey.envelope.device_id]
-        self._push(now + dev.link_delay_us, EVENT_LINK_DELIVERY, dev.node_id, journey,
-                   f"{dev.router_id}->{dev.node_id}", dev.link_delay_us, self._respond_at_device)
-
-    def _respond_at_device(self, journey, now: int) -> None:
-        self._cache_response(self.devices[journey.envelope.device_id], _DEVICE_LAYER, journey, now)
-        self._complete(journey, now)
-
-    def _complete(self, journey, now: int) -> None:
-        payload = journey.outcome.payload
-        envelope = journey.envelope
-        key = (envelope.service_id, journey.vector_id)
+        Each yield is the task's next event, (time_us, kind, node_id,
+        detail, cost_us), and the task resumes at that time. The device,
+        then the router, then a server may serve it; the first that does
+        cuts the way short, and the result goes back along the links it
+        came by, cached on the way by each node that did not serve it.
+        """
+        lookup_us = self.config.cost.lookup_time_us
+        key = (envelope.service_id, vector_id)
+        dev = self.devices[envelope.device_id]
+        outcome = device_offload(dev, envelope, self.family, lookup_us, now=now)
+        now = yield from self._steps(outcome, dev.node_id, now)
+        if outcome.payload is None:
+            router = self.routers[dev.router_id]
+            now += dev.link_delay_us
+            yield (now, EVENT_LINK_DELIVERY, router.node_id,
+                   f"{dev.node_id}->{router.node_id}", dev.link_delay_us)
+            outcome = router_forward(router, outcome.envelope, self.family, lookup_us,
+                                     self.table, now=now)
+            now = yield from self._steps(outcome, router.node_id, now)
+            if outcome.payload is None:
+                server = self.servers[outcome.next_server]
+                delay = router.server_delays[server.node_id]
+                now += delay
+                yield (now, EVENT_LINK_DELIVERY, server.node_id,
+                       f"{router.node_id}->{server.node_id}", delay)
+                outcome = server_handle(server, outcome.envelope, lookup_us, now=now,
+                                        own=self._truths[key])
+                now = yield from self._steps(outcome, server.node_id, now)
+                # The server's deferred effects apply when its visit ends.
+                if outcome.entry is not None:
+                    outcome.entry.insert_time = now
+                    outcome.entry.last_access = now
+                    server.store.insert(outcome.entry, outcome.envelope.query)
+                if outcome.executed_stages > 0:
+                    server.executed_count += 1
+                    server.busy_us += outcome.exec_busy_us
+                # A server's payload layer is NONE, SERVER or PARTIAL_SERVER.
+                if outcome.payload.reuse_layer is not _NO_REUSE:
+                    server.reused_count += 1
+                now += delay
+                yield (now, EVENT_LINK_DELIVERY, router.node_id,
+                       f"{server.node_id}->{router.node_id}", delay)
+            self._cache_response(router, _ROUTER_LAYER, outcome, now)
+            now += dev.link_delay_us
+            yield (now, EVENT_LINK_DELIVERY, dev.node_id,
+                   f"{router.node_id}->{dev.node_id}", dev.link_delay_us)
+        self._cache_response(dev, _DEVICE_LAYER, outcome, now)
+        payload = outcome.payload
+        envelope = outcome.envelope
         accurate = (None if payload.reuse_layer is _NO_REUSE
                     else _agrees(self._truths[key], payload))
         self.records.append(TaskRecord(envelope.task_id, envelope.device_id, *key,
@@ -382,20 +360,23 @@ class Simulation:
 
     # -- control plane ------------------------------------------------------
 
-    def _control_window(self, _journey, now: int) -> None:
-        self._sample_window(now)
-        if self.config.control.rebalance and len(self.servers) >= 2:
-            report = self._load_report()
-            new_table = rebalance(self.table, report, self.config.control.step_fraction)
-            if new_table.version != self.table.version:
-                self.table = new_table
-        if self.outstanding > 0:
-            self._push(now + self.config.control.window_us, EVENT_CONTROL_WINDOW,
-                       "controller", None, f"window:v{self.table.version}", 0,
-                       self._control_window)
-
-    def _load_report(self) -> LoadReport:
-        return LoadReport({s.node_id: s.executed_count for s in self.servers.values()})
+    def _control(self):
+        """The controller, as a process: a window every window_us while
+        tasks are outstanding. Each samples the servers' counters and, with
+        rebalancing on, may move the forwarding table on."""
+        control = self.config.control
+        now = control.window_us
+        while True:
+            yield now, EVENT_CONTROL_WINDOW, "controller", f"window:v{self.table.version}", 0
+            self._sample_window(now)
+            if control.rebalance and len(self.servers) >= 2:
+                report = LoadReport({s.node_id: s.executed_count for s in self.servers.values()})
+                new_table = rebalance(self.table, report, control.step_fraction)
+                if new_table.version != self.table.version:
+                    self.table = new_table
+            if self.outstanding == 0:
+                return
+            now += control.window_us
 
     def _server_counters(self) -> dict:
         """Each server's counters, in server id order."""
@@ -453,8 +434,7 @@ class Simulation:
                                for i, (row, _) in enumerate(rows)]
         self.seq = n
         if rows and self.config.control.window_us > 0:
-            self._push(self.config.control.window_us, EVENT_CONTROL_WINDOW,
-                       "controller", None, "window:v1", 0, self._control_window)
+            self._advance(self._control(), "")
 
         # Arrivals stream from the trace, merged with the heap by (time,
         # seq). The sort is stable, so tied arrivals keep trace order, and
@@ -468,21 +448,20 @@ class Simulation:
                 task_id = arrivals[k]
                 k += 1
                 row, row_threshold = rows[task_id]
-                time_us, then = row.time_us, self._arrive_device
+                time_us = row.time_us
                 # The query travels with the task; tasks with the same input
                 # share it. Both the row under it and the threshold were
                 # checked at load.
                 envelope = TaskEnvelope._of_query(
                     task_id, row.device_id, row.service_id, self._queries[row.vector_id],
                     row_threshold if threshold is None else threshold, time_us)
-                journey = _Journey(envelope, row.vector_id,
-                                   self.devices[row.device_id].router_id)
+                process = self._task(envelope, row.vector_id, time_us)
             else:
-                time_us, _, then, journey = heapq.heappop(heap)
+                time_us, _, process, task_id = heapq.heappop(heap)
             if time_us < self.clock:
                 raise SimulationError("event queue violated clock monotonicity")
             self.clock = time_us
-            then(journey, time_us)
+            self._advance(process, task_id)
 
         if self.outstanding != 0:
             raise SimulationError(f"{self.outstanding} tasks never completed")

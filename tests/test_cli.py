@@ -155,6 +155,30 @@ class TestRun:
         assert err[0].startswith("error:")
         assert "vector 4: feature vector norm overflows float64" in err[0]
 
+    def test_non_ascii_device_id_under_an_ascii_locale(self, tmp_path):
+        # Bundle files are UTF-8 whatever the locale: a device id that is not
+        # ASCII replays under LC_ALL=C with Python's UTF-8 mode off.
+        bundle = generate(tmp_path)
+        topology = json.loads((bundle / "topology.json").read_text(encoding="utf-8"))
+        assert topology["devices"][0]["id"] == "dev0"
+        topology["devices"][0]["id"] = "dév0"
+        (bundle / "topology.json").write_text(json.dumps(topology, ensure_ascii=False),
+                                              encoding="utf-8")
+        trace = bundle / "trace.csv"
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        lines = [line.replace(",dev0,", ",dév0,") for line in lines]
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUTF8", "PYTHONIOENCODING") and not k.startswith("LC_")}
+        env.update(LC_ALL="C", LANG="C",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = tmp_path / "r"
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "edgereuse", "run",
+                               "--config", str(bundle / "experiment.json"), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ",dév0," in (out / "per_task.csv").read_text(encoding="utf-8")
+
     def test_norm_at_the_overflow_edge_is_one_stderr_line(self, tmp_path):
         # A row whose squares sum to inf in input_norm's order but not in
         # pairwise order: the load must reject it as the replay would.
@@ -291,8 +315,10 @@ class TestReport:
 
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["report", "--metrics", str(bad)]) == 2
+        for content in (b"{not json", b'{"tasks": "\xff"}'):
+            bad.write_bytes(content)
+            assert main(["report", "--metrics", str(bad)]) == 2, content
+            assert capsys.readouterr().err.startswith("error: "), content
 
     def test_missing_keys(self, tmp_path, capsys):
         sparse = tmp_path / "sparse.json"

@@ -188,6 +188,41 @@ class TestSimilarity:
         with pytest.raises(ValueError, match="mismatch"):
             similarity([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            similarity([1.0, bad], [1.0, 0.0])
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            similarity([1.0, 0.0], [bad, 1.0])
+
+    def test_huge_inputs_stay_in_the_unit_interval(self):
+        huge = np.full(8, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert similarity(huge, huge) == 1.0
+            assert similarity(huge, -huge) == 0.0
+            assert similarity([1e300, 1e300], [1e300, 0.0]) == pytest.approx(np.sqrt(0.5))
+
+    def test_tiny_inputs_are_not_all_zero(self):
+        tiny = np.full(4, 1e-170)
+        assert similarity(tiny, tiny) == 1.0
+        assert similarity(tiny, np.ones(4)) == 1.0
+        assert similarity(np.full(4, 1e-160), np.ones(4)) == 1.0
+        assert similarity([1e-170, 0.0], [1e-170, 1e-170]) == pytest.approx(np.sqrt(0.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=6, max_size=6),
+           st.integers(-1000, 1000))
+    def test_scaling_keeps_the_cosine(self, v, exponent):
+        # Small integers scaled by a power of two are exact floats at every
+        # exponent, so the angle is the unscaled one whether the squares
+        # overflow, underflow or neither.
+        a, b = np.array(v[:3], dtype=float), np.array(v[3:], dtype=float)
+        if not (a.any() and b.any()):
+            return
+        scale = 2.0 ** exponent
+        assert similarity(a * scale, b * scale) == pytest.approx(similarity(a, b), abs=1e-12)
+
 
 class TestResultsEqual:
     """Two results agree (simulator._agrees): equal labels, equal shapes, and

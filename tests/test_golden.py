@@ -165,6 +165,38 @@ def test_mixed_2k_nodes_cache_what_they_did_not_serve(tmp_path, monkeypatch, thr
     assert sum(inserts.values()) == sum(expected[n.node_id] for n in with_store)
 
 
+@pytest.mark.parametrize("threshold", [0.8, 0.9])
+def test_mixed_2k_tasks_follow_the_documented_path(tmp_path, threshold):
+    # Each task arrives at its device, and its links run device to router,
+    # router to server and back, cut short where a layer serves it. Its
+    # events follow one another with no gap, so its completion time is the
+    # sum of their costs.
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+    sim = Simulation(_bundle(tmp_path, profile))
+    report = sim.run(threshold=threshold, event_log=True)
+    by_task = collections.defaultdict(list)
+    for row in report.events:
+        by_task[row[EVENTS_HEADER.index("task_id")]].append(row)
+    assert set(by_task) == {r.task_id for r in report.records} | {""}
+    layers = collections.Counter()
+    for r in report.records:
+        events = by_task[r.task_id]
+        assert events[0][2] == "TaskArrival" and events[0][0] == r.created_at, r.task_id
+        router = sim.devices[r.device_id].router_id
+        links = [e[3] for e in events if e[2] == "LinkDelivery"]
+        if r.reuse_layer is ReuseLayer.DEVICE:
+            assert links == [], r.task_id
+        elif r.reuse_layer is ReuseLayer.NETWORK:
+            assert links == [router, r.device_id], r.task_id
+        else:
+            assert len(links) == 4 and links[1] in sim.servers, r.task_id
+            assert links[::2] == [router, router] and links[3] == r.device_id, r.task_id
+        assert r.completion_us == sum(e[6] for e in events), r.task_id
+        assert events[-1][0] == r.completed_at, r.task_id
+        layers[r.reuse_layer] += 1
+    assert layers[ReuseLayer.DEVICE] and layers[ReuseLayer.NETWORK] and layers[ReuseLayer.NONE]
+
+
 def test_mixed_2k_strict_threshold_digest(tmp_path):
     # At 0.9 the service and stage filters discard most scored candidates.
     profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
