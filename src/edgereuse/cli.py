@@ -1,7 +1,9 @@
 """Command-line front end: generate traces, replay them, sweep thresholds.
 
 Exit codes: 0 on success, 1 when a replay aborts mid-run, 2 for bad usage,
-bad config files, or missing inputs.
+bad config files, or missing inputs. ``report`` reads metrics.json through
+the schema that simulator.py declares for it, so a malformed metrics file
+exits 2 with an error naming the field (``metrics.servers.s0.busy_us: ...``).
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import (ConfigError, _load_json, default_experiment_data, default_services_data,
-                     default_topology_data, load_experiment, write_json)
-from .simulator import SimulationError, run_experiment, sweep_thresholds, write_sweep_csv
+from .config import (ConfigError, _load_json, _make, default_experiment_data,
+                     default_services_data, default_topology_data, load_experiment, write_json)
+from .simulator import (RunMetrics, SimulationError, run_experiment, sweep_thresholds,
+                        write_sweep_csv)
 from .workload import (CalibrationError, builtin_profiles, generate_trace,
                        write_trace_csv, write_vectors_csv)
 
@@ -112,37 +115,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.metrics)
-    metrics = _load_json(path, "metrics")
-    try:
-        _print_report(metrics)
-    except (KeyError, TypeError) as exc:
-        print(f"error: {path}: missing or malformed field {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _print_report(metrics: dict) -> None:
-    mean = metrics["mean_completion_ms"]
-    acc = metrics["accuracy_pct"]
-    print(f"tasks               {metrics['tasks']}")
-    print(f"makespan            {metrics['makespan_us'] / 1e6:.3f} s")
+    m = _make(RunMetrics, _load_json(Path(args.metrics), "metrics"), "metrics")
+    print(f"tasks               {m.tasks}")
+    print(f"makespan            {m.makespan_us / 1e6:.3f} s")
+    mean, acc = m.mean_completion_ms, m.accuracy_pct
     print("mean completion     " + ("n/a" if mean is None else f"{mean:.2f} ms"))
-    print(f"reuse               {metrics['reuse_pct']:.1f}%")
+    print(f"reuse               {m.reuse_pct:.1f}%")
     print("accuracy of reuse   " + ("n/a" if acc is None else f"{acc:.1f}%"))
-    print(f"server busy         {metrics['busy_fraction'] * 100:.1f}%")
+    print(f"server busy         {m.busy_fraction * 100:.1f}%")
     print()
     print(f"{'layer':<16}{'count':>8}  mean ms")
-    for layer, row in metrics["per_layer"].items():
-        mean_ms = row["mean_completion_ms"]
-        text = "-" if mean_ms is None else f"{mean_ms:.2f}"
-        print(f"{layer:<16}{row['count']:>8}  {text}")
+    for layer, row in m.per_layer.items():
+        text = "-" if row.mean_completion_ms is None else f"{row.mean_completion_ms:.2f}"
+        print(f"{layer:<16}{row.count:>8}  {text}")
     print()
     print(f"{'server':<8}{'executed':>10}{'reused':>8}{'stored MB':>11}  busy")
-    for server_id, row in metrics["servers"].items():
-        stored_mb = row["stored_bytes"] / 1e6
-        print(f"{server_id:<8}{row['executed_count']:>10}{row['reused_count']:>8}"
-              f"{stored_mb:>11.3f}  {row['busy_fraction'] * 100:.1f}%")
+    for server_id, row in m.servers.items():
+        print(f"{server_id:<8}{row.executed_count:>10}{row.reused_count:>8}"
+              f"{row.stored_bytes / 1e6:>11.3f}  {row.busy_fraction * 100:.1f}%")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,7 +47,7 @@ class _Json:
     field holds a non-empty JSON list (read to a tuple) or a JSON object
     (read to a dict) of such values. ``lo`` and ``hi`` bound each number
     inclusively; a float field needs both, since they are what reject NaN
-    and infinities.
+    and infinities. ``null`` lets a required field hold null.
     """
 
     kind: type
@@ -56,6 +56,7 @@ class _Json:
     hi: float | None = None
     among: tuple[str, ...] = ()
     each: type | None = None
+    null: bool = False
 
 
 def _json(kind, default=MISSING, *, factory=MISSING, **spec):
@@ -171,7 +172,7 @@ def _value(obj: dict, key, spec: _Json, where: str, default=MISSING):
             raise ConfigError(f"{path}: missing required field")
         return default
     v = obj[key]
-    if v is None and default is None:
+    if v is None and (default is None or spec.null):
         return None
     if spec.each is not None:
         if not isinstance(v, spec.each):

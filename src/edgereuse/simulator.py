@@ -25,11 +25,12 @@ reuse both passes, which depend on the inputs alone.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, write_json
+from .config import ConfigError, _json, write_json
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope, check_threshold
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
@@ -501,6 +502,53 @@ class Simulation:
             "table_version": self.table.version,
             "windows": self.window_samples,
         }
+
+
+# metrics.json, declared once: _aggregate writes every key (null only where
+# marked) and `edgereuse report` reads it back through the bundle's reader.
+# No number exceeds the largest float: NaN, infinities and huge ints fail.
+_MAX = sys.float_info.max
+
+
+@dataclass(frozen=True)
+class LayerMetrics:
+    count: int = _json(int, lo=0, hi=_MAX)
+    mean_completion_ms: float | None = _json(float, null=True, lo=0.0, hi=_MAX)
+
+
+@dataclass(frozen=True)
+class ServerCounters:
+    executed_count: int = _json(int, lo=0, hi=_MAX)
+    reused_count: int = _json(int, lo=0, hi=_MAX)
+    stored_bytes: int = _json(int, lo=0, hi=_MAX)
+    busy_us: int = _json(int, lo=0, hi=_MAX)
+
+
+@dataclass(frozen=True)
+class ServerMetrics(ServerCounters):
+    # Not bounded by 1: a server runs overlapping tasks without queueing.
+    busy_fraction: float = _json(float, lo=0.0, hi=_MAX)
+
+
+@dataclass(frozen=True)
+class WindowSample:
+    time_us: int = _json(int, lo=0, hi=_MAX)
+    table_version: int = _json(int, lo=1, hi=_MAX)
+    servers: dict[str, ServerCounters] = _json(ServerCounters, each=dict)
+
+
+@dataclass(frozen=True)
+class RunMetrics:
+    tasks: int = _json(int, lo=0, hi=_MAX)
+    makespan_us: int = _json(int, lo=0, hi=_MAX)
+    mean_completion_ms: float | None = _json(float, null=True, lo=0.0, hi=_MAX)
+    reuse_pct: float = _json(float, lo=0.0, hi=100.0)
+    accuracy_pct: float | None = _json(float, null=True, lo=0.0, hi=100.0)
+    per_layer: dict[str, LayerMetrics] = _json(LayerMetrics, each=dict)
+    servers: dict[str, ServerMetrics] = _json(ServerMetrics, each=dict)
+    busy_fraction: float = _json(float, lo=0.0, hi=_MAX)
+    table_version: int = _json(int, lo=1, hi=_MAX)
+    windows: tuple[WindowSample, ...] = _json(WindowSample, each=list)
 
 
 def run_experiment(config, *, event_log: bool = False,

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from edgereuse.cli import BUNDLE_FILES, main
+from edgereuse.config import write_json
 
 
 def generate(tmp_path, *extra):
@@ -295,6 +297,28 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+DROP = object()  # a value that deletes its key
+
+# name: (the key path of the one value changed, the value, the error line)
+MALFORMED_METRICS = {
+    "per-layer-list": (["per_layer"], [], "metrics.per_layer: expected object, got list"),
+    "string-mean": (["mean_completion_ms"], "16.38",
+                    "metrics.mean_completion_ms: expected float, got str"),
+    "nan-reuse": (["reuse_pct"], float("nan"), "metrics.reuse_pct: must be in [0.0, 100.0]"),
+    "server-missing-reused": (["servers", "s0", "reused_count"], DROP,
+                              "metrics.servers.s0.reused_count: missing required field"),
+    # A key that may be null may not be absent.
+    "absent-accuracy": (["accuracy_pct"], DROP, "metrics.accuracy_pct: missing required field"),
+    "huge-makespan": (["makespan_us"], 10**400,
+                      f"metrics.makespan_us: must be in [0, {sys.float_info.max}]"),
+    "negative-window-count": (["windows", 1, "servers", "s1", "executed_count"], -1,
+                              "metrics.windows[1].servers.s1.executed_count: "
+                              f"must be in [0, {sys.float_info.max}]"),
+    "undeclared-key": (["per_layer", "device", "p99_ms"], 1.0,
+                       "metrics.per_layer.device.p99_ms: unknown field"),
+}
+
+
 class TestReport:
     def test_prints_summary_tables(self, tmp_path, capsys):
         bundle = generate(tmp_path)
@@ -324,6 +348,47 @@ class TestReport:
         sparse = tmp_path / "sparse.json"
         sparse.write_text(json.dumps({"tasks": 5}))
         assert main(["report", "--metrics", str(sparse)]) == 2
+
+    @pytest.fixture(scope="class")
+    def metrics(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("report")
+        bundle = generate(out)
+        assert main(["run", "--config", str(bundle / "experiment.json"), "--out", str(out)]) == 0
+        data = json.loads((out / "metrics.json").read_text())
+        assert len(data["windows"]) > 1 and data["accuracy_pct"] is not None
+        return data
+
+    @staticmethod
+    def malformed(metrics, tmp_path, name):
+        """The named malformed copy of metrics, written to a file, and the
+        error line it must give."""
+        (*parents, last), value, message = MALFORMED_METRICS[name]
+        data = copy.deepcopy(metrics)
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+        write_json(tmp_path / "metrics.json", data)
+        return tmp_path / "metrics.json", f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", list(MALFORMED_METRICS))
+    def test_malformed_file_names_its_field(self, metrics, tmp_path, capsys, name):
+        path, error = self.malformed(metrics, tmp_path, name)
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(path)]) == 2
+        assert capsys.readouterr() == ("", error)
+
+    @pytest.mark.parametrize("name", ["per-layer-list", "string-mean", "nan-reuse"])
+    def test_malformed_file_is_one_stderr_line_from_the_process(self, metrics, tmp_path, name):
+        # Run as a user runs it: exit 2 and one error line, with no traceback.
+        path, error = self.malformed(metrics, tmp_path, name)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "edgereuse", "report", "--metrics", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
 class TestParser:

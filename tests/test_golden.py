@@ -8,10 +8,14 @@ order. They do move with any change of which cache serves a task, when a
 task or one of its steps completes, in which order events are processed,
 or whether a reused result is accurate. ``metrics.json`` adds the
 aggregates and the control-window samples; its floats are ratios of those
-integers.
+integers. Each replay's aggregates are also read back through the schema
+that ``simulator.py`` declares for metrics.json, and must give the same
+JSON text.
 
 The threshold sweep pins ``sweep.csv``: one bundle replayed at several
-thresholds, with each replay's reuse and accuracy percentages.
+thresholds, with each replay's reuse and accuracy percentages. The text
+that ``edgereuse run`` and ``edgereuse report`` print is pinned literally,
+on the 2K ``mixed`` replay and on an empty trace.
 
 Only a deliberate behaviour change may re-pin a digest here, and such a
 change is listed in CHANGES.md with its reason. A refactor or a speed-up
@@ -21,15 +25,17 @@ that changes a digest is a bug in that change.
 import collections
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from edgereuse.config import (default_experiment_data, default_services_data,
+from edgereuse.cli import main
+from edgereuse.config import (_make, default_experiment_data, default_services_data,
                               default_topology_data, load_experiment, write_json)
 from edgereuse.core import ReuseLayer
-from edgereuse.simulator import (EVENTS_HEADER, Simulation, run_experiment, sweep_thresholds,
-                                 write_sweep_csv)
+from edgereuse.simulator import (EVENTS_HEADER, RunMetrics, Simulation, run_experiment,
+                                 sweep_thresholds, write_sweep_csv)
 from edgereuse.store import ReuseStore
 from edgereuse.workload import builtin_profiles, generate_trace, write_trace_csv, write_vectors_csv
 
@@ -93,11 +99,22 @@ def _bundle(tmp_path, profile, *, redraw=False, router_store_entries=4096, rebal
     return load_experiment(tmp_path / "experiment.json")
 
 
+def _assert_schema_reads(aggregates):
+    """metrics.json's declarations name exactly the keys, nesting and types
+    that the writer wrote: read back through them, the aggregates give the
+    same JSON text, so an int is not a float and no key is added or lost."""
+    read = _make(RunMetrics, json.loads(json.dumps(aggregates)), "metrics")
+    assert (json.dumps(dataclasses.asdict(read), sort_keys=True)
+            == json.dumps(aggregates, sort_keys=True))
+
+
 def _replay(tmp_path, profile, *, threshold=None, **bundle):
     """Replay with the event log on; digests of per_task.csv, events.csv
-    and metrics.json, in that order."""
+    and metrics.json, in that order. Every replay's aggregates are also
+    read back through metrics.json's schema."""
     report = run_experiment(_bundle(tmp_path, profile, **bundle), event_log=True,
                             threshold=threshold)
+    _assert_schema_reads(report.aggregates)
     report.write_per_task_csv(tmp_path / "per_task.csv")
     report.write_events_csv(tmp_path / "events.csv")
     report.write_metrics_json(tmp_path / "metrics.json")
@@ -246,3 +263,69 @@ def test_mixed_2k_sweep_digest(tmp_path):
     assert reuse == sorted(reuse, reverse=True)
     write_sweep_csv(tmp_path / "sweep.csv", rows)
     assert _sha256(tmp_path / "sweep.csv") == MIXED_2K_SWEEP_SHA256
+
+
+MIXED_2K_RUN_TEXT = "tasks=2000 mean_completion=16.38ms reuse=91.9% accuracy=11.5%\n"
+MIXED_2K_REPORT_TEXT = """\
+tasks               2000
+makespan            120.000 s
+mean completion     16.38 ms
+reuse               91.9%
+accuracy of reuse   11.5%
+server busy         6.8%
+
+layer              count  mean ms
+device               595  1.00
+network             1154  9.79
+none                 162  118.73
+partial_server         0  -
+server                89  18.47
+
+server    executed  reused  stored MB  busy
+s0              67      33      0.150  5.6%
+s1              95      56      0.206  7.9%
+"""
+EMPTY_RUN_TEXT = "tasks=0 mean_completion=n/a reuse=0.0% accuracy=n/a\n"
+EMPTY_REPORT_TEXT = """\
+tasks               0
+makespan            0.000 s
+mean completion     n/a
+reuse               0.0%
+accuracy of reuse   n/a
+server busy         0.0%
+
+layer              count  mean ms
+device                 0  -
+network                0  -
+none                   0  -
+partial_server         0  -
+server                 0  -
+
+server    executed  reused  stored MB  busy
+s0               0       0      0.000  0.0%
+s1               0       0      0.000  0.0%
+"""
+
+
+def _run_and_report(tmp_path, capsys):
+    """What ``edgereuse run`` and then ``edgereuse report`` print for the
+    bundle in tmp_path."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "experiment.json"), "--out", str(out)]) == 0
+    run_text = capsys.readouterr().out
+    assert main(["report", "--metrics", str(out / "metrics.json")]) == 0
+    return run_text, capsys.readouterr().out
+
+
+def test_mixed_2k_run_and_report_text(tmp_path, capsys):
+    profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=2000)
+    _bundle(tmp_path, profile)
+    assert _run_and_report(tmp_path, capsys) == (MIXED_2K_RUN_TEXT, MIXED_2K_REPORT_TEXT)
+    assert _sha256(tmp_path / "out" / "metrics.json") == MIXED_2K_METRICS_SHA256
+
+
+def test_empty_trace_run_and_report_text(tmp_path, capsys):
+    _bundle(tmp_path, dataclasses.replace(builtin_profiles()["mixed"], tasks=10))
+    write_trace_csv(tmp_path / "trace.csv", [])
+    assert _run_and_report(tmp_path, capsys) == (EMPTY_RUN_TEXT, EMPTY_REPORT_TEXT)
+    _assert_schema_reads(json.loads((tmp_path / "out" / "metrics.json").read_text()))
