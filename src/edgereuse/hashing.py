@@ -98,14 +98,16 @@ class LshFamily:
         # length dim: the query keeps v itself, no copy.
         return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
 
-    def _prepare_rows(self, m: np.ndarray) -> list[PreparedQuery]:
-        # _prepare_valid of every row of a read-only, C-contiguous (n, dim)
-        # float64 matrix with no unsignable row (a checked bundle), in one
-        # batched pass. Query i keeps the row view m[i], no copy.
-        norms = np.sqrt(_row_squares(m)).tolist()
-        columns = m[:, :, None]
+    def _prepare_rows(self, m: np.ndarray, rows: list[int]) -> list[PreparedQuery]:
+        # _prepare_valid of rows ``rows`` of a read-only, C-contiguous
+        # (n, dim) float64 matrix with no unsignable row (a checked bundle),
+        # in one batched pass. Query j keeps the row view m[rows[j]], no
+        # copy. A row's norm and bits do not depend on the rows beside it.
+        sub = m[rows]
+        norms = np.sqrt(_row_squares(sub)).tolist()
+        columns = sub[:, :, None]
         bits = zip(*[self._signatures(planes, columns).tolist() for planes in self.hyperplanes])
-        return [PreparedQuery(self, v, norm, b) for v, norm, b in zip(m, norms, bits)]
+        return [PreparedQuery(self, m[i], norm, b) for i, norm, b in zip(rows, norms, bits)]
 
     def _table_bits(self, v: np.ndarray) -> list[int]:
         # Every table's bits of one vector that input_norm accepts.

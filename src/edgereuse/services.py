@@ -132,8 +132,8 @@ def oracle(svc: ServiceSpec, xs) -> list[ServiceResult]:
     """Ground truth of executing each row of xs, an (n, input_dim) matrix,
     from scratch: row i's result is bit for bit execute_service(svc, xs[i]).
 
-    A replay calls it once per service when it starts, outside the
-    simulated clock, over every input the trace sends to that service: the
+    A replay calls it once per service of each batch of arrivals, outside
+    the simulated clock, over the batch's inputs to that service: the
     servers take their own-input stage outputs from it, and the metrics
     layer judges reused results against it. Each result's stage outputs are
     read-only rows of one (n, out_dim) array per stage.

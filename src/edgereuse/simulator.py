@@ -15,16 +15,19 @@ deferred effects (a server's entry insert, its load counters) apply at the
 simulated completion time, so an in-flight result is never reusable before
 it would exist.
 
-Before the first event of the first replay, the bundle's inputs are signed
-in one batch and each (service, input) pipeline of the trace runs once, one
-oracle pass per service: servers take a task's own stage outputs from it,
-and each reused result is judged against it on completion. Later replays
-reuse both passes, which depend on the inputs alone.
+Arrivals are taken in batches of consecutive arrivals. When a batch's first
+task arrives, the batch's inputs are signed in one pass and each of its
+(service, input) pipelines runs once, one oracle pass per service: servers
+take a task's own stage outputs from it, and each reused result is judged
+against it on completion. A task keeps its own query and truth until it
+completes, so the passes' results live while their tasks are in flight,
+and every replay, the first or a later one, runs the passes anew.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -35,7 +38,7 @@ from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope, check_threshold
 from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
                      ServerNode, device_offload, partition_hash_space, rebalance,
                      router_forward, server_handle)
-from .hashing import LshFamily, PreparedQuery, check_signable_rows
+from .hashing import LshFamily, check_signable_rows
 from .services import ServiceResult, ServiceSpec, oracle
 from .store import ReuseEntry, ReuseStore
 from .workload import read_trace_csv, read_vectors_csv, write_csv
@@ -61,6 +64,10 @@ PER_TASK_HEADER = ["task_id", "device_id", "service_id", "created_at_us",
                    "completed_at_us", "completion_us", "reuse_layer", "accurate"]
 EVENTS_HEADER = ["time_us", "seq", "kind", "node_id", "task_id", "detail", "cost_us"]
 
+
+# Arrivals per batch of the signing and oracle passes: a batch's queries and
+# truths live while its tasks are in flight.
+_BATCH_TASKS = 1024
 
 # Control windows allowed per task: each window is an event and a sample in
 # metrics.json, so this bounds the control plane's share of a replay.
@@ -98,6 +105,17 @@ def _agrees(truth, payload) -> bool:
     return (truth.label == payload.label
             and truth.output.shape == payload.output.shape
             and float(np.abs(truth.output - payload.output).max()) <= RESULT_ATOL)
+
+
+def _owned(result: ServiceResult) -> ServiceResult:
+    """The result with each stage output copied into a read-only array of
+    its own."""
+    outs = []
+    for out in result.stage_outputs:
+        out = out.copy()
+        out.setflags(write=False)
+        outs.append(out)
+    return ServiceResult(outs[-1], result.label, tuple(outs))
 
 
 class MetricsReport:
@@ -148,11 +166,6 @@ class Simulation:
         self._check_windows()
         self.family = LshFamily(config.dim, k=config.lsh.k, tables=config.lsh.tables,
                                 seed=config.seed)
-        # One PreparedQuery per distinct vector id of the trace, and the
-        # ground truth of every (service id, vector id) pair of the trace,
-        # both made when the first replay starts.
-        self._queries: dict[int, PreparedQuery] = {}
-        self._truths: dict[tuple[str, int], ServiceResult] = {}
 
     def _build_store(self, store_cfg) -> ReuseStore | None:
         if store_cfg is None or not store_cfg.builds_store:
@@ -189,7 +202,7 @@ class Simulation:
         cfg = self.config
         try:
             self.vectors = read_vectors_csv(cfg.vectors_path)
-            rows = read_trace_csv(cfg.trace_path)
+            trace = read_trace_csv(cfg.trace_path)
         except ValueError as exc:
             raise SimulationError(str(exc)) from None
         if len(self.vectors) and self.vectors.shape[1] != cfg.dim:
@@ -201,22 +214,30 @@ class Simulation:
             raise SimulationError(f"{cfg.vectors_path}: vector {exc.row}: {exc}") from None
         # Checked: from here on every row is trusted as it is, and read-only.
         self.vectors.setflags(write=False)
-        self.rows = []
-        device_ids = {d.node_id for d in cfg.topology.devices}
-        for i, row in enumerate(rows):
-            lineno = i + 2
-            if row.device_id not in device_ids:
-                raise SimulationError(f"{cfg.trace_path}: row {lineno}: unknown device {row.device_id!r}")
-            if row.service_id not in self.catalog:
-                raise SimulationError(f"{cfg.trace_path}: row {lineno}: unknown service {row.service_id!r}")
-            if not 0 <= row.vector_id < len(self.vectors):
-                raise SimulationError(f"{cfg.trace_path}: row {lineno}: unknown vector {row.vector_id}")
-            if row.time_us < 0:
-                raise SimulationError(f"{cfg.trace_path}: row {lineno}: negative time")
-            threshold = cfg.thresholds.get(row.service_id, row.threshold)
-            if not 0.0 <= threshold <= 1.0:
-                raise SimulationError(f"{cfg.trace_path}: row {lineno}: threshold {threshold} outside [0, 1]")
-            self.rows.append((row, float(threshold)))
+        # Each row's threshold: the experiment's for its service, else its own.
+        services = trace.service_ids
+        override = np.array([s in cfg.thresholds for s in services], dtype=bool)
+        value = np.array([cfg.thresholds.get(s, 0.0) for s in services], dtype=np.float64)
+        thresholds = np.where(override[trace.service], value[trace.service], trace.threshold)
+        # One mask per check, in the order a row is checked; the first row
+        # that fails any is named, with the first check it fails.
+        known = {d.node_id for d in cfg.topology.devices}
+        checks = [
+            (~np.array([d in known for d in trace.device_ids], dtype=bool)[trace.device],
+             lambda i: f"unknown device {trace.device_ids[trace.device[i]]!r}"),
+            (~np.array([s in self.catalog for s in services], dtype=bool)[trace.service],
+             lambda i: f"unknown service {services[trace.service[i]]!r}"),
+            (trace.vector_id >= len(self.vectors),
+             lambda i: f"unknown vector {trace.vector_id[i]}"),
+            (~((0.0 <= thresholds) & (thresholds <= 1.0)),
+             lambda i: f"threshold {float(thresholds[i])} outside [0, 1]"),
+        ]
+        failed = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+        for i in failed[:1].tolist():
+            message = next(say(i) for mask, say in checks if mask[i])
+            raise SimulationError(f"{cfg.trace_path}: row {i + 2}: {message}")
+        thresholds.setflags(write=False)
+        self.trace, self.thresholds = trace, thresholds
 
     def _check_windows(self) -> None:
         """Reject a control window so short that the replay would schedule
@@ -230,7 +251,8 @@ class Simulation:
         """
         cfg = self.config
         window = cfg.control.window_us
-        if window == 0 or not self.rows:
+        n = len(self.trace)
+        if window == 0 or n == 0:
             return
         topo = cfg.topology
         lookup = cfg.cost.lookup_time_us
@@ -242,14 +264,14 @@ class Simulation:
                        for svc in cfg.services)
         # Device and router each hash and look up once, the server looks up
         # the whole task; the links are crossed out and back.
-        bound = (max(row.time_us for row, _ in self.rows)
+        bound = (int(self.trace.time_us.max())
                  + 2 * hash_us + 3 * lookup + 2 * links + pipeline)
         windows = bound // window + 1
-        if windows > _WINDOWS_PER_TASK * len(self.rows):
+        if windows > _WINDOWS_PER_TASK * n:
             raise ConfigError(
                 f"experiment.control.window_us: {window} us windows over a makespan of up to "
                 f"{bound} us would schedule {windows} control windows, more than "
-                f"{_WINDOWS_PER_TASK} per task for {len(self.rows)} tasks")
+                f"{_WINDOWS_PER_TASK} per task for {n} tasks")
 
     # -- event plumbing -----------------------------------------------------
 
@@ -301,8 +323,9 @@ class Simulation:
                                           p.output, p.label, now)
             node.store.insert(entry, envelope.query)
 
-    def _task(self, envelope: TaskEnvelope, vector_id: int, now: int):
+    def _task(self, envelope: TaskEnvelope, vector_id: int, truth: ServiceResult, now: int):
         """One task's whole way, from its arrival at ``now`` to its record.
+        ``truth`` is the task's own execution, from the oracle.
 
         Each yield is the task's next event, (time_us, kind, node_id,
         detail, cost_us), and the task resumes at that time. The device,
@@ -329,8 +352,13 @@ class Simulation:
                 now += delay
                 yield (now, EVENT_LINK_DELIVERY, server.node_id,
                        f"{router.node_id}->{server.node_id}", delay)
+                # The truth's arrays are rows of its batch's stacks. A node
+                # that may keep what this visit returns gets them from a copy
+                # of their own, so no stored entry holds a batch's stacks.
+                if dev.store is not None or router.store is not None or server.store is not None:
+                    truth = _owned(truth)
                 outcome = server_handle(server, outcome.envelope, lookup_us, now=now,
-                                        own=self._truths[key])
+                                        own=truth)
                 now = yield from self._steps(outcome, server.node_id, now)
                 # The server's deferred effects apply when its visit ends.
                 if outcome.entry is not None:
@@ -354,7 +382,7 @@ class Simulation:
         payload = outcome.payload
         envelope = outcome.envelope
         accurate = (None if payload.reuse_layer is _NO_REUSE
-                    else _agrees(self._truths[key], payload))
+                    else _agrees(truth, payload))
         self.records.append(TaskRecord(envelope.task_id, envelope.device_id, *key,
                                        envelope.created_at, now, payload.reuse_layer, accurate))
         self.outstanding -= 1
@@ -403,23 +431,8 @@ class Simulation:
         nodes, stores and report, and leaves earlier reports as they were."""
         if threshold is not None:
             threshold = check_threshold(threshold)
-        rows = self.rows
-        n = len(rows)
-        if rows and not self._truths:
-            # The first replay fingerprints every input of the checked bundle
-            # in one batched pass; the trace's inputs keep their queries.
-            # Then one oracle pass per service runs each input the trace
-            # sends to it, bit for bit as executing that input alone would.
-            ids_of: dict[str, set[int]] = {}
-            for row, _ in rows:
-                ids_of.setdefault(row.service_id, set()).add(row.vector_id)
-            queries = self.family._prepare_rows(self.vectors)
-            self._queries = {vector_id: queries[vector_id]
-                             for vector_id in set().union(*ids_of.values())}
-            for service_id, ids in ids_of.items():
-                ids = sorted(ids)
-                for vector_id, truth in zip(ids, oracle(self.catalog[service_id], self.vectors[ids])):
-                    self._truths[(service_id, vector_id)] = truth
+        trace = self.trace
+        n = len(trace)
         self._build_nodes()
         self.table = partition_hash_space([s.node_id for s in self.servers.values()])
         self.heap: list[tuple] = []
@@ -431,32 +444,24 @@ class Simulation:
         # every arrival had been scheduled up front.
         self.event_rows: list[tuple] | None = None
         if event_log:
-            self.event_rows = [(row.time_us, i, EVENT_TASK_ARRIVAL, row.device_id, i, "", 0)
-                               for i, (row, _) in enumerate(rows)]
+            devices = map(trace.device_ids.__getitem__, trace.device.tolist())
+            self.event_rows = [(time_us, i, EVENT_TASK_ARRIVAL, device_id, i, "", 0)
+                               for i, (time_us, device_id)
+                               in enumerate(zip(trace.time_us.tolist(), devices))]
         self.seq = n
-        if rows and self.config.control.window_us > 0:
+        if n and self.config.control.window_us > 0:
             self._advance(self._control(), "")
 
         # Arrivals stream from the trace, merged with the heap by (time,
-        # seq). The sort is stable, so tied arrivals keep trace order, and
-        # an arrival's seq is below every scheduled event's, so it goes
-        # first at a tied time. The heap holds only in-flight events.
-        arrivals = sorted(range(n), key=lambda i: rows[i][0].time_us)
+        # seq). An arrival's seq is below every scheduled event's, so it
+        # goes first at a tied time. The heap holds only in-flight events.
+        arrivals = self._arrivals(threshold)
+        arrival = next(arrivals, None)
         heap = self.heap
-        k = 0
-        while k < n or heap:
-            if k < n and (not heap or rows[arrivals[k]][0].time_us <= heap[0][0]):
-                task_id = arrivals[k]
-                k += 1
-                row, row_threshold = rows[task_id]
-                time_us = row.time_us
-                # The query travels with the task; tasks with the same input
-                # share it. Both the row under it and the threshold were
-                # checked at load.
-                envelope = TaskEnvelope._of_query(
-                    task_id, row.device_id, row.service_id, self._queries[row.vector_id],
-                    row_threshold if threshold is None else threshold, time_us)
-                process = self._task(envelope, row.vector_id, time_us)
+        while arrival is not None or heap:
+            if arrival is not None and (not heap or arrival[0] <= heap[0][0]):
+                time_us, task_id, process = arrival
+                arrival = next(arrivals, None)
             else:
                 time_us, _, process, task_id = heapq.heappop(heap)
             if time_us < self.clock:
@@ -472,6 +477,46 @@ class Simulation:
         self.records.sort(key=lambda r: r.task_id)
         self._sample_window(self.clock)
         return MetricsReport(self.records, self._aggregate(), self.event_rows)
+
+    def _arrivals(self, threshold: float | None):
+        """Yield (time_us, task_id, process) for every task, in arrival
+        order: by time, tied rows in trace order.
+
+        The arrivals are taken in batches of _BATCH_TASKS. When a batch's
+        first arrival is due, its distinct inputs are signed in one batched
+        pass and its distinct (service, input) pairs run in one oracle pass
+        per service. Each task's process holds its own query and truth, so
+        a batch's are dropped as its tasks complete: what the passes keep
+        follows the tasks in flight, not the trace's length.
+        """
+        trace, vectors = self.trace, self.vectors
+        device_ids, service_ids = trace.device_ids, trace.service_ids
+        order = np.argsort(trace.time_us, kind="stable")
+        for start in range(0, len(order), _BATCH_TASKS):
+            tasks = order[start:start + _BATCH_TASKS]
+            vector_ids = trace.vector_id[tasks]
+            services = trace.service[tasks]
+            inputs, input_of = np.unique(vector_ids, return_inverse=True)
+            queries = self.family._prepare_rows(vectors, inputs.tolist())
+            # A pair's key orders pairs by service code, then vector id.
+            pairs, pair_of = np.unique(services.astype(np.int64) * len(vectors) + vector_ids,
+                                       return_inverse=True)
+            codes, pair_inputs = np.divmod(pairs, len(vectors))
+            truths = []
+            for code in dict.fromkeys(codes.tolist()):
+                truths += oracle(self.catalog[service_ids[code]], vectors[pair_inputs[codes == code]])
+            thresholds = (self.thresholds[tasks].tolist() if threshold is None
+                          else itertools.repeat(threshold))
+            for task_id, time_us, device, service, vector_id, q, p, task_threshold in zip(
+                    tasks.tolist(), trace.time_us[tasks].tolist(), trace.device[tasks].tolist(),
+                    services.tolist(), vector_ids.tolist(), input_of.tolist(), pair_of.tolist(),
+                    thresholds):
+                # The query travels with the task; the batch's tasks with
+                # the same input share it. Both the row under it and the
+                # threshold were checked at load.
+                envelope = TaskEnvelope._of_query(task_id, device_ids[device], service_ids[service],
+                                                  queries[q], task_threshold, time_us)
+                yield time_us, task_id, self._task(envelope, vector_id, truths[p], time_us)
 
     def _aggregate(self) -> dict:
         records = self.records

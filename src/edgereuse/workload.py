@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -346,29 +347,100 @@ def _scan_vectors(path: Path) -> np.ndarray:
 
 TRACE_HEADER = ["time_us", "device_id", "service_id", "vector_id", "threshold"]
 
+# A trace's time_us and vector_id are integers in [0, TRACE_INT_MAX]: the
+# int64 columns hold them, and every time a replay writes stays below the
+# largest float that metrics.json admits.
+TRACE_INT_MAX = 2**63 - 1
+# Rows parsed per step of the trace reader: its row lists live one step.
+_TRACE_CHUNK = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """A trace as read-only typed columns, index i being the file's data
+    row i (row i + 2, the header being row 1).
+
+    ``device`` and ``service`` are codes into ``device_ids`` and
+    ``service_ids``, the distinct ids in order of first appearance, so the
+    trace keeps one str per id, not one per row.
+    """
+
+    time_us: np.ndarray       # int64
+    device: np.ndarray        # int32 codes into device_ids
+    service: np.ndarray       # int32 codes into service_ids
+    vector_id: np.ndarray     # int64
+    threshold: np.ndarray     # float64
+    device_ids: tuple[str, ...]
+    service_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.time_us)
+
 
 def write_trace_csv(path, rows: list[TraceRow]) -> None:
     write_csv(path, TRACE_HEADER, ([r.time_us, r.device_id, r.service_id, r.vector_id,
                                     repr(float(r.threshold))] for r in rows))
 
 
-def read_trace_csv(path) -> list[TraceRow]:
+def read_trace_csv(path) -> TraceColumns:
+    """Read trace.csv as TraceColumns. time_us and vector_id must be
+    integers in [0, TRACE_INT_MAX].
+
+    The rows are parsed a chunk at a time, column by column, with int() and
+    float() as a row-by-row read would. A file that this rejects is read
+    again by the row-by-row reference, which names the first bad row; so
+    the accepted files, their values and the errors are those of the
+    row-by-row read.
+    """
     path = Path(path)
     rows = _csv_rows(path)
     if next(rows, (1, None))[1] != TRACE_HEADER:
         raise ValueError(f"{path}: not a trace file (expected header {','.join(TRACE_HEADER)})")
-    out = []
-    for lineno, fields in rows:
-        # Filled as TraceRow(...) fills it, without the object.__setattr__
-        # per field that a frozen __init__ pays; TraceRow checks nothing.
-        trace_row = object.__new__(TraceRow)
+    times, vector_ids, thresholds = array("q"), array("q"), array("d")
+    devices, services = array("i"), array("i")
+    device_code: dict[str, int] = {}
+    service_code: dict[str, int] = {}
+    try:
+        while chunk := [fields for _, fields in itertools.islice(rows, _TRACE_CHUNK)]:
+            if set(map(len, chunk)) != {5}:
+                raise ValueError("a row without 5 fields")
+            t, d, s, v, th = zip(*chunk)
+            times.extend(map(int, t))
+            devices.extend(_codes(device_code, d))
+            services.extend(_codes(service_code, s))
+            vector_ids.extend(map(int, v))
+            thresholds.extend(map(float, th))
+        columns = [np.frombuffer(a, dtype=dtype) for a, dtype in (
+            (times, np.int64), (devices, np.int32), (services, np.int32),
+            (vector_ids, np.int64), (thresholds, np.float64))]
+        if len(times) and min(columns[0].min(), columns[3].min()) < 0:
+            raise ValueError("a negative integer")
+    except (ValueError, OverflowError):  # UnicodeDecodeError included
+        _scan_trace(path)
+        raise RuntimeError(f"{path}: the row-by-row read accepts a trace that the reader rejects")
+    for column in columns:
+        column.setflags(write=False)
+    return TraceColumns(*columns, tuple(device_code), tuple(service_code))
+
+
+def _codes(code_of: dict[str, int], ids):
+    # Each id's code, a new id taking the next; code_of keeps the first
+    # appearance's str.
+    for new in dict.fromkeys(ids):
+        code_of.setdefault(new, len(code_of))
+    return map(code_of.__getitem__, ids)
+
+
+def _scan_trace(path: Path) -> None:
+    """The row-by-row read: raises at the first bad row, naming it."""
+    for lineno, fields in itertools.islice(_csv_rows(path), 1, None):
         try:
             if len(fields) != 5:
                 raise ValueError(f"expected 5 fields, got {len(fields)}")
-            trace_row.__dict__.update(time_us=int(fields[0]), device_id=fields[1],
-                                      service_id=fields[2], vector_id=int(fields[3]),
-                                      threshold=float(fields[4]))
+            values = {"time_us": int(fields[0]), "vector_id": int(fields[3])}
+            float(fields[4])
+            for name, value in values.items():
+                if not 0 <= value <= TRACE_INT_MAX:
+                    raise ValueError(f"{name} must be in [0, {TRACE_INT_MAX}]")
         except ValueError as exc:
             raise ValueError(f"{path}: row {lineno}: {exc}") from None
-        out.append(trace_row)
-    return out

@@ -225,6 +225,50 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith(f"error: {path}: row 7: {why}")
 
+    @staticmethod
+    def _without_windows_last_row_at(bundle, time_us):
+        # No control windows, so no window count bounds the trace's times.
+        experiment = json.loads((bundle / "experiment.json").read_text())
+        experiment["control"]["window_us"] = 0
+        write_json(bundle / "experiment.json", experiment)
+        path = bundle / "trace.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[0] = str(time_us)
+        lines[-1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return path, len(lines)
+
+    @pytest.mark.parametrize("time_us, why", [
+        (-1, "time_us must be in [0, 9223372036854775807]"),
+        (2**63, "time_us must be in [0, 9223372036854775807]"),
+        (10**400, "time_us must be in [0, 9223372036854775807]")],
+        ids=["negative", "past-int64", "10**400"])
+    def test_trace_time_out_of_range_is_one_error_line(self, tmp_path, capsys, time_us, why):
+        bundle = generate(tmp_path)
+        path, row = self._without_windows_last_row_at(bundle, time_us)
+        capsys.readouterr()
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: row {row}: {why}"]
+        assert not (tmp_path / "r").exists()
+
+    def test_largest_trace_time_replays_to_a_readable_report(self, tmp_path, capsys):
+        # Every file a replay writes is one its reader accepts: the last
+        # task's completion lands past int64, as a Python int, and far
+        # below the largest float metrics.json admits.
+        bundle = generate(tmp_path)
+        self._without_windows_last_row_at(bundle, 2**63 - 1)
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(bundle / "experiment.json"), "--out", str(out)]) == 0
+        makespan = json.loads((out / "metrics.json").read_text())["makespan_us"]
+        assert 2**63 - 1 < makespan < sys.float_info.max
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(out / "metrics.json")]) == 0
+        assert "makespan" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["vectors.csv", "trace.csv"])
     @pytest.mark.parametrize("line", [1, 7, -1], ids=["header", "row-7", "last-row"])
     def test_non_utf8_byte_is_one_error_line(self, tmp_path, capsys, name, line):

@@ -2,9 +2,11 @@
 of mutated CSVs.
 
 ``read_vectors_csv`` parses the values in one np.loadtxt pass, and
-``read_trace_csv`` fills its rows without the frozen __init__. Their accepted
-files, arrays, rows and ``row N`` errors must be those of the row-by-row
-readers below, which are the readers as they were before either change.
+``read_trace_csv`` parses a chunk of rows at a time into typed columns. Their
+accepted files, arrays, rows and ``row N`` errors must be those of the
+row-by-row readers below, which are the readers as they were before either
+change, with the trace's one range rule: time_us and vector_id are integers
+in [0, 2**63 - 1], the int64 columns' range less the negatives.
 """
 
 import csv
@@ -24,7 +26,8 @@ from edgereuse import workload
 from edgereuse.cli import write_bundle
 from edgereuse.config import ConfigError, load_experiment
 from edgereuse.simulator import Simulation, SimulationError
-from edgereuse.workload import TRACE_HEADER, TraceRow, read_trace_csv, read_vectors_csv
+from edgereuse.workload import (TRACE_HEADER, TRACE_INT_MAX, TraceRow, read_trace_csv,
+                                read_vectors_csv)
 
 
 # -- the reference readers -------------------------------------------------
@@ -64,7 +67,11 @@ def oracle_read_trace_csv(path) -> list[TraceRow]:
             if len(row) != 5:
                 raise ValueError(f"{path}: row {lineno}: expected 5 fields, got {len(row)}")
             try:
-                rows.append(TraceRow(int(row[0]), row[1], row[2], int(row[3]), float(row[4])))
+                time_us, vector_id, threshold = int(row[0]), int(row[3]), float(row[4])
+                for name, value in (("time_us", time_us), ("vector_id", vector_id)):
+                    if not 0 <= value <= 2**63 - 1:
+                        raise ValueError(f"{name} must be in [0, {2**63 - 1}]")
+                rows.append(TraceRow(time_us, row[1], row[2], vector_id, threshold))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {lineno}: {exc}") from None
     return rows
@@ -82,6 +89,26 @@ def trace_key(rows):
     # Bit patterns, so that NaN thresholds and their signs compare too.
     return [(r.time_us, r.device_id, r.service_id, r.vector_id, struct.pack("<d", r.threshold))
             for r in rows]
+
+
+def column_rows(trace):
+    """TraceColumns as the TraceRows they hold, after checking the columns'
+    types: read-only int64, int32 code and float64 arrays of one length,
+    and codes into tables of distinct ids."""
+    columns = {"time_us": np.int64, "device": np.int32, "service": np.int32,
+               "vector_id": np.int64, "threshold": np.float64}
+    for name, dtype in columns.items():
+        column = getattr(trace, name)
+        assert column.dtype == dtype and column.shape == (len(trace),), name
+        assert not column.flags.writeable, name
+    for codes, ids in ((trace.device, trace.device_ids), (trace.service, trace.service_ids)):
+        assert all(type(i) is str for i in ids) and len(set(ids)) == len(ids)
+        # Every id is used, and the first use of code c comes before code c + 1's.
+        assert list(dict.fromkeys(codes.tolist())) == list(range(len(ids)))
+    return [TraceRow(*fields) for fields in zip(
+        trace.time_us.tolist(), map(trace.device_ids.__getitem__, trace.device.tolist()),
+        map(trace.service_ids.__getitem__, trace.service.tolist()), trace.vector_id.tolist(),
+        trace.threshold.tolist())]
 
 
 def rows_are_plain(path):
@@ -110,12 +137,15 @@ def assert_vectors_agree(path):
         assert got[1] == want[1]
 
 
-def assert_traces_agree(path):
+def assert_traces_agree(path, chunk=None):
+    """Both readers accept with the same values, or reject with the same
+    message; with ``chunk``, the reader parses that many rows at a time."""
     want = outcome(oracle_read_trace_csv, path)
-    got = outcome(read_trace_csv, path)
+    with mock.patch.object(workload, "_TRACE_CHUNK", chunk or workload._TRACE_CHUNK):
+        got = outcome(read_trace_csv, path)
     assert got[0] == want[0], (got, want)
     if want[0] == "ok":
-        assert trace_key(got[1]) == trace_key(want[1])
+        assert trace_key(column_rows(got[1])) == trace_key(want[1])
     else:
         assert got[1] == want[1]
 
@@ -180,6 +210,14 @@ TRACE_CASES = {
     "CRLF, no final newline": T_HEAD.replace("\n", "\r\n") + "100,dev0,svc,0,0.8\r\n200,dev0,svc,0,0.8",
     "header only": T_HEAD,
     "bad header": "time,device\n",
+    "largest time and vector id": T_HEAD + f"{2**63 - 1},dev0,svc,{2**63 - 1},0.8\n",
+    "time past int64": T_HEAD + f"100,dev0,svc,0,0.8\n{2**63},dev0,svc,0,0.8\n",
+    "time of 10**400": T_HEAD + f"{10**400},dev0,svc,0,0.8\n",
+    "negative time": T_HEAD + "100,dev0,svc,0,0.8\n-1,dev0,svc,0,0.8\n",
+    "negative vector id": T_HEAD + "100,dev0,svc,-1,0.8\n",
+    "vector id past int64": T_HEAD + f"100,dev0,svc,{2**64},0.8\n",
+    "ids first seen late": T_HEAD + "".join(f"{i},dev{i % 3},svc-{i // 2},{i},0.8\n"
+                                           for i in range(7)),
 }
 
 
@@ -194,7 +232,8 @@ def test_vectors_reader_matches_row_by_row_reader(tmp_path, name):
 def test_trace_reader_matches_row_by_row_reader(tmp_path, name):
     path = tmp_path / "trace.csv"
     path.write_text(TRACE_CASES[name], newline="", encoding="utf-8")
-    assert_traces_agree(path)
+    for chunk in (None, 1, 2):
+        assert_traces_agree(path, chunk)
 
 
 @pytest.mark.parametrize("name, row", [
@@ -227,15 +266,22 @@ def test_generated_vectors_take_the_single_pass(tmp_path, rng):
     assert back.tobytes() == m.tobytes()
 
 
-def test_trace_rows_stay_frozen_dataclasses(tmp_path):
+def test_trace_reads_as_read_only_columns(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text(TRACE_CASES["plain"], encoding="utf-8")
-    row = read_trace_csv(path)[0]
-    built = TraceRow(100, "dev0", "svc", 0, 0.8)
-    assert row == built and hash(row) == hash(built) and vars(row) == vars(built)
+    path.write_text(TRACE_CASES["plain"] + "300,dev0,svc,0,0.8\n", encoding="utf-8")
+    trace = read_trace_csv(path)
+    assert len(trace) == 3
+    assert column_rows(trace) == [TraceRow(100, "dev0", "svc", 0, 0.8),
+                                  TraceRow(250, "dev1", "svc", 1, 0.9),
+                                  TraceRow(300, "dev0", "svc", 0, 0.8)]
+    # One str per id, however many rows name it.
+    assert trace.device_ids == ("dev0", "dev1") and trace.service_ids == ("svc",)
+    assert trace.device.tolist() == [0, 1, 0] and trace.service.tolist() == [0, 0, 0]
+    assert TRACE_INT_MAX == np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="read-only"):
+        trace.time_us[0] = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
-        row.time_us = 5
-    assert dataclasses.replace(row, service_id="other") == TraceRow(100, "dev0", "other", 0, 0.8)
+        trace.time_us = np.zeros(3, dtype=np.int64)
 
 
 # -- mutated files ---------------------------------------------------------
@@ -321,7 +367,7 @@ def test_mutated_vectors_read_as_row_by_row(tmp_path_factory, data):
 def test_mutated_traces_read_as_row_by_row(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated-trace.csv"
     path.write_text(data.draw(mutated_csv(SMALL_TRACE)), newline="", encoding="utf-8")
-    assert_traces_agree(path)
+    assert_traces_agree(path, data.draw(st.sampled_from([None, 1, 2])))
 
 
 # -- replays of mutated bundles --------------------------------------------

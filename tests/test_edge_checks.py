@@ -167,24 +167,72 @@ def _record_calls(monkeypatch, bindings):
     return calls
 
 
+def _record_prepared(monkeypatch):
+    """Wrap LshFamily._prepare_rows; returns the list of each pass's
+    (family, matrix, rows, queries)."""
+    passes = []
+    prepare_rows = LshFamily._prepare_rows
+
+    def recorded(family, m, rows):
+        queries = prepare_rows(family, m, rows)
+        passes.append((family, m, list(rows), queries))
+        return queries
+
+    monkeypatch.setattr(LshFamily, "_prepare_rows", recorded)
+    return passes
+
+
+def _trace_row(sim, task_id):
+    """Row task_id of the simulation's trace, as Python values."""
+    t = sim.trace
+    return (t.time_us.tolist()[task_id], t.device_ids[t.device[task_id]],
+            t.service_ids[t.service[task_id]], t.vector_id.tolist()[task_id],
+            sim.thresholds.tolist()[task_id])
+
+
 def test_each_distinct_input_is_prepared_once(tmp_path, monkeypatch):
+    # This 400-task trace is one batch of arrivals, so each input is
+    # prepared once for the replay.
+    check_inputs_prepared_once_per_batch(tmp_path, monkeypatch)
+
+
+def test_each_distinct_input_is_prepared_once_per_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr(edgereuse.simulator, "_BATCH_TASKS", 64)
+    check_inputs_prepared_once_per_batch(tmp_path, monkeypatch)
+
+
+def check_inputs_prepared_once_per_batch(tmp_path, monkeypatch):
+    batch_tasks = edgereuse.simulator._BATCH_TASKS
+    passes = _record_prepared(monkeypatch)
     sim = _simulation(tmp_path)
-    assert sim._queries == {}, "queries are made during replay, not in set-up"
+    assert passes == [], "queries are made during replay, not in set-up"
     offered = _record_calls(monkeypatch, [(edgereuse.simulator, "device_offload")])
     sim.run()
     assert not sim.vectors.flags.writeable
-    vector_of = {task_id: row.vector_id for task_id, (row, _) in enumerate(sim.rows)}
+    vector_of = dict(enumerate(sim.trace.vector_id.tolist()))
+    # Tasks are offered to their device in arrival order, so the k-th
+    # offered task is in batch k // batch_tasks.
+    assert len(offered) == len(vector_of)
     query_of_vector = {}
-    for _, task, *_ in offered:
+    for k, (_, task, *_) in enumerate(offered):
         q = task.query
         assert task.input is q.vector
-        # A task whose input repeats gets the very query of the first.
-        assert query_of_vector.setdefault(vector_of[task.task_id], q) is q
+        # A task whose input repeats in its batch gets the very query of the first.
+        key = (k // batch_tasks, vector_of[task.task_id])
+        assert query_of_vector.setdefault(key, q) is q
     distinct = set(vector_of.values())
-    assert len(distinct) < len(sim.rows), "the bundle should repeat some inputs"
-    assert query_of_vector.keys() == sim._queries.keys() == distinct
-    for vid, q in sim._queries.items():
-        assert q is query_of_vector[vid]
+    assert len(distinct) < len(vector_of), "the bundle should repeat some inputs"
+    assert len(passes) == -(-len(vector_of) // batch_tasks)
+    prepared = {}
+    for b, (family, m, rows, queries) in enumerate(passes):
+        assert family is sim.family and m is sim.vectors
+        assert len(rows) == len(set(rows)) == len(queries)
+        prepared.update(((b, vid), q) for vid, q in zip(rows, queries))
+    assert query_of_vector.keys() == prepared.keys()
+    assert {vid for _, vid in prepared} == distinct
+    for key, q in prepared.items():
+        vid = key[1]
+        assert q is query_of_vector[key]
         fresh = sim.family.prepare(sim.vectors[vid])
         assert q.vector.tobytes() == fresh.vector.tobytes()
         assert np.float64(q.norm).tobytes() == np.float64(fresh.norm).tobytes()
@@ -194,30 +242,36 @@ def test_each_distinct_input_is_prepared_once(tmp_path, monkeypatch):
 
 
 def test_replay_signs_its_inputs_in_one_batch(tmp_path, monkeypatch):
-    # Every input is fingerprinted in one batched pass when run() starts;
-    # no task signs its input one vector at a time.
+    # Every input of a batch of arrivals is fingerprinted in one batched
+    # pass when the batch's first task arrives; no task signs its input
+    # one vector at a time. This 400-task trace is one batch.
     sim = _simulation(tmp_path)
     single = _record_calls(monkeypatch, [(LshFamily, "_prepare_valid")])
     batches = _record_calls(monkeypatch, [(LshFamily, "_prepare_rows")])
-    assert batches == [] and sim._queries == {}
+    assert len(sim.trace) <= edgereuse.simulator._BATCH_TASKS
+    assert batches == []
     sim.run()
     assert single == []
     assert len(batches) == 1 and batches[0][0] is sim.family and batches[0][1] is sim.vectors
-    assert sim._queries.keys() == {row.vector_id for row, _ in sim.rows}
+    assert batches[0][2] == sorted(set(sim.trace.vector_id.tolist()))
 
 
 def test_trusted_envelope_equals_a_checked_one(tmp_path, monkeypatch):
     # The replay builds each envelope without __post_init__; it must be the
     # envelope the public constructor would have made from the same fields.
+    passes = _record_prepared(monkeypatch)
     sim = _simulation(tmp_path)
     offered = _record_calls(monkeypatch, [(edgereuse.simulator, "device_offload")])
     sim.run()
-    assert len(offered) == len(sim.rows)
+    assert len(offered) == len(sim.trace)
+    # One batch, so one query per vector id.
+    [(_, _, rows, queries)] = passes
+    query_of = dict(zip(rows, queries))
     fields = [f.name for f in dataclasses.fields(TaskEnvelope)]
     for _, task, *_ in offered:
-        row, threshold = sim.rows[task.task_id]
-        checked = TaskEnvelope(task.task_id, row.device_id, row.service_id, task.query.vector,
-                               threshold, created_at=row.time_us, query=task.query)
+        time_us, device_id, service_id, vector_id, threshold = _trace_row(sim, task.task_id)
+        checked = TaskEnvelope(task.task_id, device_id, service_id, task.query.vector,
+                               threshold, created_at=time_us, query=task.query)
         assert type(task) is TaskEnvelope
         for name in fields:
             a, b = getattr(task, name), getattr(checked, name)
@@ -226,7 +280,7 @@ def test_trusted_envelope_equals_a_checked_one(tmp_path, monkeypatch):
                 assert a is b is task.query.vector
             else:
                 assert a == b, name
-        assert task.query is sim._queries[row.vector_id]
+        assert task.query is query_of[vector_id]
         with pytest.raises(dataclasses.FrozenInstanceError):
             task.threshold = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -211,24 +211,28 @@ class TestOneSigningKernel:
     def test_prepared_rows_equal_single_preparation(self, dim, tables, seed, data):
         # The replay's batched pass gives every row of a checked bundle the
         # norm and bits that preparing that row alone gives, and keeps the
-        # row itself, not a copy.
+        # row itself, not a copy; so does a pass over any subset of rows,
+        # in any order and with repeats, as the replay's batches sign.
         fam = LshFamily(dim, k=16, tables=tables, seed=seed)
         m = _near_plane_rows(fam, data.draw(st.integers(0, tables - 1)), data, seed)
         norms = np.random.default_rng(seed).choice(_ROW_NORMS, size=len(m))
         m *= (norms / np.linalg.norm(m, axis=1))[:, None]
         m = np.delete(m, unsignable_rows(m), axis=0)
         m.setflags(write=False)
-        queries = fam._prepare_rows(m)
-        assert len(queries) == len(m)
-        for row, q in zip(m, queries):
-            single = fam._prepare_valid(row)
-            assert q.family is fam
-            assert np.float64(q.norm).tobytes() == np.float64(single.norm).tobytes()
-            assert q.bits == single.bits
-            assert all(type(b) is int for b in q.bits) and type(q.norm) is float
-            assert np.shares_memory(q.vector, row) and q.vector.tobytes() == row.tobytes()
-            assert not q.vector.flags.writeable
-            assert input_norm(row) == float(np.linalg.norm(row))
+        subset = data.draw(st.lists(st.integers(0, max(len(m) - 1, 0)), max_size=2 * len(m)))
+        for rows in (list(range(len(m))), subset):
+            queries = fam._prepare_rows(m, rows)
+            assert len(queries) == len(rows)
+            for i, q in zip(rows, queries):
+                row = m[i]
+                single = fam._prepare_valid(row)
+                assert q.family is fam
+                assert np.float64(q.norm).tobytes() == np.float64(single.norm).tobytes()
+                assert q.bits == single.bits
+                assert all(type(b) is int for b in q.bits) and type(q.norm) is float
+                assert np.shares_memory(q.vector, row) and q.vector.tobytes() == row.tobytes()
+                assert not q.vector.flags.writeable
+                assert input_norm(row) == float(np.linalg.norm(row))
 
 
 @pytest.mark.parametrize("sign", [

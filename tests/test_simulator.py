@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import json
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +415,50 @@ class TestTraceValidation:
         msg = self.error_for(tmp_path, fresh_vector(), rows)
         assert "row 4" in msg
 
+    @staticmethod
+    def row_by_row_error(cfg, catalog, n_vectors, rows):
+        """The first bad row and the first check it fails, as a per-row walk
+        over the trace finds them; None for a trace that passes."""
+        devices = {d.node_id for d in cfg.topology.devices}
+        for lineno, row in enumerate(rows, start=2):
+            threshold = cfg.thresholds.get(row.service_id, row.threshold)
+            for bad, why in ((row.device_id not in devices, f"unknown device {row.device_id!r}"),
+                             (row.service_id not in catalog, f"unknown service {row.service_id!r}"),
+                             (not row.vector_id < n_vectors, f"unknown vector {row.vector_id}"),
+                             (not 0.0 <= threshold <= 1.0,
+                              f"threshold {threshold} outside [0, 1]")):
+                if bad:
+                    return f"{cfg.trace_path}: row {lineno}: {why}"
+        return None
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields=st.lists(st.tuples(st.sampled_from(["dev0", "ghost"]),
+                                     st.sampled_from(["voice-command", "scene-render", "nope"]),
+                                     st.integers(0, 3),
+                                     st.sampled_from([0.0, 0.8, 1.0, 1.5, -0.25, float("nan")])),
+                           min_size=1, max_size=6))
+    def test_columns_are_checked_as_row_by_row(self, tmp_path_factory, fields):
+        # The load checks whole columns at once; it must name the row and
+        # the reason that checking row by row names. scene-render's
+        # threshold comes from the experiment, whatever its rows say.
+        out = tmp_path_factory.getbasetemp() / "checked-columns"
+        out.mkdir(exist_ok=True)
+        rows = [TraceRow(10 * i, *f) for i, f in enumerate(fields)]
+        build_bundle(out, fresh_vector(n=2), rows)
+        data = json.loads((out / "experiment.json").read_text())
+        data["thresholds"] = {"scene-render": 0.7}
+        write_json(out / "experiment.json", data)
+        cfg = load_experiment(out / "experiment.json")
+        want = self.row_by_row_error(cfg, cfg.service_map(), 2, rows)
+        try:
+            sim = Simulation(cfg)
+        except SimulationError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            assert sim.thresholds.tolist() == [
+                cfg.thresholds.get(row.service_id, row.threshold) for row in rows]
+
     def test_dim_mismatch(self, tmp_path, monkeypatch):
         # The width is checked before anything is sized by dim.
         def no_family(*args, **kwargs):
@@ -604,9 +650,10 @@ class TestSweep:
 
 
 class TestGroundTruthPass:
-    """Every (service, input) pipeline of the trace runs once, in one oracle
-    pass per service when the replay starts; servers take a task's own stage
-    outputs from it and reused results are judged against it."""
+    """Every (service, input) pipeline of a batch of arrivals runs once, in
+    one oracle pass per service when the batch's first task arrives; servers
+    take a task's own stage outputs from it and reused results are judged
+    against it."""
 
     @pytest.fixture(scope="class")
     def mixed_1200(self, tmp_path_factory):
@@ -649,6 +696,9 @@ class TestGroundTruthPass:
 
     def test_oracle_runs_once_per_service_over_the_trace_pairs(self, mixed_1200,
                                                                 monkeypatch):
+        # Once per service of each batch of arrivals: a batch's inputs are
+        # signed in one pass, then each of its services runs one oracle
+        # pass over the batch's distinct inputs to it, in ascending order.
         calls = []
         oracle = edgereuse.simulator.oracle
 
@@ -657,30 +707,36 @@ class TestGroundTruthPass:
             return oracle(svc, xs)
 
         monkeypatch.setattr(edgereuse.simulator, "oracle", counted)
-        batches = []
         prepare_rows = LshFamily._prepare_rows
 
-        def counted_batch(family, xs):
-            batches.append(len(xs))
-            return prepare_rows(family, xs)
+        def counted_batch(family, m, rows):
+            calls.append(("signed", list(rows)))
+            return prepare_rows(family, m, rows)
 
         monkeypatch.setattr(LshFamily, "_prepare_rows", counted_batch)
         sim = Simulation(load_experiment(mixed_1200 / "experiment.json"))
-        assert calls == [] and sim._truths == {}, "the pass runs in run(), not in set-up"
-        assert batches == []
+        assert calls == [], "the passes run in run(), not in set-up"
         sim.run()
-        assert len(batches) == 1
-        pairs = {(row.service_id, row.vector_id) for row, _ in sim.rows}
-        services = [service_id for service_id, _ in calls]
-        assert sorted(services) == sorted({service_id for service_id, _ in pairs})
-        for service_id, rows in calls:
-            ids = sorted(v for s, v in pairs if s == service_id)
-            assert rows == [sim.vectors[v].tobytes() for v in ids]
-        assert set(sim._truths) == pairs
-        # Both passes depend on the inputs alone, so a second replay reuses them.
-        calls.clear()
+        trace, size = sim.trace, edgereuse.simulator._BATCH_TASKS
+        order = np.argsort(trace.time_us, kind="stable").tolist()
+        assert len(order) > size, "the trace should span more than one batch"
+        expected = []
+        for start in range(0, len(order), size):
+            tasks = order[start:start + size]
+            pairs = {(trace.service_ids[trace.service[t]], int(trace.vector_id[t])) for t in tasks}
+            expected.append(("signed", sorted({v for _, v in pairs})))
+            for service_id in sorted({s for s, _ in pairs}):
+                ids = sorted(v for s, v in pairs if s == service_id)
+                expected.append((service_id, [sim.vectors[v].tobytes() for v in ids]))
+        batches = [i for i, call in enumerate(calls) if call[0] == "signed"]
+        # The services of a batch may run in any order.
+        got = [call for i, j in zip(batches, batches[1:] + [len(calls)])
+               for call in [calls[i]] + sorted(calls[i + 1:j])]
+        assert got == expected
+        # A later replay redoes both passes, the same way.
+        first, calls[:] = list(calls), []
         sim.run(threshold=0.9)
-        assert calls == [] and len(batches) == 1
+        assert calls == first
 
     def test_storeless_replay_executes_no_stage(self, mixed_1200, tmp_path, monkeypatch):
         bundle = shutil.copytree(mixed_1200, tmp_path / "no-store")
@@ -728,3 +784,65 @@ class TestAccuracyPredicate:
         truth = ServiceResult(truth, labels[0])
         payload = ResultPayload(reused, labels[1], ReuseLayer.DEVICE)
         assert _agrees(truth, payload) == results_equal(truth, payload)
+
+
+class TestReplayMemory:
+    """A replay holds in proportion to the bundle (the vectors matrix and the
+    trace's columns), to its output (one record per task) and to its stores'
+    capacities; everything else follows the tasks in flight."""
+
+    # Growth of run()'s traced peak per task from 1K to 4K `mixed` tasks,
+    # net of the vectors matrix. With every input's query and truth kept
+    # for the whole trace this read 1,676 B; it reads 563 B with them kept
+    # per batch of arrivals: a TaskRecord with its ints and its place in
+    # the records list (about 330 B), stores still filling toward their
+    # capacities (about 170 B) and the trace's columns (about 40 B). The
+    # bound leaves about 40% above the present figure.
+    BYTES_PER_TASK = 800
+
+    @staticmethod
+    def run_peak(tmp_path, tasks):
+        from edgereuse.cli import write_bundle
+        write_bundle(dataclasses.replace(builtin_profiles()["mixed"], tasks=tasks), 42, tmp_path)
+        cfg = load_experiment(tmp_path / "experiment.json")
+        # Untraced, so that what a first replay in the process loads once
+        # (cached transforms, modules numpy imports lazily) is not counted.
+        Simulation(cfg).run()
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg)
+            tracemalloc.reset_peak()
+            sim.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - sim.vectors.nbytes
+
+    def test_run_peak_grows_by_its_records_per_task(self, tmp_path):
+        small = self.run_peak(tmp_path / "1k", 1000)
+        large = self.run_peak(tmp_path / "4k", 4000)
+        per_task = (large - small) / 3000
+        assert per_task < self.BYTES_PER_TASK, f"{per_task:.0f} B per task"
+
+    def test_stored_entries_keep_no_batch_of_truths(self, tmp_path, monkeypatch):
+        # A truth's arrays are rows of its batch's oracle stacks. What a node
+        # keeps of a server visit is built from a copy of the task's own, so
+        # every array a store keeps holds at most one input's stage outputs.
+        monkeypatch.setattr(edgereuse.simulator, "_BATCH_TASKS", 64)
+        from edgereuse.cli import write_bundle
+        write_bundle(dataclasses.replace(builtin_profiles()["mixed"], tasks=600), 42, tmp_path)
+        sim = Simulation(load_experiment(tmp_path / "experiment.json"))
+        sim.run()
+        one_input = max(8 * sum(stage.out_dim for stage in svc.stages)
+                        for svc in sim.catalog.values())
+        kept = collections.Counter()
+        for group in (sim.devices, sim.routers, sim.servers):
+            for node in group.values():
+                for entry_id in node.store.entry_ids() if node.store is not None else ():
+                    entry = node.store.get(entry_id)
+                    for array in (entry.output, *entry.stage_outputs.values()):
+                        while array.base is not None:
+                            array = array.base
+                        assert array.nbytes <= one_input, (node.node_id, entry_id)
+                    kept[type(node).__name__] += 1
+        assert set(kept) == {"DeviceNode", "RouterNode", "ServerNode"}, kept

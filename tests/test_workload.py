@@ -144,7 +144,11 @@ class TestCsvRoundTrips:
                 TraceRow(25, "dev1", "svc-b", 1, 0.9)]
         path = tmp_path / "trace.csv"
         write_trace_csv(path, rows)
-        assert read_trace_csv(path) == rows
+        trace = read_trace_csv(path)
+        assert [TraceRow(t, trace.device_ids[d], trace.service_ids[s], v, th)
+                for t, d, s, v, th in zip(trace.time_us.tolist(), trace.device.tolist(),
+                                          trace.service.tolist(), trace.vector_id.tolist(),
+                                          trace.threshold.tolist())] == rows
 
     def test_trace_header_enforced(self, tmp_path):
         path = tmp_path / "trace.csv"
