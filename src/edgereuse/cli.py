@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .config import (ConfigError, _load_json, _make, default_experiment_data,
                      default_services_data, default_topology_data, load_experiment, write_json)
+from .core import SEED_MAX, check_integer
 from .simulator import (RunMetrics, SimulationError, run_experiment, sweep_thresholds,
                         write_sweep_csv)
 from .workload import (CalibrationError, builtin_profiles, generate_trace,
@@ -65,11 +66,13 @@ def _cmd_generate(args) -> int:
         print(f"error: unknown profile {args.profile!r} (choose from: {known})", file=sys.stderr)
         return 2
     profile = profiles[args.profile]
-    if args.tasks is not None:
-        if args.tasks < 1:
-            print("error: --tasks must be at least 1", file=sys.stderr)
-            return 2
-        profile = dataclasses.replace(profile, tasks=args.tasks)
+    try:
+        if args.tasks is not None:
+            profile = dataclasses.replace(profile, tasks=check_integer("--tasks", args.tasks, 1))
+        check_integer("--seed", args.seed, 0, SEED_MAX)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         stats = write_bundle(profile, args.seed, args.out)
     except CalibrationError as exc:

@@ -91,18 +91,14 @@ class LshFamily:
         Rejects the inputs a store cannot score: wrong dim, NaN or Inf, and
         what input_norm rejects.
         """
-        return self._prepare_valid(as_feature_vector(v, self.dim))
-
-    def _prepare_valid(self, v: np.ndarray) -> PreparedQuery:
-        # For callers that already hold a read-only, finite float64 vector of
-        # length dim: the query keeps v itself, no copy.
+        v = as_feature_vector(v, self.dim)
         return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
 
     def _prepare_rows(self, m: np.ndarray, rows: list[int]) -> list[PreparedQuery]:
-        # _prepare_valid of rows ``rows`` of a read-only, C-contiguous
+        # prepare's queries for rows ``rows`` of a read-only, C-contiguous
         # (n, dim) float64 matrix with no unsignable row (a checked bundle),
-        # in one batched pass. Query j keeps the row view m[rows[j]], no
-        # copy. A row's norm and bits do not depend on the rows beside it.
+        # in one batched pass, but query j keeps the row view m[rows[j]], not
+        # a copy. A row's norm and bits do not depend on the rows beside it.
         sub = m[rows]
         norms = np.sqrt(_row_squares(sub)).tolist()
         columns = sub[:, :, None]

@@ -268,11 +268,16 @@ def _csv_rows(path: Path):
     A byte that is not UTF-8 fails as ``<path>: row N: not valid UTF-8``, N
     being the file line of the first bad byte. The decoder's own error names
     neither, and its position is within a buffered chunk, so the raw file is
-    read again to count lines, on this failure path only.
+    read again to count lines, on this failure path only. A row that csv
+    rejects, a field over csv.field_size_limit(), fails with csv's reason.
     """
+    row = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield from enumerate(csv.reader(fh), start=1)
+            for row, fields in enumerate(csv.reader(fh), start=1):
+                yield row, fields
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {row + 1}: {exc}") from None
     except UnicodeDecodeError:
         data = path.read_bytes()
         try:
@@ -286,11 +291,11 @@ def _csv_rows(path: Path):
 def read_vectors_csv(path) -> np.ndarray:
     """Read vectors.csv as an (n, dim) float64 array, row i being vector i.
 
-    While every row is plain (ASCII, with none of _NOT_FOR_NUMPY), one
-    np.loadtxt pass parses every value. A file with any other row, or one
-    that pass rejects, is read again by the row-by-row reference, which
-    names the first bad row; so the accepted files and the arrays they give
-    are those of the row-by-row read.
+    While every row is plain (ASCII, with none of _NOT_FOR_NUMPY, and no
+    longer than csv's field limit), one np.loadtxt pass parses every value.
+    A file with any other row, or one that pass rejects, is read again by
+    the row-by-row reference, which names the first bad row; so the accepted
+    files and the arrays they give are those of the row-by-row read.
     """
     path = Path(path)
     try:
@@ -302,7 +307,7 @@ def read_vectors_csv(path) -> np.ndarray:
                 return np.empty((0, dim))
             table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                                comments=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError included
+    except (ValueError, csv.Error):  # UnicodeDecodeError included
         return _scan_vectors(path)
     if table.shape[1] != dim + 1:
         return _scan_vectors(path)
@@ -319,8 +324,10 @@ def _numpy_lines(fh):
     """Yield each row left in fh, as it is, for np.loadtxt. Raises
     ValueError at the first row that is not plain, or whose id is not
     int() of the next dense id."""
+    limit = csv.field_size_limit()
     for row, line in enumerate(fh):
-        if not line.isascii() or any(map(line.__contains__, _NOT_FOR_NUMPY)):
+        if (len(line) > limit or not line.isascii()
+                or any(map(line.__contains__, _NOT_FOR_NUMPY))):
             raise ValueError("not a plain row")
         if int(line.partition(",")[0]) != row:
             raise ValueError("vector ids must be dense and ordered")
@@ -351,8 +358,6 @@ TRACE_HEADER = ["time_us", "device_id", "service_id", "vector_id", "threshold"]
 # int64 columns hold them, and every time a replay writes stays below the
 # largest float that metrics.json admits.
 TRACE_INT_MAX = 2**63 - 1
-# Rows parsed per step of the trace reader: its row lists live one step.
-_TRACE_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,64 +388,35 @@ def write_trace_csv(path, rows: list[TraceRow]) -> None:
 
 
 def read_trace_csv(path) -> TraceColumns:
-    """Read trace.csv as TraceColumns. time_us and vector_id must be
-    integers in [0, TRACE_INT_MAX].
+    """Read trace.csv as TraceColumns, one row at a time.
 
-    The rows are parsed a chunk at a time, column by column, with int() and
-    float() as a row-by-row read would. A file that this rejects is read
-    again by the row-by-row reference, which names the first bad row; so
-    the accepted files, their values and the errors are those of the
-    row-by-row read.
+    Each row is checked in this order: 5 fields, int() of time_us and of
+    vector_id, float() of threshold, then time_us and vector_id in
+    [0, TRACE_INT_MAX]. The first bad row raises ``<path>: row N: <reason>``.
     """
     path = Path(path)
     rows = _csv_rows(path)
     if next(rows, (1, None))[1] != TRACE_HEADER:
         raise ValueError(f"{path}: not a trace file (expected header {','.join(TRACE_HEADER)})")
-    times, vector_ids, thresholds = array("q"), array("q"), array("d")
-    devices, services = array("i"), array("i")
-    device_code: dict[str, int] = {}
-    service_code: dict[str, int] = {}
-    try:
-        while chunk := [fields for _, fields in itertools.islice(rows, _TRACE_CHUNK)]:
-            if set(map(len, chunk)) != {5}:
-                raise ValueError("a row without 5 fields")
-            t, d, s, v, th = zip(*chunk)
-            times.extend(map(int, t))
-            devices.extend(_codes(device_code, d))
-            services.extend(_codes(service_code, s))
-            vector_ids.extend(map(int, v))
-            thresholds.extend(map(float, th))
-        columns = [np.frombuffer(a, dtype=dtype) for a, dtype in (
-            (times, np.int64), (devices, np.int32), (services, np.int32),
-            (vector_ids, np.int64), (thresholds, np.float64))]
-        if len(times) and min(columns[0].min(), columns[3].min()) < 0:
-            raise ValueError("a negative integer")
-    except (ValueError, OverflowError):  # UnicodeDecodeError included
-        _scan_trace(path)
-        raise RuntimeError(f"{path}: the row-by-row read accepts a trace that the reader rejects")
-    for column in columns:
-        column.setflags(write=False)
-    return TraceColumns(*columns, tuple(device_code), tuple(service_code))
-
-
-def _codes(code_of: dict[str, int], ids):
-    # Each id's code, a new id taking the next; code_of keeps the first
-    # appearance's str.
-    for new in dict.fromkeys(ids):
-        code_of.setdefault(new, len(code_of))
-    return map(code_of.__getitem__, ids)
-
-
-def _scan_trace(path: Path) -> None:
-    """The row-by-row read: raises at the first bad row, naming it."""
-    for lineno, fields in itertools.islice(_csv_rows(path), 1, None):
+    arrays = [array(typecode) for typecode in "qiiqd"]  # int64, int32 codes, float64
+    times, devices, services, vector_ids, thresholds = arrays
+    device_code, service_code = {}, {}  # id -> code
+    for lineno, fields in rows:
         try:
             if len(fields) != 5:
                 raise ValueError(f"expected 5 fields, got {len(fields)}")
-            values = {"time_us": int(fields[0]), "vector_id": int(fields[3])}
-            float(fields[4])
-            for name, value in values.items():
-                if not 0 <= value <= TRACE_INT_MAX:
-                    raise ValueError(f"{name} must be in [0, {TRACE_INT_MAX}]")
+            time_us, device, service, vector_id, threshold = fields
+            time_us, vector_id, threshold = int(time_us), int(vector_id), float(threshold)
+            if not (0 <= time_us <= TRACE_INT_MAX and 0 <= vector_id <= TRACE_INT_MAX):
+                name = "vector_id" if 0 <= time_us <= TRACE_INT_MAX else "time_us"
+                raise ValueError(f"{name} must be in [0, {TRACE_INT_MAX}]")
         except ValueError as exc:
             raise ValueError(f"{path}: row {lineno}: {exc}") from None
+        times.append(time_us)
+        # A new id takes the next code; the dict keeps its first appearance's str.
+        devices.append(device_code.setdefault(device, len(device_code)))
+        services.append(service_code.setdefault(service, len(service_code)))
+        vector_ids.append(vector_id)
+        thresholds.append(threshold)
+    columns = [np.frombuffer(memoryview(a).toreadonly(), dtype=a.typecode) for a in arrays]
+    return TraceColumns(*columns, tuple(device_code), tuple(service_code))

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from edgereuse.cli import BUNDLE_FILES, main
-from edgereuse.config import write_json
+from edgereuse.config import load_experiment, write_json
 
 
 def generate(tmp_path, *extra):
@@ -53,6 +54,20 @@ class TestGenerate:
         code = main(["generate", "--profile", "cctv-like", "--tasks", "0",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+    def test_rejects_a_seed_that_experiment_seed_refuses(self, tmp_path, capsys, seed):
+        # The rule of experiment.seed, checked before any file is written.
+        code = main(["generate", "--profile", "cctv-like", "--seed", str(seed),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --seed must be in [0, {2**64 - 1}], got {seed}"]
+        assert not (tmp_path / "x").exists()
+
+    def test_largest_seed_writes_a_bundle_that_loads(self, tmp_path):
+        out = generate(tmp_path, "--seed", str(2**64 - 1), "--tasks", "20")
+        assert load_experiment(out / "experiment.json").seed == 2**64 - 1
 
 
 class TestRun:
@@ -268,6 +283,24 @@ class TestRun:
         capsys.readouterr()
         assert main(["report", "--metrics", str(out / "metrics.json")]) == 0
         assert "makespan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, quote", [("vectors.csv", '"'), ("vectors.csv", ""),
+                                             ("trace.csv", "")])
+    def test_field_over_csvs_limit_is_one_error_line(self, tmp_path, capsys, name, quote):
+        bundle = generate(tmp_path)
+        path = bundle / name
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = quote + "1" * (csv.field_size_limit() + 1) + quote
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: row 4: field larger than field limit "
+                       f"({csv.field_size_limit()})"]
 
     @pytest.mark.parametrize("name", ["vectors.csv", "trace.csv"])
     @pytest.mark.parametrize("line", [1, 7, -1], ids=["header", "row-7", "last-row"])

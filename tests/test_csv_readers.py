@@ -1,12 +1,13 @@
 """The bundle's CSV readers against their row-by-row reference, and replays
 of mutated CSVs.
 
-``read_vectors_csv`` parses the values in one np.loadtxt pass, and
-``read_trace_csv`` parses a chunk of rows at a time into typed columns. Their
-accepted files, arrays, rows and ``row N`` errors must be those of the
-row-by-row readers below, which are the readers as they were before either
-change, with the trace's one range rule: time_us and vector_id are integers
-in [0, 2**63 - 1], the int64 columns' range less the negatives.
+``read_vectors_csv`` parses the values in one np.loadtxt pass while its rows
+are plain, and ``read_trace_csv`` reads one row at a time into typed columns,
+in one pass over the file. Their accepted files, arrays, rows and ``row N``
+errors must be those of the row-by-row readers below, with the trace's one
+range rule (time_us and vector_id are integers in [0, 2**63 - 1], the int64
+columns' range less the negatives) and csv's own errors, such as a field over
+csv.field_size_limit(), named by their row.
 """
 
 import csv
@@ -32,16 +33,27 @@ from edgereuse.workload import (TRACE_HEADER, TRACE_INT_MAX, TraceRow, read_trac
 
 # -- the reference readers -------------------------------------------------
 
+def oracle_rows(fh, path):
+    """Yield (row number, fields) for each csv row of fh, the header being
+    row 1; a row that csv rejects raises ValueError naming it."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            yield lineno, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {lineno + 1}: {exc}") from None
+
+
 def oracle_read_vectors_csv(path) -> np.ndarray:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        reader = oracle_rows(fh, path)
+        header = next(reader, (1, None))[1]
         if not header or header[0] != "vector_id":
             raise ValueError(f"{path}: not a vectors file (bad header)")
         dim = len(header) - 1
         out = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if len(row) != dim + 1:
                 raise ValueError(f"{path}: row {lineno}: expected {dim + 1} fields, got {len(row)}")
             try:
@@ -59,11 +71,10 @@ def oracle_read_trace_csv(path) -> list[TraceRow]:
     path = Path(path)
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
+        reader = oracle_rows(fh, path)
+        if next(reader, (1, None))[1] != TRACE_HEADER:
             raise ValueError(f"{path}: not a trace file (expected header {','.join(TRACE_HEADER)})")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if len(row) != 5:
                 raise ValueError(f"{path}: row {lineno}: expected 5 fields, got {len(row)}")
             try:
@@ -112,12 +123,15 @@ def column_rows(trace):
 
 
 def rows_are_plain(path):
-    """Whether every row after the header is ASCII and holds no quote, no
-    underscore and none of \\x1c-\\x1f: the rows np.loadtxt may parse."""
+    """Whether every row after the header is ASCII, holds no quote, no
+    underscore and none of \\x1c-\\x1f, and is no longer than csv's field
+    limit: the rows np.loadtxt may parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         next(csv.reader(fh), None)
         body = fh.read()
-    return body.isascii() and not re.search('["_\x1c-\x1f]', body)
+    return (body.isascii() and not re.search('["_\x1c-\x1f]', body)
+            and max(map(len, body.splitlines(keepends=True)), default=0)
+            <= csv.field_size_limit())
 
 
 def assert_vectors_agree(path):
@@ -137,12 +151,13 @@ def assert_vectors_agree(path):
         assert got[1] == want[1]
 
 
-def assert_traces_agree(path, chunk=None):
+def assert_traces_agree(path):
     """Both readers accept with the same values, or reject with the same
-    message; with ``chunk``, the reader parses that many rows at a time."""
+    message, and the reader reads the file's rows once either way."""
     want = outcome(oracle_read_trace_csv, path)
-    with mock.patch.object(workload, "_TRACE_CHUNK", chunk or workload._TRACE_CHUNK):
+    with mock.patch.object(workload, "_csv_rows", wraps=workload._csv_rows) as rows:
         got = outcome(read_trace_csv, path)
+    assert rows.call_count == 1
     assert got[0] == want[0], (got, want)
     if want[0] == "ok":
         assert trace_key(column_rows(got[1])) == trace_key(want[1])
@@ -154,6 +169,8 @@ def assert_traces_agree(path, chunk=None):
 
 V_HEAD = "vector_id,v0,v1\n"
 T_HEAD = ",".join(TRACE_HEADER) + "\n"
+# One character more than csv reads in one field.
+TOO_LONG = "1" * (csv.field_size_limit() + 1)
 
 VECTOR_CASES = {
     "plain": V_HEAD + "0,1.5,-2.0\n1,3.0,4.0\n",
@@ -195,6 +212,10 @@ VECTOR_CASES = {
     "vertical tab padding": V_HEAD + "0,\x0b1.5\x0c,-2.0\n",
     "NUL in a field": V_HEAD + "0,1.5\x00,-2.0\n",
     "hex literal": V_HEAD + "0,0x10,-2.0\n",
+    "field over csv's limit": V_HEAD + f"0,1.5,-2.0\n1,{TOO_LONG},4.0\n",
+    "quoted field over csv's limit": V_HEAD + f'0,1.5,-2.0\n1,"{TOO_LONG}",4.0\n',
+    "header field over csv's limit": f"vector_id,v{TOO_LONG}\n0,1.5\n",
+    "field at csv's limit": V_HEAD + f"0,1.5,-2.0\n1,{TOO_LONG[1:]},4.0\n",
 }
 
 TRACE_CASES = {
@@ -218,6 +239,9 @@ TRACE_CASES = {
     "vector id past int64": T_HEAD + f"100,dev0,svc,{2**64},0.8\n",
     "ids first seen late": T_HEAD + "".join(f"{i},dev{i % 3},svc-{i // 2},{i},0.8\n"
                                            for i in range(7)),
+    "field over csv's limit": T_HEAD + f"100,dev0,svc,0,0.8\n200,dev{TOO_LONG},svc,0,0.8\n",
+    "range checked after parsing": T_HEAD + "-1,dev0,svc,0,x\n",
+    "time range checked before vector id": T_HEAD + f"-1,dev0,svc,{2**63},0.8\n",
 }
 
 
@@ -232,8 +256,7 @@ def test_vectors_reader_matches_row_by_row_reader(tmp_path, name):
 def test_trace_reader_matches_row_by_row_reader(tmp_path, name):
     path = tmp_path / "trace.csv"
     path.write_text(TRACE_CASES[name], newline="", encoding="utf-8")
-    for chunk in (None, 1, 2):
-        assert_traces_agree(path, chunk)
+    assert_traces_agree(path)
 
 
 @pytest.mark.parametrize("name, row", [
@@ -246,6 +269,19 @@ def test_vectors_errors_name_the_file_line(tmp_path, name, row):
     path.write_text(VECTOR_CASES[name], newline="", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row {row}: "):
         read_vectors_csv(path)
+
+
+def test_late_non_utf8_byte_in_a_trace_is_read_once(tmp_path):
+    # The bad byte lies past the decoder's first buffered chunk, so rows
+    # were read before it. _csv_rows reads the raw file again to count its
+    # lines, the one re-read allowed; nothing reads the rows twice.
+    path = tmp_path / "trace.csv"
+    path.write_bytes(T_HEAD.encode() + b"100,dev0,svc,0,0.8\n" * 1000
+                     + b"200,d\xffv0,svc,0,0.8\n")
+    with mock.patch.object(workload, "_csv_rows", wraps=workload._csv_rows) as rows:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 1002: not valid UTF-8$"):
+            read_trace_csv(path)
+    assert rows.call_count == 1
 
 
 def test_header_only_vectors_file_is_empty_and_silent(tmp_path):
@@ -367,7 +403,7 @@ def test_mutated_vectors_read_as_row_by_row(tmp_path_factory, data):
 def test_mutated_traces_read_as_row_by_row(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated-trace.csv"
     path.write_text(data.draw(mutated_csv(SMALL_TRACE)), newline="", encoding="utf-8")
-    assert_traces_agree(path, data.draw(st.sampled_from([None, 1, 2])))
+    assert_traces_agree(path)
 
 
 # -- replays of mutated bundles --------------------------------------------

@@ -246,7 +246,7 @@ def test_replay_signs_its_inputs_in_one_batch(tmp_path, monkeypatch):
     # pass when the batch's first task arrives; no task signs its input
     # one vector at a time. This 400-task trace is one batch.
     sim = _simulation(tmp_path)
-    single = _record_calls(monkeypatch, [(LshFamily, "_prepare_valid")])
+    single = _record_calls(monkeypatch, [(LshFamily, "prepare")])
     batches = _record_calls(monkeypatch, [(LshFamily, "_prepare_rows")])
     assert len(sim.trace) <= edgereuse.simulator._BATCH_TASKS
     assert batches == []

@@ -225,7 +225,7 @@ class TestOneSigningKernel:
             assert len(queries) == len(rows)
             for i, q in zip(rows, queries):
                 row = m[i]
-                single = fam._prepare_valid(row)
+                single = fam.prepare(row)
                 assert q.family is fam
                 assert np.float64(q.norm).tobytes() == np.float64(single.norm).tobytes()
                 assert q.bits == single.bits
