@@ -1,7 +1,10 @@
 """Command-line front end: generate traces, replay them, sweep thresholds.
 
 Exit codes: 0 on success, 1 when a replay aborts mid-run, 2 for bad usage,
-bad config files, or missing inputs. ``report`` reads metrics.json through
+bad config files, or missing inputs. Options are checked before any work: a
+bad ``--seed``, ``--tasks`` or ``--thresholds``, or an ``--out`` that names an
+existing path of the wrong kind or lies under a file, exits 2 before a bundle
+is read or a trace generated. ``report`` reads metrics.json through
 the schema that simulator.py declares for it, so a malformed metrics file
 exits 2 with an error naming the field (``metrics.servers.s0.busy_us: ...``).
 """
@@ -16,8 +19,8 @@ from pathlib import Path
 from .config import (ConfigError, _load_json, _make, default_experiment_data,
                      default_services_data, default_topology_data, load_experiment, write_json)
 from .core import SEED_MAX, check_integer
-from .simulator import (RunMetrics, SimulationError, run_experiment, sweep_thresholds,
-                        write_sweep_csv)
+from .simulator import (RunMetrics, SimulationError, _check_thresholds, run_experiment,
+                        sweep_thresholds, write_sweep_csv)
 from .workload import (CalibrationError, builtin_profiles, generate_trace,
                        write_trace_csv, write_vectors_csv)
 
@@ -59,6 +62,19 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
+def _check_out(text: str, *, directory: bool) -> Path:
+    """--out as a Path; ValueError when it names an existing path of the
+    other kind, a file where a directory is written or a directory where a
+    file is, or a path under an existing file."""
+    out = Path(text)
+    if out.exists() and out.is_dir() != directory:
+        raise ValueError(f"--out: {out} {'is not' if directory else 'is'} a directory")
+    parent = next((p for p in out.parents if p.exists()), None)
+    if parent is not None and not parent.is_dir():
+        raise ValueError(f"--out: {parent} is not a directory")
+    return out
+
+
 def _cmd_generate(args) -> int:
     profiles = builtin_profiles()
     if args.profile not in profiles:
@@ -70,6 +86,7 @@ def _cmd_generate(args) -> int:
         if args.tasks is not None:
             profile = dataclasses.replace(profile, tasks=check_integer("--tasks", args.tasks, 1))
         check_integer("--seed", args.seed, 0, SEED_MAX)
+        _check_out(args.out, directory=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -86,9 +103,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    try:
+        out = _check_out(args.out, directory=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = load_experiment(args.config)
     report = run_experiment(config, event_log=args.event_log)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_per_task_csv(out / "per_task.csv")
     report.write_metrics_json(out / "metrics.json")
@@ -99,14 +120,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_experiment(args.config)
     try:
-        values = _parse_thresholds(args.thresholds)
-        rows = sweep_thresholds(config, values)
+        out = _check_out(args.out, directory=False)
+        values = _check_thresholds(_parse_thresholds(args.thresholds))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
+    rows = sweep_thresholds(load_experiment(args.config), values)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out, rows)

@@ -248,71 +248,71 @@ def _load_json(path: Path, what: str) -> dict:
     return data
 
 
-def parse_topology(data: dict, where: str = "topology") -> TopologyConfig:
-    topo = _make(TopologyConfig, data, where)
-    _validate_topology(topo, where)
+def parse_topology(data: dict) -> TopologyConfig:
+    topo = _make(TopologyConfig, data, "topology")
+    _validate_topology(topo)
     return topo
 
 
-def _validate_topology(topo: TopologyConfig, where: str) -> None:
+def _validate_topology(topo: TopologyConfig) -> None:
     ids: set[str] = set()
     for group in (topo.devices, topo.routers, topo.servers):
         for node in group:
             if node.node_id in ids:
-                raise ConfigError(f"{where}: duplicate node id {node.node_id!r}")
+                raise ConfigError(f"topology: duplicate node id {node.node_id!r}")
             ids.add(node.node_id)
     router_ids = {r.node_id for r in topo.routers}
     server_ids = {s.node_id for s in topo.servers}
     for i, d in enumerate(topo.devices):
         if d.router not in router_ids:
-            raise ConfigError(f"{where}.devices[{i}].router: unknown router {d.router!r}")
+            raise ConfigError(f"topology.devices[{i}].router: unknown router {d.router!r}")
         if d.store is not None and d.store.builds_store and not d.can_hash:
             raise ConfigError(
-                f"{where}.devices[{i}]: a device cache needs can_hash=true")
+                f"topology.devices[{i}]: a device cache needs can_hash=true")
     for i, r in enumerate(topo.routers):
         for sid in r.server_delays:
             if sid not in server_ids:
-                raise ConfigError(f"{where}.routers[{i}].servers: unknown server {sid!r}")
+                raise ConfigError(f"topology.routers[{i}].servers: unknown server {sid!r}")
         if set(r.server_delays) != server_ids:
             missing = sorted(server_ids - set(r.server_delays))
-            raise ConfigError(f"{where}.routers[{i}].servers: missing links to {missing}")
+            raise ConfigError(f"topology.routers[{i}].servers: missing links to {missing}")
 
 
-def parse_services(data: dict, dim: int, where: str = "services") -> tuple[ServiceSpec, ...]:
-    _known_keys_only(data, ("label_classes", "services"), where)
+def parse_services(data: dict, dim: int) -> tuple[ServiceSpec, ...]:
+    _known_keys_only(data, ("label_classes", "services"), "services")
     # The catalog's label_classes, when given, is every service's default.
-    classes = _value(data, "label_classes", _Json(int), where, default=None)
+    classes = _value(data, "label_classes", _Json(int), "services", default=None)
     given = {"input_dim": dim} if classes is None else {"input_dim": dim, "label_classes": classes}
-    items = _value(data, "services", _Json(dict, each=list), where)
-    specs = tuple(_make(ServiceSpec, svc, f"{where}.services[{i}]", **given)
+    items = _value(data, "services", _Json(dict, each=list), "services")
+    specs = tuple(_make(ServiceSpec, svc, f"services.services[{i}]", **given)
                   for i, svc in enumerate(items))
     seen = set()
     shared: dict[str, tuple] = {}
     for i, spec in enumerate(specs):
         if spec.service_id in seen:
-            raise ConfigError(f"{where}: duplicate service id {spec.service_id!r}")
+            raise ConfigError(f"services: duplicate service id {spec.service_id!r}")
         seen.add(spec.service_id)
         in_dim = dim
         for j, stage in enumerate(spec.stages):
             if stage.out_dim * in_dim > MAX_ARRAY_ELEMENTS:
                 raise ConfigError(
-                    f"{where}.services[{i}].stages[{j}].out_dim: a {stage.out_dim} x {in_dim} "
+                    f"services.services[{i}].stages[{j}].out_dim: a {stage.out_dim} x {in_dim} "
                     f"stage map exceeds {MAX_ARRAY_ELEMENTS} elements")
             # Shared stage ids must denote the same computation, which
             # includes receiving the same input width.
             if shared.setdefault(stage.stage_id, (stage, in_dim)) != (stage, in_dim):
                 raise ConfigError(
-                    f"{where}.services[{i}].stages[{j}]: stage {stage.stage_id!r} redefined "
+                    f"services.services[{i}].stages[{j}]: stage {stage.stage_id!r} redefined "
                     "with a different spec or input width")
             in_dim = stage.out_dim
         if spec.label_classes * spec.output_dim > MAX_ARRAY_ELEMENTS:
             raise ConfigError(
-                f"{where}.services[{i}].label_classes: {spec.label_classes} classes of width "
+                f"services.services[{i}].label_classes: {spec.label_classes} classes of width "
                 f"{spec.output_dim} exceed {MAX_ARRAY_ELEMENTS} elements")
     return specs
 
 
-def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "topology") -> None:
+def _check_stores_fit(topo: TopologyConfig, services, dim: int) -> None:
     """Every store with both capacities above 0 must hold the largest entry
     its node inserts.
 
@@ -332,7 +332,7 @@ def _check_stores_fit(topo: TopologyConfig, services, dim: int, where: str = "to
             st = node.store
             if st is not None and st.builds_store and st.capacity_bytes < need:
                 raise ConfigError(
-                    f"{where}.{group}[{i}].store.capacity_bytes: {st.capacity_bytes} bytes "
+                    f"topology.{group}[{i}].store.capacity_bytes: {st.capacity_bytes} bytes "
                     f"cannot hold the largest entry this node stores ({need} bytes)")
 
 
@@ -394,9 +394,7 @@ def default_services_data(dim: int) -> dict:
     }
 
 
-def default_topology_data(seed: int, *, device_store_entries: int = 24,
-                          router_store_entries: int = 4096,
-                          server_store_entries: int = 65536) -> dict:
+def default_topology_data(seed: int, *, router_store_entries: int = 4096) -> dict:
     """Two devices, two routers, two servers; each router reaches both
     servers. Link delays are drawn per seed from 3 to 4 ms so a device to
     server round trip lands between 12 and 16 ms. One device cannot hash
@@ -406,7 +404,7 @@ def default_topology_data(seed: int, *, device_store_entries: int = 24,
     return {
         "devices": [
             {"id": "dev0", "router": "r0", "delay_us": delays[0], "can_hash": True,
-             "store": {"capacity_entries": device_store_entries,
+             "store": {"capacity_entries": 24,
                        "capacity_bytes": 4_000_000, "policy": "lru"}},
             {"id": "dev1", "router": "r1", "delay_us": delays[1], "can_hash": False,
              "store": None},
@@ -420,9 +418,9 @@ def default_topology_data(seed: int, *, device_store_entries: int = 24,
                        "capacity_bytes": 100_000_000, "policy": "lru"}},
         ],
         "servers": [
-            {"id": "s0", "store": {"capacity_entries": server_store_entries,
+            {"id": "s0", "store": {"capacity_entries": 65536,
                                    "capacity_bytes": 1_000_000_000, "policy": "lru"}},
-            {"id": "s1", "store": {"capacity_entries": server_store_entries,
+            {"id": "s1", "store": {"capacity_entries": 65536,
                                    "capacity_bytes": 1_000_000_000, "policy": "lru"}},
         ],
     }

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,7 +56,6 @@ _STEP_EVENT_KIND = {
     "stage_exec": EVENT_EXECUTION_DONE,
 }
 
-LAYER_ORDER = list(ReuseLayer)
 # The layers that the per-task path tests, as globals: cheaper than enum lookups.
 _NO_REUSE, _DEVICE_LAYER, _ROUTER_LAYER = ReuseLayer.NONE, ReuseLayer.DEVICE, ReuseLayer.NETWORK
 
@@ -237,7 +236,7 @@ class Simulation:
             message = next(say(i) for mask, say in checks if mask[i])
             raise SimulationError(f"{cfg.trace_path}: row {i + 2}: {message}")
         thresholds.setflags(write=False)
-        self.trace, self.thresholds = trace, thresholds
+        self.trace = replace(trace, threshold=thresholds)
 
     def _check_windows(self) -> None:
         """Reject a control window so short that the replay would schedule
@@ -385,7 +384,6 @@ class Simulation:
                     else _agrees(truth, payload))
         self.records.append(TaskRecord(envelope.task_id, envelope.device_id, *key,
                                        envelope.created_at, now, payload.reuse_layer, accurate))
-        self.outstanding -= 1
 
     # -- control plane ------------------------------------------------------
 
@@ -403,7 +401,7 @@ class Simulation:
                 new_table = rebalance(self.table, report, control.step_fraction)
                 if new_table.version != self.table.version:
                     self.table = new_table
-            if self.outstanding == 0:
+            if len(self.records) == len(self.trace):
                 return
             now += control.window_us
 
@@ -439,7 +437,6 @@ class Simulation:
         self.clock = 0
         self.records: list[TaskRecord] = []
         self.window_samples: list[dict] = []
-        self.outstanding = n
         # Arrival i takes seq i, and the first control window seq n, as if
         # every arrival had been scheduled up front.
         self.event_rows: list[tuple] | None = None
@@ -469,8 +466,8 @@ class Simulation:
             self.clock = time_us
             self._advance(process, task_id)
 
-        if self.outstanding != 0:
-            raise SimulationError(f"{self.outstanding} tasks never completed")
+        if len(self.records) != n:
+            raise SimulationError(f"{n - len(self.records)} tasks never completed")
         if self.event_rows is not None:
             # Rows were written when scheduled; processing order is (time, seq).
             self.event_rows.sort()
@@ -505,7 +502,7 @@ class Simulation:
             truths = []
             for code in dict.fromkeys(codes.tolist()):
                 truths += oracle(self.catalog[service_ids[code]], vectors[pair_inputs[codes == code]])
-            thresholds = (self.thresholds[tasks].tolist() if threshold is None
+            thresholds = (trace.threshold[tasks].tolist() if threshold is None
                           else itertools.repeat(threshold))
             for task_id, time_us, device, service, vector_id, q, p, task_threshold in zip(
                     tasks.tolist(), trace.time_us[tasks].tolist(), trace.device[tasks].tolist(),
@@ -523,14 +520,14 @@ class Simulation:
         n = len(records)
         makespan = self.clock
         per_layer = {}
-        for layer in LAYER_ORDER:
+        for layer in ReuseLayer:
             group = [r.completion_us for r in records if r.reuse_layer is layer]
             per_layer[layer.value] = {
                 "count": len(group),
                 "mean_completion_ms": (sum(group) / len(group) / 1000.0) if group else None,
             }
+        # A record is judged (accurate is not None) exactly when it was reused.
         reused = [r for r in records if r.reuse_layer is not ReuseLayer.NONE]
-        judged = [r for r in reused if r.accurate is not None]
         servers = self._server_counters()
         for counters in servers.values():
             counters["busy_fraction"] = (counters["busy_us"] / makespan) if makespan else 0.0
@@ -540,7 +537,7 @@ class Simulation:
             "makespan_us": makespan,
             "mean_completion_ms": (sum(r.completion_us for r in records) / n / 1000.0) if n else None,
             "reuse_pct": (100.0 * len(reused) / n) if n else 0.0,
-            "accuracy_pct": (100.0 * sum(1 for r in judged if r.accurate) / len(judged)) if judged else None,
+            "accuracy_pct": (100.0 * sum(1 for r in reused if r.accurate) / len(reused)) if reused else None,
             "per_layer": per_layer,
             "servers": servers,
             "busy_fraction": (total_busy / (len(self.servers) * makespan)) if makespan else 0.0,
@@ -602,17 +599,24 @@ def run_experiment(config, *, event_log: bool = False,
     return Simulation(config).run(threshold=threshold, event_log=event_log)
 
 
+def _check_thresholds(thresholds) -> list[float]:
+    """A sweep's thresholds, each held to check_threshold; ValueError when
+    none is given or they are not ascending."""
+    values = [check_threshold(t) for t in thresholds]
+    if not values:
+        raise ValueError("no thresholds given")
+    if values != sorted(values):
+        raise ValueError(f"thresholds must be sorted ascending: {values}")
+    return values
+
+
 def sweep_thresholds(config, thresholds) -> list[dict]:
     """One replay per threshold of the same bundle, loaded once.
 
     Returns one row per threshold: the threshold, reuse percentage,
     accuracy percentage (None when nothing was reused), and the full report.
     """
-    values = [check_threshold(t) for t in thresholds]
-    if not values:
-        raise ValueError("no thresholds given")
-    if values != sorted(values):
-        raise ValueError(f"thresholds must be sorted ascending: {values}")
+    values = _check_thresholds(thresholds)
     sim = Simulation(config)
     out = []
     for t in values:

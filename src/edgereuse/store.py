@@ -306,8 +306,18 @@ class ReuseStore:
         return view
 
     def _score(self, q: PreparedQuery) -> tuple[np.ndarray, np.ndarray]:
-        # The candidates' ids, ascending, and their scores (both empty if
-        # there is no candidate).
+        """The candidates' ids, ascending, and their scores; both empty when
+        there is no candidate.
+
+        The candidates are the entries in q's probed buckets of every table,
+        each once. Their keys are stacked in id order and scored in one
+        gemv, ``(keys @ q.vector) / (norms * q.norm)``; a score above
+        1 - SELF_SIMILARITY_SNAP becomes 1.0, and one below 0, or NaN,
+        becomes 0. A gemv may round a row's dot product differently with
+        other rows stacked around it, so a score is the same bits only
+        for the same stack: a reference that is to agree bit for bit
+        scores the same candidates, stacked in id order, in one gemv.
+        """
         last = self._last_score
         if last is not None and last[0] is q:
             return last[1], last[2]

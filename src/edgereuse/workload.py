@@ -11,6 +11,7 @@ similarity thresholds.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -266,35 +267,47 @@ def _csv_rows(path: Path):
     the header being row 1.
 
     A byte that is not UTF-8 fails as ``<path>: row N: not valid UTF-8``, N
-    being the file line of the first bad byte. The decoder's own error names
+    being the row of the first bad byte. The decoder's own error names
     neither, and its position is within a buffered chunk, so the raw file is
-    read again to count lines, on this failure path only. A row that csv
-    rejects, a field over csv.field_size_limit(), fails with csv's reason.
+    read again to count the rows before the byte, on this failure path only.
+    A row that csv rejects, a field over csv.field_size_limit(), fails with
+    csv's reason.
     """
-    row = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for row, fields in enumerate(csv.reader(fh), start=1):
-                yield row, fields
-    except csv.Error as exc:
-        raise ValueError(f"{path}: row {row + 1}: {exc}") from None
+            yield from _numbered(path, fh)
     except UnicodeDecodeError:
         data = path.read_bytes()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            row = data.count(b"\n", 0, exc.start) + 1
+            # The rows of the text before the byte, which a stand-in for the
+            # byte ends either inside its row or as the first of a new one.
+            text = io.StringIO(data[:exc.start].decode("utf-8") + "x", newline="")
+            row = sum(1 for _ in _numbered(path, text))
             raise ValueError(f"{path}: row {row}: not valid UTF-8") from None
         raise
+
+
+def _numbered(path: Path, lines):
+    """Yield (row number, fields) for each csv row of lines, the first
+    being row 1; a row that csv rejects raises ValueError naming it."""
+    row = 0
+    try:
+        for row, fields in enumerate(csv.reader(lines), start=1):
+            yield row, fields
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {row + 1}: {exc}") from None
 
 
 def read_vectors_csv(path) -> np.ndarray:
     """Read vectors.csv as an (n, dim) float64 array, row i being vector i.
 
-    While every row is plain (ASCII, with none of _NOT_FOR_NUMPY, and no
-    longer than csv's field limit), one np.loadtxt pass parses every value.
-    A file with any other row, or one that pass rejects, is read again by
-    the row-by-row reference, which names the first bad row; so the accepted
+    While every row is plain (ASCII, with none of _NOT_FOR_NUMPY, no longer
+    than csv's field limit, and with values after its id), one np.loadtxt
+    pass parses the values straight into the matrix that is returned. A
+    file with any other row, or one that pass rejects, is read again by the
+    row-by-row reference, which names the first bad row; so the accepted
     files and the arrays they give are those of the row-by-row read.
     """
     path = Path(path)
@@ -305,13 +318,13 @@ def read_vectors_csv(path) -> np.ndarray:
             first = next(lines, None)
             if first is None:
                 return np.empty((0, dim))
-            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                               comments=None, ndmin=2)
+            vectors = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                 comments=None, ndmin=2)
     except (ValueError, csv.Error):  # UnicodeDecodeError included
         return _scan_vectors(path)
-    if table.shape[1] != dim + 1:
+    if vectors.shape[1] != dim:
         return _scan_vectors(path)
-    return np.ascontiguousarray(table[:, 1:])
+    return vectors
 
 
 def _vectors_dim(path: Path, header) -> int:
@@ -321,17 +334,19 @@ def _vectors_dim(path: Path, header) -> int:
 
 
 def _numpy_lines(fh):
-    """Yield each row left in fh, as it is, for np.loadtxt. Raises
-    ValueError at the first row that is not plain, or whose id is not
-    int() of the next dense id."""
+    """Yield the values of each row left in fh, the text after its id, for
+    np.loadtxt. Raises ValueError at the first row that is not plain, or
+    whose id is not int() of the next dense id."""
     limit = csv.field_size_limit()
     for row, line in enumerate(fh):
-        if (len(line) > limit or not line.isascii()
+        vid, _, values = line.partition(",")
+        # np.loadtxt skips a row with no values, which the row-by-row read fails.
+        if (len(line) > limit or not line.isascii() or not values or values.isspace()
                 or any(map(line.__contains__, _NOT_FOR_NUMPY))):
             raise ValueError("not a plain row")
-        if int(line.partition(",")[0]) != row:
+        if int(vid) != row:
             raise ValueError("vector ids must be dense and ordered")
-        yield line
+        yield values
 
 
 def _scan_vectors(path: Path) -> np.ndarray:

@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import edgereuse.cli
 from edgereuse.cli import BUNDLE_FILES, main
 from edgereuse.config import load_experiment, write_json
+from edgereuse.store import ReuseStore
 
 
 def generate(tmp_path, *extra):
@@ -19,6 +22,10 @@ def generate(tmp_path, *extra):
             "--tasks", "60", "--out", str(out), *extra]
     assert main(argv) == 0
     return out
+
+
+def never(*args, **kwargs):
+    raise AssertionError("work began before the options were checked")
 
 
 class TestGenerate:
@@ -64,6 +71,17 @@ class TestGenerate:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: --seed must be in [0, {2**64 - 1}], got {seed}"]
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("under", ["", "bundle"], ids=["file", "under-a-file"])
+    def test_out_at_a_file_is_refused_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                        under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        monkeypatch.setattr(edgereuse.cli, "generate_trace", never)
+        code = main(["generate", "--profile", "cctv-like", "--out", str(taken / under)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --out: {taken} is not a directory"]
+        assert taken.read_text() == "keep"
 
     def test_largest_seed_writes_a_bundle_that_loads(self, tmp_path):
         out = generate(tmp_path, "--seed", str(2**64 - 1), "--tasks", "20")
@@ -117,6 +135,20 @@ class TestRun:
             outputs.append([(out / name).read_bytes()
                             for name in ("per_task.csv", "metrics.json", "events.csv")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("under", ["", "results"], ids=["file", "under-a-file"])
+    def test_out_at_a_file_is_refused_before_the_bundle_is_read(self, tmp_path, capsys,
+                                                                monkeypatch, under):
+        bundle = generate(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        monkeypatch.setattr(edgereuse.cli, "load_experiment", never)
+        capsys.readouterr()
+        code = main(["run", "--config", str(bundle / "experiment.json"),
+                     "--out", str(taken / under)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --out: {taken} is not a directory"]
+        assert taken.read_text() == "keep"
 
     def test_missing_config(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
@@ -353,6 +385,43 @@ class TestSweep:
     def test_empty_rejected(self, tmp_path, capsys):
         code, _, captured = self.sweep(tmp_path, " ", capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("under, error", [("", "{} is a directory"),
+                                              ("file/sweep.csv", "{}/file is not a directory")],
+                             ids=["directory", "under-a-file"])
+    def test_out_of_the_wrong_kind_is_refused_before_the_bundle_is_read(
+            self, tmp_path, capsys, monkeypatch, under, error):
+        bundle = generate(tmp_path)
+        (tmp_path / "file").write_text("keep")
+        monkeypatch.setattr(edgereuse.cli, "load_experiment", never)
+        capsys.readouterr()
+        code = main(["sweep", "--config", str(bundle / "experiment.json"),
+                     "--thresholds", "0.8", "--out", str(tmp_path / under)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --out: {error.format(tmp_path)}"]
+
+    @pytest.mark.parametrize("thresholds, error", [
+        ("0.9,0.6", "thresholds must be sorted ascending: [0.9, 0.6]"),
+        (" ", "no thresholds given"),
+        ("0.5,abc", "threshold 'abc' is not a number")])
+    def test_thresholds_are_checked_before_the_bundle_is_read(self, tmp_path, capsys,
+                                                              monkeypatch, thresholds, error):
+        monkeypatch.setattr(edgereuse.cli, "load_experiment", never)
+        code = main(["sweep", "--config", str(tmp_path / "experiment.json"),
+                     "--thresholds", thresholds, "--out", str(tmp_path / "sweep.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--thresholds", "0.8"]],
+                             ids=["run", "sweep"])
+    def test_fault_inside_a_replay_is_not_bad_usage(self, tmp_path, argv):
+        # A ValueError raised inside a replay is a fault of the program: it
+        # propagates from a sweep as it does from a run, and is not exit 2.
+        bundle = generate(tmp_path)
+        with mock.patch.object(ReuseStore, "insert", side_effect=ValueError("injected fault")):
+            with pytest.raises(ValueError, match="^injected fault$"):
+                main([*argv, "--config", str(bundle / "experiment.json"),
+                      "--out", str(tmp_path / "out")])
 
     def test_row_threshold_outside_unit_interval_aborts(self, tmp_path, capsys):
         # The sweep checks the trace as a run does, although each replay

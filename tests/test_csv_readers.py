@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import re
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -123,13 +124,15 @@ def column_rows(trace):
 
 
 def rows_are_plain(path):
-    """Whether every row after the header is ASCII, holds no quote, no
-    underscore and none of \\x1c-\\x1f, and is no longer than csv's field
-    limit: the rows np.loadtxt may parse."""
+    """Whether the header names a value column and every row after it is
+    ASCII, holds no quote, no underscore and none of \\x1c-\\x1f, and is
+    no longer than csv's field limit: the rows whose values np.loadtxt may
+    parse."""
     with open(path, newline="", encoding="utf-8") as fh:
-        next(csv.reader(fh), None)
+        header = next(csv.reader(fh), None)
         body = fh.read()
-    return (body.isascii() and not re.search('["_\x1c-\x1f]', body)
+    return (len(header or ()) > 1
+            and body.isascii() and not re.search('["_\x1c-\x1f]', body)
             and max(map(len, body.splitlines(keepends=True)), default=0)
             <= csv.field_size_limit())
 
@@ -284,6 +287,18 @@ def test_late_non_utf8_byte_in_a_trace_is_read_once(tmp_path):
     assert rows.call_count == 1
 
 
+@pytest.mark.parametrize("line4, why", [
+    (b"x,dev0,svc,0,0.8\n", "invalid literal for int() with base 10: 'x'"),
+    (b"3,d\xffv0,svc,0,0.8\n", "not valid UTF-8")])
+def test_errors_count_rows_as_csv_does(tmp_path, line4, why):
+    # Row 2 spans file lines 2 and 3, so file line 4 is row 3, whatever
+    # the fault on it.
+    path = tmp_path / "trace.csv"
+    path.write_bytes(T_HEAD.encode() + b'1,"dev\n0",svc,0,0.8\n' + line4)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 3: {re.escape(why)}$"):
+        read_trace_csv(path)
+
+
 def test_header_only_vectors_file_is_empty_and_silent(tmp_path):
     path = tmp_path / "vectors.csv"
     path.write_text("vector_id," + ",".join(f"v{i}" for i in range(7)) + "\n", encoding="utf-8")
@@ -300,6 +315,23 @@ def test_generated_vectors_take_the_single_pass(tmp_path, rng):
     with mock.patch.object(workload, "_scan_vectors", side_effect=AssertionError("rescanned")):
         back = read_vectors_csv(path)
     assert back.tobytes() == m.tobytes()
+
+
+def test_vectors_load_holds_one_matrix(tmp_path, rng):
+    # The values are parsed straight into the array returned: no id column
+    # and no copy, so the traced peak is about one matrix.
+    path = tmp_path / "vectors.csv"
+    m = rng.standard_normal((4000, 64))
+    workload.write_vectors_csv(path, m)
+    tracemalloc.start()
+    try:
+        back = read_vectors_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.dtype == np.float64 and back.flags["C_CONTIGUOUS"]
+    assert back.tobytes() == m.tobytes()
+    assert peak <= 1.3 * back.nbytes, f"peak {peak / back.nbytes:.2f} x the matrix"
 
 
 def test_trace_reads_as_read_only_columns(tmp_path):

@@ -187,7 +187,7 @@ def _trace_row(sim, task_id):
     t = sim.trace
     return (t.time_us.tolist()[task_id], t.device_ids[t.device[task_id]],
             t.service_ids[t.service[task_id]], t.vector_id.tolist()[task_id],
-            sim.thresholds.tolist()[task_id])
+            sim.trace.threshold.tolist()[task_id])
 
 
 def test_each_distinct_input_is_prepared_once(tmp_path, monkeypatch):

@@ -151,6 +151,16 @@ class TestThresholdPrecedence:
         rep = run_experiment(cfg)
         assert rep.records[1].reuse_layer is ReuseLayer.NONE
 
+    def test_replay_reads_the_resolved_thresholds_from_the_trace(self, tmp_path):
+        # The load resolves the experiment's thresholds into the trace's own
+        # column, the one threshold column a replay reads.
+        cfg = self.near_pair_bundle(tmp_path, thresholds={"cognitive-assist": 1.0})
+        sim = Simulation(cfg)
+        assert sim.trace.threshold.tolist() == [1.0, 1.0]
+        assert sim.run().records[1].reuse_layer is ReuseLayer.NONE
+        sim.trace = dataclasses.replace(sim.trace, threshold=np.array([0.9, 0.9]))
+        assert sim.run().records[1].reuse_layer is ReuseLayer.SERVER
+
     def test_sweep_override_beats_config(self, tmp_path):
         cfg = self.near_pair_bundle(tmp_path, thresholds={"cognitive-assist": 1.0})
         rep = run_experiment(cfg, threshold=0.9)
@@ -456,7 +466,7 @@ class TestTraceValidation:
             assert str(exc) == want
         else:
             assert want is None
-            assert sim.thresholds.tolist() == [
+            assert sim.trace.threshold.tolist() == [
                 cfg.thresholds.get(row.service_id, row.threshold) for row in rows]
 
     def test_dim_mismatch(self, tmp_path, monkeypatch):
