@@ -13,6 +13,7 @@ either the payload the node served or where the task goes next.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -248,14 +249,24 @@ def _query(store: ReuseStore, task: TaskEnvelope) -> PreparedQuery:
     return q
 
 
+# A whole-task lookup's step detail, by the layer that looks and whether it hit.
+_LOOKUP_DETAIL = {(layer, hit): f"{layer.value}:{'hit' if hit else 'miss'}"
+                  for layer in ReuseLayer for hit in (False, True)}
+
+
+@functools.lru_cache(maxsize=512)
+def _stage_details(stage_id: str) -> tuple[str, str, str]:
+    """A stage's step details: reused, missed and executed."""
+    return f"stage:{stage_id}:reused", f"stage:{stage_id}:miss", f"stage:{stage_id}"
+
+
 def _cached_payload(store: ReuseStore, query: PreparedQuery, task: TaskEnvelope, now: int,
                     lookup_time_us: int, layer: ReuseLayer, steps: list) -> ResultPayload | None:
     """One whole-task lookup, recorded as a costed step: the payload of the
     matched entry, or None on a miss. A cached result only substitutes for
     the same service's execution."""
     found = store.lookup(query, task.threshold, now=now, service=task.service_id)
-    steps.append(CostedStep("lookup", f"{layer.value}:{'hit' if found.hit else 'miss'}",
-                            lookup_time_us))
+    steps.append(CostedStep("lookup", _LOOKUP_DETAIL[layer, found.hit], lookup_time_us))
     if not found.hit:
         return None
     entry = store.get(found.entry_id)
@@ -353,24 +364,25 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     executed = 0
     busy = 0
     for j, stage in enumerate(svc.stages):
+        reused_detail, miss_detail, exec_detail = _stage_details(stage.stage_id)
         reused_here = False
         if store is not None:
             found = store.lookup_stage(stage.stage_id, query, task.threshold,
                                        now=now + elapsed + lookup_time_us)
             if found.hit:
                 current = store.get(found.entry_id).stage_outputs[stage.stage_id]
-                steps.append(CostedStep("stage_lookup", f"stage:{stage.stage_id}:reused", lookup_time_us))
+                steps.append(CostedStep("stage_lookup", reused_detail, lookup_time_us))
                 elapsed += lookup_time_us
                 reused += 1
                 reused_here = True
             else:
-                steps.append(CostedStep("stage_lookup", f"stage:{stage.stage_id}:miss", 0))
+                steps.append(CostedStep("stage_lookup", miss_detail, 0))
         if not reused_here:
             if own is not None and reused == 0:
                 current = own.stage_outputs[j]
             else:
                 current = execute_stage(stage, current)
-            steps.append(CostedStep("stage_exec", f"stage:{stage.stage_id}", stage.exec_time_us))
+            steps.append(CostedStep("stage_exec", exec_detail, stage.exec_time_us))
             elapsed += stage.exec_time_us
             executed += 1
             busy += stage.exec_time_us

@@ -6,14 +6,15 @@ replay of it, at the rows' own thresholds or at one given for that replay.
 Simulated time is integer microseconds; events are processed in (time, seq)
 order where seq is the enqueue counter, so identical configs and seeds give
 byte-identical outputs. Each task is one process, a generator that walks
-device, router, server and back and yields its next event; the controller
-is another. Arrivals stream from the trace in time order, and the heap
-holds only in-flight events: each heap item is (time_us, seq, process,
-task_id), and the process resumes once the event's time is reached. Node
-decisions run synchronously when a task reaches the node, but their
-deferred effects (a server's entry insert, its load counters) apply at the
-simulated completion time, so an in-flight result is never reusable before
-it would exist.
+device, router, server and back and yields the time of its next event; the
+controller is another. A process writes its own event log row, under the
+seq the event is scheduled with, only when a log is kept. Arrivals stream
+from the trace in time order, and the heap holds only in-flight events:
+each heap item is (time_us, seq, process, task_id), and the process
+resumes once the event's time is reached. Node decisions run synchronously
+when a task reaches the node, but their deferred effects (a server's entry
+insert, its load counters) apply at the simulated completion time, so an
+in-flight result is never reusable before it would exist.
 
 Arrivals are taken in batches of consecutive arrivals. When a batch's first
 task arrives, the batch's inputs are signed in one pass and each of its
@@ -272,44 +273,36 @@ class Simulation:
                 f"{bound} us would schedule {windows} control windows, more than "
                 f"{_WINDOWS_PER_TASK} per task for {n} tasks")
 
-    # -- event plumbing -----------------------------------------------------
+    # -- event log ----------------------------------------------------------
 
-    def _advance(self, process, task_id) -> None:
-        """Run ``process`` to its next event and schedule it under the next
-        seq, writing it to the log when one is kept; a process that has
-        finished schedules nothing."""
-        event = next(process, None)
-        if event is None:
-            return
-        seq = self.seq
-        self.seq = seq + 1
-        time_us, kind, node_id, detail, cost_us = event
-        if self.event_rows is not None:
-            self.event_rows.append((time_us, seq, kind, node_id, task_id, detail, cost_us))
-        heapq.heappush(self.heap, (time_us, seq, process, task_id))
-
-    def _steps(self, outcome: NodeOutcome, node_id: str, now: int):
+    def _steps(self, outcome: NodeOutcome, node_id: str, now: int) -> int:
         """Run a node visit's steps back to back from ``now`` and return the
         time the last one ends.
 
-        The earlier steps only advance time, so they go to the event log
-        alone; the last is the task's next event. A visit with no steps
-        ends at once.
+        With a log kept, each step gets its row. The earlier steps only
+        advance time, so each takes a seq of its own; the last is the task's
+        next event and takes the seq it is scheduled with.
         """
         steps = outcome.steps
-        if not steps:
-            return now
         event_rows = self.event_rows
-        for step in steps[:-1]:
+        if event_rows is None:
+            for step in steps:
+                now += step.cost_us
+            return now
+        task_id = outcome.envelope.task_id
+        last = len(steps) - 1
+        for i, step in enumerate(steps):
             now += step.cost_us
-            if event_rows is not None:
-                event_rows.append((now, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
-                                   outcome.envelope.task_id, step.detail, step.cost_us))
+            event_rows.append((now, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
+                               task_id, step.detail, step.cost_us))
+            if i < last:
                 self.seq += 1
-        last = steps[-1]
-        now += last.cost_us
-        yield now, _STEP_EVENT_KIND[last.kind], node_id, last.detail, last.cost_us
         return now
+
+    def _log_link(self, now: int, src: str, dst: str, task_id: int, delay: int) -> None:
+        """Log a link delivery that is scheduled next, under its seq."""
+        self.event_rows.append((now, self.seq, EVENT_LINK_DELIVERY, dst, task_id,
+                                f"{src}->{dst}", delay))
 
     # -- a task's way: device, router, server and back -----------------------
 
@@ -326,31 +319,41 @@ class Simulation:
         """One task's whole way, from its arrival at ``now`` to its record.
         ``truth`` is the task's own execution, from the oracle.
 
-        Each yield is the task's next event, (time_us, kind, node_id,
-        detail, cost_us), and the task resumes at that time. The device,
-        then the router, then a server may serve it; the first that does
-        cuts the way short, and the result goes back along the links it
-        came by, cached on the way by each node that did not serve it.
+        Each yield is the time of the task's next event, and the task
+        resumes at that time. When a log is kept, the task writes the
+        event's row just before it yields. The device, then the router,
+        then a server may serve it; the first that does cuts the way short,
+        and the result goes back along the links it came by, cached on the
+        way by each node that did not serve it. A visit with no steps ends
+        at once, with no event.
         """
+        log = self.event_rows
         lookup_us = self.config.cost.lookup_time_us
+        task_id = envelope.task_id
         key = (envelope.service_id, vector_id)
         dev = self.devices[envelope.device_id]
         outcome = device_offload(dev, envelope, self.family, lookup_us, now=now)
-        now = yield from self._steps(outcome, dev.node_id, now)
+        if outcome.steps:
+            now = self._steps(outcome, dev.node_id, now)
+            yield now
         if outcome.payload is None:
             router = self.routers[dev.router_id]
             now += dev.link_delay_us
-            yield (now, EVENT_LINK_DELIVERY, router.node_id,
-                   f"{dev.node_id}->{router.node_id}", dev.link_delay_us)
+            if log is not None:
+                self._log_link(now, dev.node_id, router.node_id, task_id, dev.link_delay_us)
+            yield now
             outcome = router_forward(router, outcome.envelope, self.family, lookup_us,
                                      self.table, now=now)
-            now = yield from self._steps(outcome, router.node_id, now)
+            if outcome.steps:
+                now = self._steps(outcome, router.node_id, now)
+                yield now
             if outcome.payload is None:
                 server = self.servers[outcome.next_server]
                 delay = router.server_delays[server.node_id]
                 now += delay
-                yield (now, EVENT_LINK_DELIVERY, server.node_id,
-                       f"{router.node_id}->{server.node_id}", delay)
+                if log is not None:
+                    self._log_link(now, router.node_id, server.node_id, task_id, delay)
+                yield now
                 # The truth's arrays are rows of its batch's stacks. A node
                 # that may keep what this visit returns gets them from a copy
                 # of their own, so no stored entry holds a batch's stacks.
@@ -358,7 +361,9 @@ class Simulation:
                     truth = _owned(truth)
                 outcome = server_handle(server, outcome.envelope, lookup_us, now=now,
                                         own=truth)
-                now = yield from self._steps(outcome, server.node_id, now)
+                if outcome.steps:
+                    now = self._steps(outcome, server.node_id, now)
+                    yield now
                 # The server's deferred effects apply when its visit ends.
                 if outcome.entry is not None:
                     outcome.entry.insert_time = now
@@ -371,30 +376,36 @@ class Simulation:
                 if outcome.payload.reuse_layer is not _NO_REUSE:
                     server.reused_count += 1
                 now += delay
-                yield (now, EVENT_LINK_DELIVERY, router.node_id,
-                       f"{server.node_id}->{router.node_id}", delay)
+                if log is not None:
+                    self._log_link(now, server.node_id, router.node_id, task_id, delay)
+                yield now
             self._cache_response(router, _ROUTER_LAYER, outcome, now)
             now += dev.link_delay_us
-            yield (now, EVENT_LINK_DELIVERY, dev.node_id,
-                   f"{router.node_id}->{dev.node_id}", dev.link_delay_us)
+            if log is not None:
+                self._log_link(now, router.node_id, dev.node_id, task_id, dev.link_delay_us)
+            yield now
         self._cache_response(dev, _DEVICE_LAYER, outcome, now)
         payload = outcome.payload
         envelope = outcome.envelope
         accurate = (None if payload.reuse_layer is _NO_REUSE
                     else _agrees(truth, payload))
-        self.records.append(TaskRecord(envelope.task_id, envelope.device_id, *key,
+        self.records.append(TaskRecord(task_id, envelope.device_id, *key,
                                        envelope.created_at, now, payload.reuse_layer, accurate))
 
     # -- control plane ------------------------------------------------------
 
     def _control(self):
         """The controller, as a process: a window every window_us while
-        tasks are outstanding. Each samples the servers' counters and, with
-        rebalancing on, may move the forwarding table on."""
+        tasks are outstanding, each yielded as its time. Each samples the
+        servers' counters and, with rebalancing on, may move the forwarding
+        table on."""
         control = self.config.control
         now = control.window_us
         while True:
-            yield now, EVENT_CONTROL_WINDOW, "controller", f"window:v{self.table.version}", 0
+            if self.event_rows is not None:
+                self.event_rows.append((now, self.seq, EVENT_CONTROL_WINDOW, "controller", "",
+                                        f"window:v{self.table.version}", 0))
+            yield now
             self._sample_window(now)
             if control.rebalance and len(self.servers) >= 2:
                 report = LoadReport({s.node_id: s.executed_count for s in self.servers.values()})
@@ -434,7 +445,6 @@ class Simulation:
         self._build_nodes()
         self.table = partition_hash_space([s.node_id for s in self.servers.values()])
         self.heap: list[tuple] = []
-        self.clock = 0
         self.records: list[TaskRecord] = []
         self.window_samples: list[dict] = []
         # Arrival i takes seq i, and the first control window seq n, as if
@@ -446,25 +456,37 @@ class Simulation:
                                for i, (time_us, device_id)
                                in enumerate(zip(trace.time_us.tolist(), devices))]
         self.seq = n
+        # Bound per replay, so a watcher patched onto heapq sees every push.
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap = self.heap
         if n and self.config.control.window_us > 0:
-            self._advance(self._control(), "")
+            control = self._control()
+            heappush(heap, (next(control), self.seq, control, ""))
+            self.seq += 1
 
         # Arrivals stream from the trace, merged with the heap by (time,
         # seq). An arrival's seq is below every scheduled event's, so it
         # goes first at a tied time. The heap holds only in-flight events.
+        # A process runs to its next event, which is scheduled under the
+        # next seq; a process that has finished schedules nothing.
         arrivals = self._arrivals(threshold)
         arrival = next(arrivals, None)
-        heap = self.heap
+        clock = 0
         while arrival is not None or heap:
             if arrival is not None and (not heap or arrival[0] <= heap[0][0]):
                 time_us, task_id, process = arrival
                 arrival = next(arrivals, None)
             else:
-                time_us, _, process, task_id = heapq.heappop(heap)
-            if time_us < self.clock:
+                time_us, _, process, task_id = heappop(heap)
+            if time_us < clock:
                 raise SimulationError("event queue violated clock monotonicity")
-            self.clock = time_us
-            self._advance(process, task_id)
+            clock = time_us
+            time_us = next(process, None)
+            if time_us is not None:
+                seq = self.seq
+                self.seq = seq + 1
+                heappush(heap, (time_us, seq, process, task_id))
+        self.clock = clock
 
         if len(self.records) != n:
             raise SimulationError(f"{n - len(self.records)} tasks never completed")

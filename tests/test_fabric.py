@@ -430,3 +430,50 @@ class TestPreparedQueryTravels:
         assert [s.kind for s in out.steps] == ["lookup", "stage_lookup", "stage_lookup",
                                                "stage_exec"]
         assert len(probes) == family.tables
+
+
+class TestHitStampsTheEndOfItsLookup:
+    """A hit stamps the simulated time its lookup ends as the entry's
+    last_access, which orders LRU eviction: a visit at NOW adds the cost of
+    every step up to and including the lookup that hit."""
+
+    NOW = 50_000
+    HASH_US = 2500
+
+    def stored(self, family, svc=SVC_A):
+        store = make_store(family)
+        v = np.arange(1.0, DIM + 1)
+        entry = store.get(store.insert(entry_for(v, svc)))
+        assert entry.last_access == 0
+        return store, v, entry
+
+    def test_device_lookup(self, family):
+        store, v, entry = self.stored(family)
+        dev = DeviceNode("dev0", "r0", 1000, True, self.HASH_US, store)
+        out = device_offload(dev, make_task(v), family, LOOKUP_US, now=self.NOW)
+        assert out.payload.reuse_layer is ReuseLayer.DEVICE
+        assert entry.last_access == self.NOW + LOOKUP_US
+
+    def test_router_lookup_after_its_hash(self, family):
+        store, v, entry = self.stored(family)
+        router = RouterNode("r0", {"s0": 3000}, self.HASH_US, store)
+        out = router_forward(router, make_task(v), family, LOOKUP_US,
+                             partition_hash_space(["s0"]), now=self.NOW)
+        assert [s.kind for s in out.steps] == ["hash", "lookup"]
+        assert out.payload.reuse_layer is ReuseLayer.NETWORK
+        assert entry.last_access == self.NOW + self.HASH_US + LOOKUP_US
+
+    def test_server_whole_task_lookup(self, family):
+        store, v, entry = self.stored(family)
+        out = server_handle(ServerNode("s0", CATALOG, store), make_task(v), LOOKUP_US,
+                            now=self.NOW)
+        assert out.payload.reuse_layer is ReuseLayer.SERVER
+        assert entry.last_access == self.NOW + LOOKUP_US
+
+    def test_server_stage_lookup_after_the_whole_task_miss(self, family):
+        store, v, entry = self.stored(family)
+        out = server_handle(ServerNode("s0", CATALOG, store), make_task(v, service_id="svc-b"),
+                            LOOKUP_US, now=self.NOW)
+        assert [(s.kind, s.detail) for s in out.steps[:2]] == [
+            ("lookup", "server:miss"), ("stage_lookup", "stage:stage-shared:reused")]
+        assert entry.last_access == self.NOW + 2 * LOOKUP_US

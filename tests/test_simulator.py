@@ -332,6 +332,55 @@ class TestArrivalStreaming:
         assert sim.seq == self.MIXED_2K_EVENTS
 
 
+class TestLoggedSeq:
+    def test_each_scheduled_row_carries_its_heap_seq(self, tmp_path, monkeypatch):
+        # A process logs its event's row just before it yields, under the
+        # seq the run loop schedules the event with. Only arrivals and a
+        # visit's earlier steps are logged without being pushed.
+        import edgereuse.simulator as simulator
+        from edgereuse.cli import write_bundle
+        profile = dataclasses.replace(builtin_profiles()["mixed"], tasks=400)
+        write_bundle(profile, 42, tmp_path / "bundle")
+        sim = Simulation(load_experiment(tmp_path / "bundle" / "experiment.json"))
+        pushed = {}
+        heappush = simulator.heapq.heappush
+
+        def watched_push(heap, item):
+            heappush(heap, item)
+            if heap is sim.heap:
+                time_us, seq, _, task_id = item
+                pushed[time_us, seq] = task_id
+
+        monkeypatch.setattr(simulator.heapq, "heappush", watched_push)
+        events = sim.run(event_log=True).events
+        rows = {(e[0], e[1]): e for e in events}
+        assert len(rows) == len(events)
+        for stamp, task_id in pushed.items():
+            assert stamp in rows, stamp
+            assert rows[stamp][4] == task_id
+            assert rows[stamp][2] != simulator.EVENT_TASK_ARRIVAL
+        by_seq = {e[1]: e for e in events}
+        earlier_steps = 0
+        for stamp, row in rows.items():
+            if stamp in pushed:
+                continue
+            time_us, seq, kind, node_id, task_id, _, _ = row
+            if kind == simulator.EVENT_TASK_ARRIVAL:
+                assert seq == task_id < len(sim.trace)
+                continue
+            # An earlier step: the same visit's next step takes the next seq.
+            assert kind in (simulator.EVENT_LOOKUP_DONE, simulator.EVENT_EXECUTION_DONE)
+            following = by_seq[seq + 1]
+            assert following[2] in (simulator.EVENT_LOOKUP_DONE, simulator.EVENT_EXECUTION_DONE)
+            assert (following[3], following[4]) == (node_id, task_id)
+            assert following[0] >= time_us
+            earlier_steps += 1
+        assert earlier_steps > 0
+        assert any(rows[stamp][2] == simulator.EVENT_CONTROL_WINDOW for stamp in pushed)
+        assert len(events) == len(pushed) + len(sim.trace) + earlier_steps
+        assert sim.seq == len(events)
+
+
 class TestAggregates:
     def test_layer_counts_and_reuse_pct(self, tmp_path):
         rows = [TraceRow(0, "dev0", "cognitive-assist", 0, 0.9),
