@@ -34,7 +34,7 @@ server = ServerNode("s0", {"annotate": svc_a, "count": svc_b}, store=store)
 print()
 print("== run 'annotate' cold, store every stage output ==")
 first = server_handle(server, TaskEnvelope(0, "dev0", "annotate", x, 0.9), LOOKUP_US)
-print("steps:", [(s.kind, s.cost_us) for s in first.steps])
+print("steps:", [(detail, cost) for _, _, detail, cost in first.steps])
 print(f"busy time: {first.exec_busy_us / 1000:.0f} ms; stored entry holds "
       f"{len(first.entry.stage_outputs)} stage outputs")
 store.insert(first.entry)
@@ -42,10 +42,11 @@ store.insert(first.entry)
 print()
 print("== run 'count' on the same input ==")
 second = server_handle(server, TaskEnvelope(1, "dev0", "count", x, 0.9), LOOKUP_US)
-print("steps:", [(s.kind, s.detail, s.cost_us) for s in second.steps])
+print("steps:", [(detail, cost) for _, _, detail, cost in second.steps])
 print(f"layer: {second.payload.reuse_layer.value}")
 cost_cold = LOOKUP_US + sum(s.exec_time_us for s in svc_b.stages)
-cost_partial = sum(s.cost_us for s in second.steps)
+# The visit started at time 0, so it cost the time its last step ended.
+cost_partial = second.steps[-1][0]
 saved = cost_cold - cost_partial
 print(f"cold cost {cost_cold / 1000:.0f} ms, with partial reuse {cost_partial / 1000:.0f} ms, "
       f"saved {saved / 1000:.0f} ms")

@@ -5,9 +5,15 @@ forwarding by hash range, and servers fall back from whole-task reuse to
 per-stage reuse to execution. Node operations are synchronous decisions
 ("state in, steps out"): they mutate store recency immediately but hand any
 deferred effects (the server's entry insert, counters) back to the caller so
-a clock-driven harness can apply them at completion time. Every visit
-returns one NodeOutcome: its costed steps, the envelope it passes on, and
-either the payload the node served or where the task goes next.
+a clock-driven harness can apply them at completion time.
+
+Each visit starts at the ``now`` it is given and times its own steps, each a
+tuple ``(end_us, kind, detail, cost_us)`` in the event log's vocabulary
+(``kind`` is EVENT_LOOKUP_DONE or EVENT_EXECUTION_DONE): a step ends at the
+previous step's end, or ``now``, plus its cost, and a hit stamps its
+lookup's end as the entry's last access. Every visit returns one
+NodeOutcome: its steps, the envelope it passes on, and either the payload
+the node served or where the task goes next.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from .core import (FORWARDING_HASH_MAX, FORWARDING_SPACE, ReuseLayer, TaskEnvelo
 from .hashing import LshFamily, PreparedQuery, forwarding_hash
 from .services import ServiceResult, ServiceSpec, _label, execute_stage
 from .store import ReuseEntry, ReuseStore
+
+
+EVENT_EXECUTION_DONE = "ExecutionDone"
+EVENT_LOOKUP_DONE = "LookupDone"
 
 
 class UnknownServiceError(KeyError):
@@ -207,15 +217,6 @@ class ServerNode:
 
 
 @dataclass(slots=True)
-class CostedStep:
-    """One accountable unit of node work, in processing order."""
-
-    kind: str        # "lookup" | "hash" | "stage_lookup" | "stage_exec"
-    detail: str
-    cost_us: int
-
-
-@dataclass(slots=True)
 class ResultPayload:
     output: np.ndarray
     label: int
@@ -225,18 +226,20 @@ class ResultPayload:
 
 @dataclass(slots=True)
 class NodeOutcome:
-    """One node visit: its costed steps, the envelope it passes on, and the
-    payload it served (None when the task moves on, to ``next_server`` from
-    a router). A server always serves; when it executed anything it also
-    carries the entry to insert at completion and its stage counts."""
+    """One node visit: its timed steps, each ``(end_us, kind, detail,
+    cost_us)`` in processing order, so the visit ends when its last step
+    does; the envelope it passes on; and the payload it served (None when
+    the task moves on, to ``next_server`` from a router). A server always
+    serves; when it executed anything it also carries the entry to insert
+    at completion, already stamped with the visit's end, and its executed
+    stage count and busy time."""
 
-    steps: tuple[CostedStep, ...]
+    steps: tuple[tuple[int, str, str, int], ...]
     envelope: TaskEnvelope
     payload: ResultPayload | None = None
     next_server: str | None = None
     entry: ReuseEntry | None = None
     executed_stages: int = 0
-    reused_stages: int = 0
     exec_busy_us: int = 0
 
 
@@ -260,13 +263,13 @@ def _stage_details(stage_id: str) -> tuple[str, str, str]:
     return f"stage:{stage_id}:reused", f"stage:{stage_id}:miss", f"stage:{stage_id}"
 
 
-def _cached_payload(store: ReuseStore, query: PreparedQuery, task: TaskEnvelope, now: int,
+def _cached_payload(store: ReuseStore, query: PreparedQuery, task: TaskEnvelope, end: int,
                     lookup_time_us: int, layer: ReuseLayer, steps: list) -> ResultPayload | None:
-    """One whole-task lookup, recorded as a costed step: the payload of the
-    matched entry, or None on a miss. A cached result only substitutes for
-    the same service's execution."""
-    found = store.lookup(query, task.threshold, now=now, service=task.service_id)
-    steps.append(CostedStep("lookup", _LOOKUP_DETAIL[layer, found.hit], lookup_time_us))
+    """One whole-task lookup that ends at ``end``, recorded as a step: the
+    payload of the matched entry, or None on a miss. A cached result only
+    substitutes for the same service's execution."""
+    found = store.lookup(query, task.threshold, now=end, service=task.service_id)
+    steps.append((end, EVENT_LOOKUP_DONE, _LOOKUP_DETAIL[layer, found.hit], lookup_time_us))
     if not found.hit:
         return None
     entry = store.get(found.entry_id)
@@ -288,14 +291,16 @@ def device_offload(dev: DeviceNode, task: TaskEnvelope, family: LshFamily,
         raise ValueError(f"task for device {task.device_id} offered to {dev.node_id}")
     steps = []
     if dev.store is not None:
-        payload = _cached_payload(dev.store, _query(dev.store, task), task, now + lookup_time_us,
+        now += lookup_time_us
+        payload = _cached_payload(dev.store, _query(dev.store, task), task, now,
                                   lookup_time_us, ReuseLayer.DEVICE, steps)
         if payload is not None:
             return NodeOutcome(tuple(steps), task, payload)
     envelope = task
     if dev.can_hash and task.forwarding_hash is None:
         envelope = task._with_forwarding_hash(_forwarding_hash(family, task))
-        steps.append(CostedStep("hash", "hash", dev.hash_time_us))
+        now += dev.hash_time_us
+        steps.append((now, EVENT_EXECUTION_DONE, "hash", dev.hash_time_us))
     return NodeOutcome(tuple(steps), envelope)
 
 
@@ -304,16 +309,15 @@ def router_forward(router: RouterNode, task: TaskEnvelope, family: LshFamily,
     """Second reuse layer: attach the hash if the device could not, serve
     from the in-network cache, or forward to the range-owning server."""
     steps = []
-    elapsed = 0
     envelope = task
     if envelope.forwarding_hash is None:
         envelope = task._with_forwarding_hash(_forwarding_hash(family, task))
-        steps.append(CostedStep("hash", "hash", router.hash_time_us))
-        elapsed += router.hash_time_us
+        now += router.hash_time_us
+        steps.append((now, EVENT_EXECUTION_DONE, "hash", router.hash_time_us))
     if router.store is not None:
+        now += lookup_time_us
         payload = _cached_payload(router.store, _query(router.store, envelope), envelope,
-                                  now + elapsed + lookup_time_us, lookup_time_us,
-                                  ReuseLayer.NETWORK, steps)
+                                  now, lookup_time_us, ReuseLayer.NETWORK, steps)
         if payload is not None:
             return NodeOutcome(tuple(steps), envelope, payload)
     next_server = table.server_for(envelope.forwarding_hash)
@@ -330,14 +334,14 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     its execution time); stage lookups that miss are free. ``own``, the
     ``execute_service`` result of the task's input, stands in for running
     the stages before the first reused one, and for labelling when none is;
-    later stages run on the reused output. When anything was
-    executed and the server keeps a store, the outcome carries a fully
-    populated entry for the caller to insert at completion time, so in-flight
-    results are never visible early. Counter updates are deferred to the
-    caller for the same reason. Since nothing enters the store during the
-    visit and hits change only recency, the whole-task lookup and every
-    stage lookup of the task's query share the store's one gathering and
-    scoring pass over the candidates.
+    later stages run on the reused output. When anything was executed and
+    the server keeps a store, the outcome carries a fully populated entry,
+    stamped with the visit's end, for the caller to insert at completion
+    time, so in-flight results are never visible early. Counter updates are
+    deferred to the caller for the same reason. Since nothing enters the
+    store during the visit and hits change only recency, the whole-task
+    lookup and every stage lookup of the task's query share the store's one
+    gathering and scoring pass over the candidates.
     """
     svc = server.catalog.get(task.service_id)
     if svc is None:
@@ -349,11 +353,10 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
                          f"service {svc.service_id!r} expects {svc.input_dim}")
     store = server.store
     steps = []
-    elapsed = 0
     if store is not None:
         query = _query(store, task)
-        elapsed += lookup_time_us
-        payload = _cached_payload(store, query, task, now + elapsed, lookup_time_us,
+        now += lookup_time_us
+        payload = _cached_payload(store, query, task, now, lookup_time_us,
                                   ReuseLayer.SERVER, steps)
         if payload is not None:
             return NodeOutcome(tuple(steps), task, payload)
@@ -368,22 +371,22 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
         reused_here = False
         if store is not None:
             found = store.lookup_stage(stage.stage_id, query, task.threshold,
-                                       now=now + elapsed + lookup_time_us)
+                                       now=now + lookup_time_us)
             if found.hit:
                 current = store.get(found.entry_id).stage_outputs[stage.stage_id]
-                steps.append(CostedStep("stage_lookup", reused_detail, lookup_time_us))
-                elapsed += lookup_time_us
+                now += lookup_time_us
+                steps.append((now, EVENT_LOOKUP_DONE, reused_detail, lookup_time_us))
                 reused += 1
                 reused_here = True
             else:
-                steps.append(CostedStep("stage_lookup", miss_detail, 0))
+                steps.append((now, EVENT_LOOKUP_DONE, miss_detail, 0))
         if not reused_here:
             if own is not None and reused == 0:
                 current = own.stage_outputs[j]
             else:
                 current = execute_stage(stage, current)
-            steps.append(CostedStep("stage_exec", exec_detail, stage.exec_time_us))
-            elapsed += stage.exec_time_us
+            now += stage.exec_time_us
+            steps.append((now, EVENT_EXECUTION_DONE, exec_detail, stage.exec_time_us))
             executed += 1
             busy += stage.exec_time_us
         stage_outputs[stage.stage_id] = current
@@ -395,5 +398,6 @@ def server_handle(server: ServerNode, task: TaskEnvelope, lookup_time_us: int,
     if executed > 0 and store is not None:
         # Every array here is frozen already: the task's checked input, and
         # stage outputs from execute_stage, oracle or stored entries.
-        entry = ReuseEntry._of_frozen(task.input, task.service_id, stage_outputs, current, label)
-    return NodeOutcome(tuple(steps), task, payload, None, entry, executed, reused, busy)
+        entry = ReuseEntry._of_frozen(task.input, task.service_id, stage_outputs, current, label,
+                                      now)
+    return NodeOutcome(tuple(steps), task, payload, None, entry, executed, busy)

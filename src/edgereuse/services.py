@@ -56,10 +56,6 @@ class ServiceSpec:
         check_integer(where + "label_classes", self.label_classes, 2)
 
     @property
-    def total_exec_us(self) -> int:
-        return sum(s.exec_time_us for s in self.stages)
-
-    @property
     def output_dim(self) -> int:
         return self.stages[-1].out_dim
 

@@ -36,9 +36,9 @@ import numpy as np
 
 from .config import ConfigError, _json, write_json
 from .core import RESULT_ATOL, ReuseLayer, TaskEnvelope, check_threshold
-from .fabric import (DeviceNode, ForwardingTable, LoadReport, NodeOutcome, RouterNode,
-                     ServerNode, device_offload, partition_hash_space, rebalance,
-                     router_forward, server_handle)
+from .fabric import (EVENT_EXECUTION_DONE, EVENT_LOOKUP_DONE, DeviceNode, ForwardingTable,
+                     LoadReport, NodeOutcome, RouterNode, ServerNode, device_offload,
+                     partition_hash_space, rebalance, router_forward, server_handle)
 from .hashing import LshFamily, check_signable_rows
 from .services import ServiceResult, ServiceSpec, oracle
 from .store import ReuseEntry, ReuseStore
@@ -46,16 +46,7 @@ from .workload import read_trace_csv, read_vectors_csv, write_csv
 
 EVENT_TASK_ARRIVAL = "TaskArrival"
 EVENT_LINK_DELIVERY = "LinkDelivery"
-EVENT_EXECUTION_DONE = "ExecutionDone"
-EVENT_LOOKUP_DONE = "LookupDone"
 EVENT_CONTROL_WINDOW = "ControlWindow"
-
-_STEP_EVENT_KIND = {
-    "lookup": EVENT_LOOKUP_DONE,
-    "stage_lookup": EVENT_LOOKUP_DONE,
-    "hash": EVENT_EXECUTION_DONE,
-    "stage_exec": EVENT_EXECUTION_DONE,
-}
 
 # The layers that the per-task path tests, as globals: cheaper than enum lookups.
 _NO_REUSE, _DEVICE_LAYER, _ROUTER_LAYER = ReuseLayer.NONE, ReuseLayer.DEVICE, ReuseLayer.NETWORK
@@ -275,29 +266,14 @@ class Simulation:
 
     # -- event log ----------------------------------------------------------
 
-    def _steps(self, outcome: NodeOutcome, node_id: str, now: int) -> int:
-        """Run a node visit's steps back to back from ``now`` and return the
-        time the last one ends.
-
-        With a log kept, each step gets its row. The earlier steps only
-        advance time, so each takes a seq of its own; the last is the task's
-        next event and takes the seq it is scheduled with.
-        """
-        steps = outcome.steps
-        event_rows = self.event_rows
-        if event_rows is None:
-            for step in steps:
-                now += step.cost_us
-            return now
-        task_id = outcome.envelope.task_id
-        last = len(steps) - 1
-        for i, step in enumerate(steps):
-            now += step.cost_us
-            event_rows.append((now, self.seq, _STEP_EVENT_KIND[step.kind], node_id,
-                               task_id, step.detail, step.cost_us))
-            if i < last:
-                self.seq += 1
-        return now
+    def _log_steps(self, steps: tuple, node_id: str, task_id: int) -> None:
+        """Log a node visit's steps, each at the time it ends. The earlier
+        steps only advance time, so each takes a seq of its own; the last is
+        the task's next event and takes the seq it is scheduled with."""
+        seq = self.seq
+        self.event_rows.extend((end_us, seq + i, kind, node_id, task_id, detail, cost_us)
+                               for i, (end_us, kind, detail, cost_us) in enumerate(steps))
+        self.seq = seq + len(steps) - 1
 
     def _log_link(self, now: int, src: str, dst: str, task_id: int, delay: int) -> None:
         """Log a link delivery that is scheduled next, under its seq."""
@@ -324,8 +300,9 @@ class Simulation:
         event's row just before it yields. The device, then the router,
         then a server may serve it; the first that does cuts the way short,
         and the result goes back along the links it came by, cached on the
-        way by each node that did not serve it. A visit with no steps ends
-        at once, with no event.
+        way by each node that did not serve it. Each visit times its own
+        steps from the ``now`` it is given, and its next event is the end of
+        its last step; a visit with no steps ends at once, with no event.
         """
         log = self.event_rows
         lookup_us = self.config.cost.lookup_time_us
@@ -334,7 +311,9 @@ class Simulation:
         dev = self.devices[envelope.device_id]
         outcome = device_offload(dev, envelope, self.family, lookup_us, now=now)
         if outcome.steps:
-            now = self._steps(outcome, dev.node_id, now)
+            now = outcome.steps[-1][0]
+            if log is not None:
+                self._log_steps(outcome.steps, dev.node_id, task_id)
             yield now
         if outcome.payload is None:
             router = self.routers[dev.router_id]
@@ -345,7 +324,9 @@ class Simulation:
             outcome = router_forward(router, outcome.envelope, self.family, lookup_us,
                                      self.table, now=now)
             if outcome.steps:
-                now = self._steps(outcome, router.node_id, now)
+                now = outcome.steps[-1][0]
+                if log is not None:
+                    self._log_steps(outcome.steps, router.node_id, task_id)
                 yield now
             if outcome.payload is None:
                 server = self.servers[outcome.next_server]
@@ -362,12 +343,12 @@ class Simulation:
                 outcome = server_handle(server, outcome.envelope, lookup_us, now=now,
                                         own=truth)
                 if outcome.steps:
-                    now = self._steps(outcome, server.node_id, now)
+                    now = outcome.steps[-1][0]
+                    if log is not None:
+                        self._log_steps(outcome.steps, server.node_id, task_id)
                     yield now
                 # The server's deferred effects apply when its visit ends.
                 if outcome.entry is not None:
-                    outcome.entry.insert_time = now
-                    outcome.entry.last_access = now
                     server.store.insert(outcome.entry, outcome.envelope.query)
                 if outcome.executed_stages > 0:
                     server.executed_count += 1

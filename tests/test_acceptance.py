@@ -228,7 +228,7 @@ def test_partial_reuse_exactness(tmp_path):
     assert outcome.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
     assert np.array_equal(outcome.payload.output, oracle_b.output)
     assert outcome.payload.label == oracle_b.label
-    with_reuse = sum(s.cost_us for s in outcome.steps)
+    with_reuse = sum(cost for *_, cost in outcome.steps)
     no_reuse = 1000 + shared.exec_time_us + svc_b.stages[1].exec_time_us
     saved = shared.exec_time_us - 1000
     assert abs((no_reuse - with_reuse) - saved) <= 1

@@ -1,18 +1,37 @@
-"""Every trace hook of the benchmark still binds a function of the library.
+"""Every trace hook of the benchmark still binds a function of the library,
+and every observer still reads the result that function returns.
 
 ``perfbench/spans.py`` reports a hook whose target is gone as absent instead
 of failing, so a refactor that renames or drops a hooked function would go
-unnoticed until someone reads ``trace.hooks_absent``. This test resolves each
-binding the way the span recorder does.
+unnoticed until someone reads ``trace.hooks_absent``. Its recorder also
+swallows an observer's AttributeError or TypeError, so a changed return
+shape would read 0 in traced runs. These tests resolve each binding the way
+the span recorder does, and call each observer directly on a real result.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import edgereuse.simulator as simulator
+from edgereuse.core import TaskEnvelope
+from edgereuse.fabric import DeviceNode, RouterNode, ServerNode, partition_hash_space
+from edgereuse.hashing import LshFamily
+from edgereuse.services import ServiceSpec, StageSpec, execute_service
+from edgereuse.store import ReuseEntry, ReuseStore
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # The store stopped importing probe_sequence and it is deleted; the hook
 # moves when the benchmark is next revised.
 MAY_BE_ABSENT = {"hashing.probe_sequence"}
+
+DIM = 8
+LOOKUP_US = 1000
+SHARED = StageSpec("shared", 9001, DIM, 60_000)
+SVC_A = ServiceSpec("svc-a", DIM, (SHARED, StageSpec("tail-a", 9002, DIM, 40_000)))
+SVC_B = ServiceSpec("svc-b", DIM, (SHARED, StageSpec("tail-b", 9003, DIM, 40_000)))
 
 
 def test_every_hook_binding_resolves():
@@ -22,3 +41,76 @@ def test_every_hook_binding_resolves():
     absent = sorted({name for name, bindings, *_ in spans.HOOKS
                      for binding in bindings if spans._resolve(binding) is None})
     assert set(absent) <= MAY_BE_ABSENT, f"hooks whose target is gone: {absent}"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def counters():
+    return {"hits": 0, "probes": 0, "partial": 0, "evicted": 0}
+
+
+@pytest.fixture
+def stored():
+    """A store holding svc-a's result for one input, and that input."""
+    family = LshFamily(DIM, k=16, tables=4, seed=2)
+    v = np.arange(1.0, DIM + 1)
+    res = execute_service(SVC_A, v)
+    store = ReuseStore(family, 64, 10 ** 7)
+    store.insert(ReuseEntry(v, "svc-a", {"shared": res.stage_outputs[0],
+                                         "tail-a": res.output}, res.output, res.label))
+    return store, v
+
+
+def task_for(v, service_id="svc-a"):
+    return TaskEnvelope(0, "dev0", service_id, v, 0.9)
+
+
+def test_served_reads_device_and_router_visits(spans, stored):
+    store, v = stored
+    family = store.family
+    dev = DeviceNode("dev0", "r0", 1000, True, 1800, store)
+    router = RouterNode("r0", {"s0": 3000}, 1800, store)
+    table = partition_hash_space(["s0"])
+    visits = [
+        (1, simulator.device_offload(dev, task_for(v), family, LOOKUP_US)),
+        (0, simulator.device_offload(dev, task_for(-v), family, LOOKUP_US)),
+        (1, simulator.router_forward(router, task_for(v), family, LOOKUP_US, table)),
+        (0, simulator.router_forward(router, task_for(-v), family, LOOKUP_US, table)),
+    ]
+    for served, result in visits:
+        st = counters()
+        spans._served_of(st, result)
+        assert st["hits"] == served
+
+
+def test_partial_reads_a_server_visit(spans, stored):
+    store, v = stored
+    server = ServerNode("s0", {"svc-a": SVC_A, "svc-b": SVC_B}, store)
+    for service_id, partial in (("svc-b", 1), ("svc-a", 0)):
+        st = counters()
+        spans._partial_of(st, simulator.server_handle(server, task_for(v, service_id), LOOKUP_US))
+        assert st["partial"] == partial
+
+
+def test_hit_reads_store_lookups(spans, stored):
+    store, v = stored
+    for result, hit in ((store.lookup(v, 0.9), 1), (store.lookup(-v, 0.9), 0),
+                        (store.lookup_stage("shared", v, 0.9), 1),
+                        (store.lookup_stage("tail-b", v, 0.9), 0)):
+        st = counters()
+        spans._hit_of(st, result)
+        assert st["hits"] == hit
+        assert st["probes"] == result.probes_used
+
+
+def test_evicted_reads_an_eviction(spans, stored):
+    store, _ = stored
+    st = counters()
+    spans._evicted_of(st, store.evict(needed_entries=store.capacity_entries))
+    assert st["evicted"] == 1

@@ -327,7 +327,7 @@ class TestServicesSchema:
                               "voice-command", "scene-render"}
         # Every pipeline costs the same fully executed, so reuse savings are
         # comparable across services.
-        assert {s.total_exec_us for s in specs} == {100_000}
+        assert {sum(st.exec_time_us for st in s.stages) for s in specs} == {100_000}
         shared_a = by_id["cognitive-assist"].stages[0]
         shared_b = by_id["traffic-count"].stages[0]
         assert shared_a.stage_id == shared_b.stage_id

@@ -305,7 +305,7 @@ def test_router_hashes_for_a_weak_device_in_replay(tmp_path, monkeypatch):
     weak = [(task, out) for task, out in forwarded if task.device_id == "dev1"]
     assert weak, "the default topology routes dev1's tasks through r1"
     for task, out in forwarded:
-        hashes = [s for s in out.steps if s.kind == "hash"]
+        hashes = [step for step in out.steps if step[2] == "hash"]
         assert len(hashes) == (1 if task.device_id == "dev1" else 0)
         assert out.envelope.forwarding_hash == task.query.bits[0]
         assert out.envelope.input is inputs[task.task_id]
@@ -323,7 +323,7 @@ def test_router_hash_hand_off(tmp_path):
     router = RouterNode("r0", {"s0": 3000}, 1800)
     at_router = router_forward(router, at_device.envelope, FAMILY, 1000,
                                partition_hash_space(["s0"]))
-    assert [(s.kind, s.cost_us) for s in at_router.steps] == [("hash", 1800)]
+    assert [(detail, cost) for _, _, detail, cost in at_router.steps] == [("hash", 1800)]
     hashed = at_router.envelope
     assert hashed.forwarding_hash == q.bits[0]
     assert task.forwarding_hash is None

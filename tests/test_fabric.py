@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgereuse.core import ReuseLayer, TaskEnvelope
-from edgereuse.fabric import (DeviceNode, ForwardingTable, HashRange, LoadReport,
-                              RouterNode, ServerNode, UnknownServiceError, device_offload,
-                              partition_hash_space, rebalance, router_forward, server_handle)
+from edgereuse.fabric import (EVENT_EXECUTION_DONE, EVENT_LOOKUP_DONE, DeviceNode,
+                              ForwardingTable, HashRange, LoadReport, RouterNode, ServerNode,
+                              UnknownServiceError, device_offload, partition_hash_space,
+                              rebalance, router_forward, server_handle)
 from edgereuse.hashing import FORWARDING_SPACE, LshFamily, forwarding_hash
 from edgereuse.services import (ServiceResult, ServiceSpec, StageSpec, execute_service,
                                 execute_stage, label_of)
@@ -42,6 +43,23 @@ def entry_for(v, svc=SVC_A):
     stage_outputs = {s.stage_id: out for s, out in zip(svc.stages, res.stage_outputs)}
     return ReuseEntry(np.asarray(v, dtype=float), svc.service_id, stage_outputs,
                       res.output, res.label)
+
+
+def costs(out, now=0):
+    """A visit's steps as (detail, cost_us) pairs, once each step is checked
+    to end at the previous step's end (or the visit's ``now``) plus its
+    cost, and to be a LookupDone for a lookup and an ExecutionDone else."""
+    end = now
+    for step_end, kind, detail, cost in out.steps:
+        end += cost
+        assert step_end == end, (detail, step_end, end)
+        lookup = detail.endswith((":hit", ":miss", ":reused"))
+        assert kind == (EVENT_LOOKUP_DONE if lookup else EVENT_EXECUTION_DONE), detail
+    return [(detail, cost) for _, _, detail, cost in out.steps]
+
+
+def reused_stages(out):
+    return sum(detail.endswith(":reused") for _, _, detail, _ in out.steps)
 
 
 class TestPartition:
@@ -199,7 +217,7 @@ class TestDeviceOffload:
         v = np.arange(1.0, DIM + 1)
         out = device_offload(dev, make_task(v), family, LOOKUP_US)
         assert out.payload is None
-        assert [(s.kind, s.cost_us) for s in out.steps] == [("hash", 1800)]
+        assert costs(out) == [("hash", 1800)]
         assert out.envelope.forwarding_hash == forwarding_hash(family, v)
 
     def test_weak_device_passes_through(self, family):
@@ -225,7 +243,7 @@ class TestDeviceOffload:
         out = device_offload(dev, make_task(v), family, LOOKUP_US)
         assert out.payload is not None
         assert out.payload.reuse_layer is ReuseLayer.DEVICE
-        assert [(s.kind, s.cost_us) for s in out.steps] == [("lookup", 1000)]
+        assert costs(out) == [("device:hit", 1000)]
         assert np.array_equal(out.payload.output, execute_service(SVC_A, v).output)
 
     def test_lookup_is_service_filtered(self, family):
@@ -235,7 +253,7 @@ class TestDeviceOffload:
         dev = DeviceNode("dev0", "r0", 1000, True, 1800, store)
         out = device_offload(dev, make_task(v, service_id="svc-b"), family, LOOKUP_US)
         assert out.payload is None
-        assert [s.kind for s in out.steps] == ["lookup", "hash"]
+        assert costs(out) == [("device:miss", 1000), ("hash", 1800)]
 
 
 class TestRouterForward:
@@ -244,7 +262,7 @@ class TestRouterForward:
         table = partition_hash_space(["s0"])
         v = np.arange(1.0, DIM + 1)
         out = router_forward(router, make_task(v), family, LOOKUP_US, table)
-        assert [(s.kind, s.cost_us) for s in out.steps] == [("hash", 1800)]
+        assert costs(out) == [("hash", 1800)]
         assert out.envelope.forwarding_hash == forwarding_hash(family, v)
         assert out.next_server == "s0"
 
@@ -266,7 +284,7 @@ class TestRouterForward:
         out = router_forward(router, make_task(v, forwarding_hash=1), family, LOOKUP_US, table)
         assert out.payload.reuse_layer is ReuseLayer.NETWORK
         assert out.next_server is None
-        assert [(s.kind, s.cost_us) for s in out.steps] == [("lookup", 1000)]
+        assert costs(out) == [("network:hit", 1000)]
 
     def test_missing_link_is_an_error(self, family):
         router = RouterNode("r0", {"s0": 3000}, 1800)
@@ -293,11 +311,11 @@ class TestServerHandle:
         v = np.arange(1.0, DIM + 1)
         out = server_handle(server, make_task(v), LOOKUP_US)
         assert out.payload.reuse_layer is ReuseLayer.NONE
-        assert (out.executed_stages, out.reused_stages) == (2, 0)
+        assert (out.executed_stages, reused_stages(out)) == (2, 0)
         assert out.exec_busy_us == 100_000
-        assert [(s.kind, s.cost_us) for s in out.steps] == [
-            ("lookup", 1000), ("stage_lookup", 0), ("stage_exec", 60_000),
-            ("stage_lookup", 0), ("stage_exec", 40_000)]
+        assert costs(out) == [
+            ("server:miss", 1000), ("stage:stage-shared:miss", 0), ("stage:stage-shared", 60_000),
+            ("stage:tail-a:miss", 0), ("stage:tail-a", 40_000)]
         truth = execute_service(SVC_A, v)
         assert np.array_equal(out.payload.output, truth.output)
         assert out.payload.label == truth.label
@@ -314,8 +332,8 @@ class TestServerHandle:
         assert out.payload.reuse_layer is ReuseLayer.SERVER
         assert out.payload.source_entry == eid
         assert out.entry is None
-        assert (out.executed_stages, out.reused_stages) == (0, 0)
-        assert [(s.kind, s.cost_us) for s in out.steps] == [("lookup", 1000)]
+        assert (out.executed_stages, reused_stages(out)) == (0, 0)
+        assert costs(out) == [("server:hit", 1000)]
 
     def test_partial_reuse_across_services(self, family):
         store = make_store(family)
@@ -324,11 +342,11 @@ class TestServerHandle:
         server = ServerNode("s0", CATALOG, store)
         out = server_handle(server, make_task(v, service_id="svc-b"), LOOKUP_US)
         assert out.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
-        assert (out.executed_stages, out.reused_stages) == (1, 1)
+        assert (out.executed_stages, reused_stages(out)) == (1, 1)
         assert out.exec_busy_us == 40_000
-        assert [(s.kind, s.cost_us) for s in out.steps] == [
-            ("lookup", 1000), ("stage_lookup", 1000), ("stage_lookup", 0),
-            ("stage_exec", 40_000)]
+        assert costs(out) == [
+            ("server:miss", 1000), ("stage:stage-shared:reused", 1000),
+            ("stage:tail-b:miss", 0), ("stage:tail-b", 40_000)]
         truth = execute_service(SVC_B, v)
         assert np.array_equal(out.payload.output, truth.output)
         assert out.entry is not None and out.entry.service_id == "svc-b"
@@ -339,8 +357,7 @@ class TestServerHandle:
         out = server_handle(server, make_task(v), LOOKUP_US)
         assert out.entry is None
         assert out.executed_stages == 2
-        assert [(s.kind, s.cost_us) for s in out.steps] == [
-            ("stage_exec", 60_000), ("stage_exec", 40_000)]
+        assert costs(out) == [("stage:stage-shared", 60_000), ("stage:tail-a", 40_000)]
 
 
 class TestOwnGroundTruth:
@@ -359,7 +376,7 @@ class TestOwnGroundTruth:
         server = ServerNode("s0", CATALOG, store)
         out = server_handle(server, make_task(v, service_id="svc-b"), LOOKUP_US, own=own)
         assert out.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
-        assert (out.executed_stages, out.reused_stages) == (1, 1)
+        assert (out.executed_stages, reused_stages(out)) == (1, 1)
         reused = stored.stage_outputs["stage-shared"]
         assert not np.array_equal(reused, truth.stage_outputs[0])
         want = execute_stage(SVC_B.stages[1], reused)
@@ -427,15 +444,17 @@ class TestPreparedQueryTravels:
         out = server_handle(ServerNode("s0", CATALOG, store),
                             make_task(q.vector, service_id="svc-b", query=q), LOOKUP_US)
         assert out.payload.reuse_layer is ReuseLayer.PARTIAL_SERVER
-        assert [s.kind for s in out.steps] == ["lookup", "stage_lookup", "stage_lookup",
-                                               "stage_exec"]
+        assert costs(out) == [
+            ("server:miss", 1000), ("stage:stage-shared:reused", 1000),
+            ("stage:tail-b:miss", 0), ("stage:tail-b", 40_000)]
         assert len(probes) == family.tables
 
 
 class TestHitStampsTheEndOfItsLookup:
     """A hit stamps the simulated time its lookup ends as the entry's
     last_access, which orders LRU eviction: a visit at NOW adds the cost of
-    every step up to and including the lookup that hit."""
+    every step up to and including the lookup that hit, and that is the
+    end_us of the hit's step."""
 
     NOW = 50_000
     HASH_US = 2500
@@ -452,28 +471,40 @@ class TestHitStampsTheEndOfItsLookup:
         dev = DeviceNode("dev0", "r0", 1000, True, self.HASH_US, store)
         out = device_offload(dev, make_task(v), family, LOOKUP_US, now=self.NOW)
         assert out.payload.reuse_layer is ReuseLayer.DEVICE
-        assert entry.last_access == self.NOW + LOOKUP_US
+        assert costs(out, self.NOW) == [("device:hit", LOOKUP_US)]
+        assert entry.last_access == self.NOW + LOOKUP_US == out.steps[-1][0]
 
     def test_router_lookup_after_its_hash(self, family):
         store, v, entry = self.stored(family)
         router = RouterNode("r0", {"s0": 3000}, self.HASH_US, store)
         out = router_forward(router, make_task(v), family, LOOKUP_US,
                              partition_hash_space(["s0"]), now=self.NOW)
-        assert [s.kind for s in out.steps] == ["hash", "lookup"]
+        assert costs(out, self.NOW) == [("hash", self.HASH_US), ("network:hit", LOOKUP_US)]
         assert out.payload.reuse_layer is ReuseLayer.NETWORK
-        assert entry.last_access == self.NOW + self.HASH_US + LOOKUP_US
+        assert entry.last_access == self.NOW + self.HASH_US + LOOKUP_US == out.steps[-1][0]
 
     def test_server_whole_task_lookup(self, family):
         store, v, entry = self.stored(family)
         out = server_handle(ServerNode("s0", CATALOG, store), make_task(v), LOOKUP_US,
                             now=self.NOW)
         assert out.payload.reuse_layer is ReuseLayer.SERVER
-        assert entry.last_access == self.NOW + LOOKUP_US
+        assert costs(out, self.NOW) == [("server:hit", LOOKUP_US)]
+        assert entry.last_access == self.NOW + LOOKUP_US == out.steps[-1][0]
 
     def test_server_stage_lookup_after_the_whole_task_miss(self, family):
         store, v, entry = self.stored(family)
         out = server_handle(ServerNode("s0", CATALOG, store), make_task(v, service_id="svc-b"),
                             LOOKUP_US, now=self.NOW)
-        assert [(s.kind, s.detail) for s in out.steps[:2]] == [
-            ("lookup", "server:miss"), ("stage_lookup", "stage:stage-shared:reused")]
-        assert entry.last_access == self.NOW + 2 * LOOKUP_US
+        assert costs(out, self.NOW) == [
+            ("server:miss", LOOKUP_US), ("stage:stage-shared:reused", LOOKUP_US),
+            ("stage:tail-b:miss", 0), ("stage:tail-b", 40_000)]
+        assert entry.last_access == self.NOW + 2 * LOOKUP_US == out.steps[1][0]
+
+    def test_server_entry_is_stamped_with_the_visit_end(self, family):
+        # The entry a server hands back for insertion was made at the end
+        # of its visit's last step, when the result first exists.
+        out = server_handle(ServerNode("s0", CATALOG, make_store(family)),
+                            make_task(np.arange(1.0, DIM + 1)), LOOKUP_US, now=self.NOW)
+        assert costs(out, self.NOW)[0] == ("server:miss", LOOKUP_US)
+        end = self.NOW + LOOKUP_US + 100_000
+        assert out.entry.insert_time == out.entry.last_access == end == out.steps[-1][0]

@@ -332,6 +332,18 @@ class TestEviction:
         assert store.evict(needed_entries=8) == expected
         store.audit()
 
+    def test_audit_passes_with_the_heap_at_its_bound(self, family):
+        # Every hit leaves a stale key behind, and the heap is rebuilt only
+        # once it is over its bound: a heap exactly at the bound is sound.
+        store = ReuseStore(family, 1, BIG)
+        key = np.arange(1.0, 9.0)
+        store.insert(make_entry(key))
+        bound = 2 * len(store) + HEAP_SLACK
+        for t in range(bound - 1):
+            assert store.lookup(key, 1.0, now=t).hit
+        assert len(store._heap) == bound
+        store.audit()
+
     def test_churn_keeps_invariants(self, family, rng):
         store = ReuseStore(family, 8, 6 * 256, policy="lfu")
         for i in range(100):
@@ -521,6 +533,19 @@ class TestKeyMatrix:
             tracemalloc.stop()
         assert len(store) == 5
         assert peak < 1 << 20
+
+    def test_rows_are_bounded_by_the_byte_capacity(self, family, rng):
+        # Each entry holds a key and an output of at least one element, so
+        # bytes for 20 such entries bound the key matrix at 20 rows, however
+        # many entries the entry capacity would allow.
+        dim = family.dim
+        store = ReuseStore(family, 10 ** 6, 20 * (length_bytes(dim) + length_bytes(1)))
+        for i in range(60):
+            store.insert(ReuseEntry(rng.standard_normal(dim), "svc", {}, np.ones(1), 0,
+                                    insert_time=i))
+        assert len(store) == 20
+        assert len(store._keys) == 20
+        store.audit()
 
     @pytest.mark.parametrize("fault", ["key", "norm", "bits", "row-shared", "row-free",
                                        "row-leaked", "id", "empty-bucket"])
