@@ -92,22 +92,25 @@ class LshFamily:
         what input_norm rejects.
         """
         v = as_feature_vector(v, self.dim)
-        return PreparedQuery(self, v, input_norm(v), tuple(self._table_bits(v)))
+        norm, bits = self._norm_and_bits(v)
+        return PreparedQuery(self, v, norm, tuple(bits))
 
     def _prepare_rows(self, m: np.ndarray, rows: list[int]) -> list[PreparedQuery]:
         # prepare's queries for rows ``rows`` of a read-only, C-contiguous
         # (n, dim) float64 matrix with no unsignable row (a checked bundle),
         # in one batched pass, but query j keeps the row view m[rows[j]], not
         # a copy. A row's norm and bits do not depend on the rows beside it.
-        sub = m[rows]
-        norms = np.sqrt(_row_squares(sub)).tolist()
-        columns = sub[:, :, None]
+        norms, signed = _measured_rows(m[rows])
+        columns = signed[:, :, None]
         bits = zip(*[self._signatures(planes, columns).tolist() for planes in self.hyperplanes])
-        return [PreparedQuery(self, m[i], norm, b) for i, norm, b in zip(rows, norms, bits)]
+        return [PreparedQuery(self, m[i], norm, b)
+                for i, norm, b in zip(rows, norms.tolist(), bits)]
 
-    def _table_bits(self, v: np.ndarray) -> list[int]:
-        # Every table's bits of one vector that input_norm accepts.
-        return self._signatures(self.hyperplanes, v).tolist()
+    def _norm_and_bits(self, v: np.ndarray) -> tuple[float, list[int]]:
+        # The norm and every table's bits of one validated vector, or
+        # input_norm's error.
+        norm, signed = _measured(v)
+        return norm, self._signatures(self.hyperplanes, signed).tolist()
 
     def _signatures(self, planes: np.ndarray, x: np.ndarray) -> np.ndarray:
         # The one signing product. x is one vector, signed under a stack of
@@ -127,29 +130,49 @@ class LshFamily:
         if m.ndim != 2 or m.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {m.shape}")
         check_signable_rows(m)
-        return self._signatures(self.hyperplanes[table], m[:, :, None])
+        return self._signatures(self.hyperplanes[table], _measured_rows(m)[1][:, :, None])
 
 
 def input_norm(v: np.ndarray) -> float:
     """Euclidean norm of a validated (so contiguous) vector that can be
     fingerprinted and scored: rejects an all-zero vector, a norm that
-    underflows to 0 and a norm that overflows float64."""
+    underflows to 0 and a norm that overflows float64.
+
+    When the sum of squares overflows, the norm is taken of the vector
+    scaled by its largest magnitude, then scaled back; so a vector with
+    coordinates above about 1.3e154 has its finite norm, and every other
+    vector keeps the plain norm's exact bits.
+    """
+    return _measured(v)[0]
+
+
+def _measured(v: np.ndarray) -> tuple[float, np.ndarray]:
+    # input_norm's norm, and the vector to sign: v itself, or v scaled by
+    # its largest magnitude when its sum of squares overflows. Sign bits do
+    # not change under positive scaling, and the scaled dot products cannot
+    # overflow to inf or NaN.
     # On a contiguous vector np.vdot sums as np.linalg.norm does, bit for
     # bit, but an overflow reaches the check below without a RuntimeWarning.
     norm = math.sqrt(np.vdot(v, v))
     if norm == 0.0:
         raise ValueError(_NORM_UNDERFLOW if v.any() else "cannot fingerprint an all-zero vector")
+    if math.isfinite(norm):
+        return norm, v
+    peak = float(np.abs(v).max())
+    v = v / peak
+    # Python floats: a product that overflows is inf, with no warning.
+    norm = peak * math.sqrt(np.vdot(v, v))
     if not math.isfinite(norm):
         raise ValueError(_NORM_OVERFLOW)
-    return norm
+    return norm, v
 
 
 def unsignable_rows(m: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows of a C-contiguous (n, dim) float64
     matrix that prepare rejects as not finite or for their norm (see
     input_norm)."""
-    squares = _row_squares(m)
-    return np.flatnonzero((squares == 0.0) | ~np.isfinite(squares))
+    norms = _measured_rows(m)[0]
+    return np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
 
 
 def check_signable_rows(m: np.ndarray) -> None:
@@ -163,6 +186,23 @@ def check_signable_rows(m: np.ndarray) -> None:
             exc.row = i
             raise
         raise RuntimeError(f"row {i} is flagged unsignable, but prepare accepts it")
+
+
+def _measured_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _measured row by row, bit for bit, for a C-contiguous (n, dim) float64
+    # matrix: every row's norm (0, inf or NaN where input_norm rejects the
+    # row), and the matrix to sign, m itself or a copy whose rows with
+    # overflowing squares are scaled by their largest magnitudes.
+    squares = _row_squares(m)
+    norms = np.sqrt(squares)
+    over = np.flatnonzero(squares == np.inf)
+    if over.size:
+        m = m.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            peaks = np.abs(m[over]).max(axis=1)
+            m[over] /= peaks[:, None]
+            norms[over] = peaks * np.sqrt(_row_squares(m[over]))
+    return norms, m
 
 
 def _row_squares(m: np.ndarray) -> np.ndarray:

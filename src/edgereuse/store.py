@@ -16,21 +16,25 @@ same row, and each bucket is an int64 array of rows, with no int object per
 row. A gather that hits few buckets deduplicates their rows in a set; one
 that hits more joins the buckets' bytes into one numpy array, sorts it and
 drops adjacent repeats. Scoring sorts the candidate rows by their ids with
-one argsort and gathers them by fancy indexing, never per entry. A
-filtered lookup still scores every candidate in that one pass, then takes
-the best one and walks down the scores only if it fails the filter.
+one argsort and gathers them by fancy indexing, never per entry, and keeps
+the raw cosines. Lookup applies the score rule (snap near 1.0 to 1.0, clip
+below 0 and NaN to 0, ties to the smallest id) to the candidate it answers
+with, and snaps a copy of every score only when the raw best is NaN or not
+positive, or fails the lookup's filter; then it walks down the snapped
+scores.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import SELF_SIMILARITY_SNAP, as_feature_vector, check_integer, check_threshold
-from .hashing import LshFamily, PreparedQuery, input_norm, probe_masks
+from .hashing import LshFamily, PreparedQuery, probe_masks
 
 # The eviction heap may hold at most 2 items per live entry plus this many.
 HEAP_SLACK = 64
@@ -44,8 +48,13 @@ MIN_KEY_ROWS = 8
 _SET_GATHER_MAX = 16
 # Copied to make a one-row bucket, at half the cost of array("q", (row,)).
 _ONE_ROW = array("q", (0,))
+# A raw score above this snaps to 1.0.
+_SNAP_BOUND = 1.0 - SELF_SIMILARITY_SNAP
+# While a query's norm times the largest stored norm stays below this, no
+# dot product or norm product of a score can overflow.
+_SCORE_SAFE = sys.float_info.max / 2
 # _score's result when no bucket holds a candidate.
-_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_SIMS = np.empty(0)
 
 
@@ -53,6 +62,20 @@ def length_bytes(n: int) -> int:
     """Accounted storage cost of a vector of n elements: 8 bytes per element
     plus a 64-byte fixed overhead for metadata and indexing."""
     return 8 * n + 64
+
+
+def _snapped(sims: np.ndarray) -> np.ndarray:
+    """A copy of raw scores under the score rule: above 1 -
+    SELF_SIMILARITY_SNAP is 1.0, and below 0 or NaN is 0."""
+    # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
+    snapped = np.fmax(sims, 0.0)
+    snapped[snapped > _SNAP_BOUND] = 1.0
+    return snapped
+
+
+def _passes(entry: ReuseEntry, service: str | None, stage: str | None) -> bool:
+    return ((service is None or entry.service_id == service)
+            and (stage is None or stage in entry.stage_outputs))
 
 
 class OversizedEntryError(ValueError):
@@ -132,9 +155,10 @@ class LookupOutcome:
 
 
 # Eviction order by policy name: the entry with the smallest key goes first.
+# A key is the heap item itself, ending in the entry id.
 _EVICTION_KEYS = {
-    "lru": lambda e: (e.last_access,),
-    "lfu": lambda e: (e.hit_count, e.last_access),
+    "lru": lambda e, i: (e.last_access, i),
+    "lfu": lambda e, i: (e.hit_count, e.last_access, i),
 }
 
 
@@ -181,11 +205,13 @@ class ReuseStore:
         self._row_of: dict[int, int] = {}
         self._free_rows: list[int] = []
         self._rows_used = 0
+        # The largest norm ever stored, kept after its entry goes.
+        self._norm_peak = 0.0
         # No more entries than this can be live: each holds a key and an
         # output of at least one element.
         self._max_rows = min(capacity_entries,
                              capacity_bytes // (length_bytes(family.dim) + length_bytes(1)))
-        self._heap: list[tuple[tuple, int]] = []
+        self._heap: list[tuple[int, ...]] = []
         self._next_id = 0
         self._total_bytes = 0
         # The last scoring pass, kept with its query object, serves later
@@ -207,15 +233,18 @@ class ReuseStore:
         return sorted(self._entries)
 
     def _touch(self, entry_id: int, entry: ReuseEntry) -> None:
-        heapq.heappush(self._heap, (self._eviction_key(entry), entry_id))
-        self._bound_heap()
+        heap = self._heap
+        heapq.heappush(heap, self._eviction_key(entry, entry_id))
+        if len(heap) > 2 * len(self._entries) + HEAP_SLACK:
+            self._bound_heap()
 
     def _bound_heap(self) -> None:
         # Every hit leaves a stale key behind. Rebuilding from the live
         # entries' current keys drops only items _pop_victim would skip, so
         # the eviction order stays the same.
         if len(self._heap) > 2 * len(self._entries) + HEAP_SLACK:
-            self._heap = [(self._eviction_key(e), i) for i, e in self._entries.items()]
+            key = self._eviction_key
+            self._heap = [key(e, i) for i, e in self._entries.items()]
             heapq.heapify(self._heap)
 
     def _prepared(self, query) -> PreparedQuery:
@@ -244,7 +273,7 @@ class ReuseStore:
                 f"({self.capacity_entries} entries, {self.capacity_bytes} bytes)")
         if query is None:
             # ReuseEntry already validated the key, so sign it unchecked.
-            norm, bits = input_norm(key), self.family._table_bits(key)
+            norm, bits = self.family._norm_and_bits(key)
         else:
             norm, bits = query.norm, query.bits
         self.evict(needed_bytes=entry.size_bytes, needed_entries=1)
@@ -260,6 +289,8 @@ class ReuseStore:
                 bucket.append(row)
         self._keys[row] = key
         self._norms[row] = norm
+        if norm > self._norm_peak:
+            self._norm_peak = norm
         self._bits[row] = bits
         self._ids[row] = entry_id
         entry.key_input = self._row_view(row)
@@ -306,17 +337,18 @@ class ReuseStore:
         return view
 
     def _score(self, q: PreparedQuery) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates' ids, ascending, and their scores; both empty when
-        there is no candidate.
+        """The candidates' rows, in ascending order of their entry ids, and
+        their raw scores; both empty when there is no candidate.
 
         The candidates are the entries in q's probed buckets of every table,
         each once. Their keys are stacked in id order and scored in one
-        gemv, ``(keys @ q.vector) / (norms * q.norm)``; a score above
-        1 - SELF_SIMILARITY_SNAP becomes 1.0, and one below 0, or NaN,
-        becomes 0. A gemv may round a row's dot product differently with
-        other rows stacked around it, so a score is the same bits only
-        for the same stack: a reference that is to agree bit for bit
-        scores the same candidates, stacked in id order, in one gemv.
+        gemv, ``(keys @ q.vector) / (norms * q.norm)``. The scores are raw:
+        lookup applies the score rule (above 1 - SELF_SIMILARITY_SNAP is
+        1.0, below 0 or NaN is 0) and its tie rule itself. A gemv may round
+        a row's dot product differently with other rows stacked around it,
+        so a score is the same bits only for the same stack: a reference
+        that is to agree bit for bit scores the same candidates, stacked in
+        id order, in one gemv.
         """
         last = self._last_score
         if last is not None and last[0] is q:
@@ -329,7 +361,7 @@ class ReuseStore:
                 if bucket is not None:
                     buckets.append(bucket)
         if not buckets:
-            ids, sims = _NO_IDS, _NO_SIMS
+            rows, sims = _NO_ROWS, _NO_SIMS
         else:
             if len(buckets) > _SET_GATHER_MAX:
                 # A row sits in one bucket per table, so its repeats come from
@@ -344,20 +376,17 @@ class ReuseStore:
                 rows = np.fromiter(found, np.int64, len(found))
             # The candidates' rows in id order: the same matrix, row for row,
             # as stacking their keys, so every score rounds as it would there.
-            ids = self._ids[rows]
-            order = ids.argsort()
-            rows, ids = rows[order], ids[order]
-            sims = (self._keys[rows] @ q.vector) / (self._norms[rows] * q.norm)
-            sims[sims > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
-            # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
-            np.fmax(sims, 0.0, out=sims)
-        self._last_score = (q, ids, sims)
-        return ids, sims
-
-    def _passes(self, entry_id: int, service: str | None, stage: str | None) -> bool:
-        entry = self._entries[entry_id]
-        return ((service is None or entry.service_id == service)
-                and (stage is None or stage in entry.stage_outputs))
+            rows = rows[self._ids[rows].argsort()]
+            keys, norms = self._keys[rows], self._norms[rows]
+            if q.norm * self._norm_peak < _SCORE_SAFE:
+                sims = (keys @ q.vector) / (norms * q.norm)
+            else:
+                # Norms whose product passes the largest float64: a score whose
+                # products overflow is NaN or 0, which the rule reads as 0.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sims = (keys @ q.vector) / (norms * q.norm)
+        self._last_score = (q, rows, sims)
+        return rows, sims
 
     def lookup(self, query, threshold, *, now: int = 0, service: str | None = None,
                stage: str | None = None) -> LookupOutcome:
@@ -374,25 +403,43 @@ class ReuseStore:
         """
         q = self._prepared(query)
         t = check_threshold(threshold)
-        ids, sims = self._score(q)
-        # argmax keeps the first of equal scores, the smallest id.
-        best = int(sims.argmax()) if sims.size else None
-        if best is not None and sims.item(best) < t:
-            best = None
-        if best is not None and not self._passes(ids.item(best), service, stage):
-            # Filtered after scoring: a matrix-vector product can round a row
-            # differently beside other rows, so scoring only the kept ids
-            # could give floats that differ from a shared scoring pass. The
-            # stable sort walks equal scores in id order, down to the
-            # threshold.
-            order = np.argsort(-sims, kind="stable")[:np.count_nonzero(sims >= t)]
-            best = next((j for j in order.tolist() if self._passes(ids.item(j), service, stage)),
-                        None)
-        if best is None:
+        rows, sims = self._score(q)
+        if not sims.size:
             return LookupOutcome(False, None, None, self._probes)
+        # argmax keeps the first of equal scores, the smallest id, and stops
+        # at the first NaN.
+        best = int(sims.argmax())
         sim = sims.item(best)
-        best_id = ids.item(best)
-        entry = self._entries[best_id]
+        if sim > _SNAP_BOUND:
+            # Every score above the bound snaps to 1.0: the first answers.
+            best = int((sims > _SNAP_BOUND).argmax())
+            sim = 1.0
+        elif not sim > 0.0:
+            # A NaN, or no score above 0: the rule decides on every score.
+            snapped = _snapped(sims)
+            best = int(snapped.argmax())
+            sim = snapped.item(best)
+        if sim < t:
+            return LookupOutcome(False, None, None, self._probes)
+        ids, entries = self._ids, self._entries
+        best_id = ids.item(rows.item(best))
+        entry = entries[best_id]
+        if not _passes(entry, service, stage):
+            # Filtered after scoring: a matrix-vector product can round a row
+            # differently beside other rows, so scoring only the kept rows
+            # could give floats that differ from a shared scoring pass. The
+            # stable sort walks equal snapped scores in id order, down to the
+            # threshold.
+            snapped = _snapped(sims)
+            order = np.argsort(-snapped, kind="stable")[:np.count_nonzero(snapped >= t)]
+            for j in order.tolist():
+                best_id = ids.item(rows.item(j))
+                entry = entries[best_id]
+                if _passes(entry, service, stage):
+                    sim = snapped.item(j)
+                    break
+            else:
+                return LookupOutcome(False, None, None, self._probes)
         entry.last_access = max(entry.last_access, now)
         entry.hit_count += 1
         self._touch(best_id, entry)
@@ -420,11 +467,12 @@ class ReuseStore:
         # Lazy-deletion heap: stale keys (access happened after the push)
         # are skipped; the fresher key is already in the heap.
         while self._heap:
-            key, entry_id = heapq.heappop(self._heap)
+            key = heapq.heappop(self._heap)
+            entry_id = key[-1]
             entry = self._entries.get(entry_id)
             if entry is None:
                 continue
-            if self._eviction_key(entry) != key:
+            if self._eviction_key(entry, entry_id) != key:
                 continue
             return entry_id
         return None
@@ -463,9 +511,9 @@ class ReuseStore:
             assert not key.flags.writeable, f"entry {entry_id} key is writable"
             assert key.tobytes() == self._keys[row].tobytes(), \
                 f"entry {entry_id} key differs from its row {row}"
-            assert self._norms[row] == input_norm(key), f"row {row} norm is stale"
-            bits = self._bits[row].tolist()
-            assert bits == self.family._table_bits(key), f"row {row} bits are stale"
+            norm, bits = self.family._norm_and_bits(key)
+            assert self._norms[row] == norm, f"row {row} norm is stale"
+            assert self._bits[row].tolist() == bits, f"row {row} bits are stale"
             assert self._ids[row] == entry_id, f"row {row} records another entry id"
             for t, b in enumerate(bits):
                 assert self._tables[t].get(b, []).count(row) == 1, \

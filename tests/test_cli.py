@@ -184,9 +184,11 @@ class TestRun:
         assert err[0].startswith("error:")
         assert "vector 4: feature vector contains NaN or Inf" in err[0]
 
-    def test_overflowing_norm_is_one_stderr_line(self, tmp_path):
+    def test_coordinate_of_1e200_replays_with_nothing_on_stderr(self, tmp_path):
         # Run as a process, as a user runs it: pytest would otherwise catch
-        # a warning that the CLI leaks before its error line.
+        # a warning that the CLI leaks. The vector's squares overflow but its
+        # norm does not, so it replays. Each of its repeats scores NaN
+        # against its own stored key, which reads as 0: all are executed.
         bundle = generate(tmp_path)
         path = bundle / "vectors.csv"
         lines = path.read_text().splitlines()
@@ -198,11 +200,14 @@ class TestRun:
         proc = subprocess.run([sys.executable, "-m", "edgereuse", "run", "--config",
                                str(bundle / "experiment.json"), "--out", str(tmp_path / "r")],
                               env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1, proc.stderr
-        assert err[0].startswith("error:")
-        assert "vector 4: feature vector norm overflows float64" in err[0]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        with (bundle / "trace.csv").open() as f:
+            huge = [i for i, row in enumerate(csv.DictReader(f)) if row["vector_id"] == "4"]
+        with (tmp_path / "r" / "per_task.csv").open() as f:
+            layers = [row["reuse_layer"] for row in csv.DictReader(f)]
+        assert len(layers) == 60 and len(huge) > 1
+        assert {layers[i] for i in huge} == {"none"}
 
     def test_non_ascii_device_id_under_an_ascii_locale(self, tmp_path):
         # Bundle files are UTF-8 whatever the locale: a device id that is not
@@ -229,12 +234,15 @@ class TestRun:
         assert ",dév0," in (out / "per_task.csv").read_text(encoding="utf-8")
 
     def test_norm_at_the_overflow_edge_is_one_stderr_line(self, tmp_path):
-        # A row whose squares sum to inf in input_norm's order but not in
-        # pairwise order: the load must reject it as the replay would.
+        # A row whose norm is just past the largest float64, though every
+        # coordinate and the norm of the row scaled by its largest magnitude
+        # are finite: the load must reject it as the replay would.
         draws = np.random.default_rng(7).standard_normal((120, 64))
-        v = draws[119] / np.linalg.norm(draws[119]) * np.sqrt(sys.float_info.max)
+        v = draws[119] / np.linalg.norm(draws[119]) * (1 + 2**-30) * sys.float_info.max
+        peak = np.abs(v).max()
+        assert np.isfinite(v).all() and np.isfinite(np.linalg.norm(v / peak))
         with np.errstate(over="ignore"):
-            assert np.isfinite(np.linalg.norm(v[None], axis=1)[0]) and v.dot(v) == np.inf
+            assert not np.isfinite(peak * np.linalg.norm(v / peak))
         bundle = generate(tmp_path, "--tasks", "20")
         path = bundle / "vectors.csv"
         lines = path.read_text().splitlines()

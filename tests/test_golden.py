@@ -26,6 +26,10 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from edgereuse.store import ReuseStore
 from edgereuse.workload import builtin_profiles, generate_trace, write_trace_csv, write_vectors_csv
 
 SEED = 42
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MIXED_2K_SHA256 = "dde06e1b4c22354b0e0411aa8cfb8c187a7b1d22ba3d9ace1f2741eb006b8fe2"
 REDRAWN_SHA256 = "76604e1a0002c74b6bf7ce6b9c6b667c8304e52abc8dae634e1715f50ff4eaa6"
@@ -223,6 +228,84 @@ def test_mixed_2k_strict_threshold_digest(tmp_path):
         assert layers[layer]["count"] > 0, layer
     assert digests == (MIXED_2K_STRICT_SHA256, MIXED_2K_STRICT_EVENTS_SHA256,
                        MIXED_2K_STRICT_METRICS_SHA256)
+
+
+def _openblas_core(stderr: str) -> str | None:
+    # The kernel that OpenBLAS reports loading under OPENBLAS_VERBOSE=2.
+    cores = [line[len("Core: "):] for line in stderr.splitlines() if line.startswith("Core: ")]
+    return cores[0] if cores else None
+
+
+@pytest.fixture(scope="module")
+def openblas_env():
+    """The environment of a process that reports its OpenBLAS kernel, and
+    the kernel such a process loads by default; skips where numpy is not
+    built on an OpenBLAS that picks its kernel by CPU."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        pytest.skip("this numpy does not report the BLAS it is built on")
+    if "openblas" not in blas:
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS, so OPENBLAS_CORETYPE does nothing")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=SRC, OPENBLAS_VERBOSE="2")
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True,
+                           text=True, timeout=60)
+    default = _openblas_core(probe.stderr)
+    if default is None:
+        pytest.skip("OpenBLAS reports no kernel choice: not a DYNAMIC_ARCH build")
+    return env, default
+
+
+@pytest.fixture(scope="module")
+def mixed_2k_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("mixed-2k")
+    _bundle(bundle, dataclasses.replace(builtin_profiles()["mixed"], tasks=2000))
+    return bundle / "experiment.json"
+
+
+# Replays the bundle at its own threshold and at 0.9, writing each replay's
+# three files as _replay does.
+_REPLAY_TWICE = """\
+import sys
+from pathlib import Path
+from edgereuse.config import load_experiment
+from edgereuse.simulator import run_experiment
+config = load_experiment(sys.argv[1])
+for threshold, out in ((None, sys.argv[2]), (0.9, sys.argv[3])):
+    report = run_experiment(config, event_log=True, threshold=threshold)
+    out = Path(out)
+    out.mkdir()
+    report.write_per_task_csv(out / "per_task.csv")
+    report.write_events_csv(out / "events.csv")
+    report.write_metrics_json(out / "metrics.json")
+"""
+
+
+@pytest.mark.parametrize("coretype, reported", [("Prescott", "Katmai"),
+                                                ("Sandybridge", "Sandybridge")])
+def test_mixed_2k_digests_hold_under_other_blas_kernels(tmp_path, openblas_env, mixed_2k_bundle,
+                                                        coretype, reported):
+    # OpenBLAS picks its kernels by CPU, and kernels round a gemv's sums
+    # differently, so the store's raw scores are not the same bits on every
+    # machine. The outputs must not move with them: the 2K mixed bundle,
+    # replayed at 0.8 and at 0.9 in a process made to load another kernel,
+    # gives the pinned digests.
+    env, default = openblas_env
+    if default == reported:
+        pytest.skip(f"{coretype} is the kernel OpenBLAS loads by default, {default}")
+    default_out, strict_out = tmp_path / "default", tmp_path / "strict"
+    proc = subprocess.run([sys.executable, "-c", _REPLAY_TWICE, str(mixed_2k_bundle),
+                           str(default_out), str(strict_out)],
+                          env=dict(env, OPENBLAS_CORETYPE=coretype), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _openblas_core(proc.stderr) == reported != default
+    names = ("per_task.csv", "events.csv", "metrics.json")
+    assert tuple(_sha256(default_out / name) for name in names) == (
+        MIXED_2K_SHA256, MIXED_2K_EVENTS_SHA256, MIXED_2K_METRICS_SHA256)
+    assert tuple(_sha256(strict_out / name) for name in names) == (
+        MIXED_2K_STRICT_SHA256, MIXED_2K_STRICT_EVENTS_SHA256, MIXED_2K_STRICT_METRICS_SHA256)
 
 
 def test_redrawn_services_per_task_digest(tmp_path):

@@ -112,13 +112,20 @@ class TestTableSignatureBits:
         fam = LshFamily(dim, k=k, tables=tables, seed=seed)
         v = data.draw(_vectors_with_zeros(dim))
         norm = np.linalg.norm(v)
+        signed = v
+        if np.isinf(norm):
+            # Squares that overflow: v is measured and signed scaled by its
+            # largest magnitude.
+            peak = np.abs(v).max()
+            signed = v / peak
+            norm = peak * np.linalg.norm(signed)
         # A norm that underflows to 0 or overflows leaves nothing to sign.
         if norm == 0.0 or not np.isfinite(norm):
             fault = "underflows" if norm == 0.0 else "overflows"
             with pytest.raises(ValueError, match=f"norm {fault} float64"):
                 fam.prepare(v)
             return
-        assert fam.prepare(v).bits == tuple(_oracle_bits(fam, v, t) for t in range(tables))
+        assert fam.prepare(v).bits == tuple(_oracle_bits(fam, signed, t) for t in range(tables))
 
     def test_exact_zero_dot_is_bit_zero(self):
         fam = LshFamily(2, k=2, tables=2, seed=0)
@@ -232,7 +239,12 @@ class TestOneSigningKernel:
                 assert all(type(b) is int for b in q.bits) and type(q.norm) is float
                 assert np.shares_memory(q.vector, row) and q.vector.tobytes() == row.tobytes()
                 assert not q.vector.flags.writeable
-                assert input_norm(row) == float(np.linalg.norm(row))
+                with np.errstate(over="ignore"):
+                    plain = float(np.linalg.norm(row))
+                if not math.isfinite(plain):
+                    peak = np.abs(row).max()
+                    plain = float(peak * np.linalg.norm(row / peak))
+                assert input_norm(row) == plain
 
 
 @pytest.mark.parametrize("sign", [
@@ -253,7 +265,38 @@ def test_overflowing_norm_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="norm overflows float64"):
-            fam.prepare(np.full(8, 1e200))
+            fam.prepare(np.full(8, 1e308))
+
+
+@pytest.mark.parametrize("v", [[1e155] + [1.0] * 7, [1e200] * 8, [1e308, -1e307] + [0.0] * 6,
+                               [-1.3e154, 1.3e154] + [1e-300] * 6], ids=str)
+def test_finite_norm_whose_squares_overflow_is_signed(v):
+    # The sum of squares overflows, the norm does not: every signer takes
+    # the norm and the bits of v scaled by its largest magnitude, without a
+    # warning, and a batch signs such a row beside a plain one alike.
+    fam = LshFamily(8, k=16, tables=3, seed=3)
+    v = np.array(v)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.vdot(v, v))
+    peak = np.abs(v).max()
+    scaled = v / peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = fam.prepare(v)
+        assert q.norm == peak * math.sqrt(np.vdot(scaled, scaled)) == input_norm(v)
+        assert q.norm == pytest.approx(math.hypot(*v), rel=1e-15)
+        assert q.bits == fam.prepare(scaled).bits
+        assert q.bits == tuple(_oracle_bits(fam, scaled, t) for t in range(fam.tables))
+        m = np.vstack([np.ones(8), v])
+        assert not unsignable_rows(m).size
+        check_signable_rows(m)
+        for t in range(fam.tables):
+            assert fam.batch_signature_bits(m, t).tolist() == [fam.prepare(np.ones(8)).bits[t],
+                                                               q.bits[t]]
+        m.setflags(write=False)
+        _, batched = fam._prepare_rows(m, [0, 1])
+        assert (batched.norm, batched.bits) == (q.norm, q.bits)
+        assert batched.vector.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("name", ["prepare", "signature_bits", "batch_signature_bits",

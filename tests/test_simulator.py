@@ -552,7 +552,7 @@ class TestTraceValidation:
             Simulation(build_bundle(tmp_path, vectors, []))
 
     def test_overflowing_norm_rejected_at_load(self, tmp_path):
-        vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e300)])
+        vectors = np.vstack([fresh_vector(), np.full((1, DIM), 1e308)])
         with pytest.raises(SimulationError, match="vector 1: feature vector norm overflows"):
             Simulation(build_bundle(tmp_path, vectors, []))
 

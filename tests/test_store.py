@@ -586,9 +586,9 @@ _POOL_8 = np.random.default_rng(5).standard_normal((6, 8))
                     min_size=60, max_size=90),
        radius=st.sampled_from([1, 6]))
 def test_scores_bit_identical_to_stacked_keys(ops, radius):
-    # Scoring gathers rows of the key matrix; the scores must equal, bit for
-    # bit, those of the entries' keys stacked in id order, through inserts,
-    # evictions and growth of the matrix from 8 to 16 to all 70 rows.
+    # Scoring gathers rows of the key matrix; the raw scores must equal, bit
+    # for bit, those of the entries' keys stacked in id order, through
+    # inserts, evictions and growth of the matrix from 8 to 16 to all 70 rows.
     family = LshFamily(8, k=6, tables=2, seed=13)
     store = ReuseStore(family, 70, BIG, probe_radius=radius)
     sizes = set()
@@ -600,11 +600,11 @@ def test_scores_bit_identical_to_stacked_keys(ops, radius):
             store.evict(needed_entries=store.capacity_entries - len(store) + evictions)
         sizes.add(len(store._keys))
         q = family.prepare(_POOL_8[j] + mix * _POOL_8[i])
-        ids, sims = store._score(q)
-        if not ids.size:
+        rows, sims = store._score(q)
+        if not rows.size:
             assert not sims.size
             continue
-        ordered = ids.tolist()
+        ordered = store._ids[rows].tolist()
         assert ordered == sorted(ordered)
         assert sims.tobytes() == _stacked_scores(store, ordered, q).tobytes()
     store.audit()
@@ -612,14 +612,19 @@ def test_scores_bit_identical_to_stacked_keys(ops, radius):
 
 
 def _stacked_scores(store, ordered, q):
-    # The scores of the entries' keys, stacked in the given id order.
+    # The raw scores of the entries' keys, stacked in the given id order.
     keys = np.concatenate([store.get(e).key_input for e in ordered])
     keys = keys.reshape(len(ordered), store.family.dim)
     norms = np.array([np.linalg.norm(store.get(e).key_input) for e in ordered])
-    expected = (keys @ q.vector) / (norms * q.norm)
-    expected[expected > 1.0 - SELF_SIMILARITY_SNAP] = 1.0
-    np.fmax(expected, 0.0, out=expected)
-    return expected
+    return (keys @ q.vector) / (norms * q.norm)
+
+
+def _score_rule(raw):
+    # The documented score rule on one raw score: above 1 -
+    # SELF_SIMILARITY_SNAP is 1.0, and below 0 or NaN is 0.
+    if raw > 1.0 - SELF_SIMILARITY_SNAP:
+        return 1.0
+    return raw if raw > 0.0 else 0.0
 
 
 _POOL_10 = np.random.default_rng(17).standard_normal((10, 8))
@@ -630,9 +635,9 @@ _GATHER_OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sample
 
 def test_gathers_are_exact_on_both_sides_of_the_set_crossover():
     # A gather that hits few buckets deduplicates rows in a set, one that
-    # hits many in numpy. Either way _score must return exactly the live
-    # entries within probe_radius of the query in some table, in id order,
-    # scored as their stacked keys. Duplicate and scaled keys share buckets;
+    # hits many in numpy. Either way _score must return exactly the rows of
+    # the live entries within probe_radius of the query in some table, in id
+    # order, with the raw scores of their stacked keys. Duplicate and scaled keys share buckets;
     # evictions free rows that later inserts reuse, so row order drifts from
     # id order.
     paths = collections.Counter()
@@ -652,7 +657,7 @@ def test_gathers_are_exact_on_both_sides_of_the_set_crossover():
         bits_of = {}
         for step, (i, j, mix, scale, evictions) in enumerate(ops):
             entry = make_entry(scale * (_POOL_10[i] + mix * _POOL_10[j]), insert_time=step)
-            bits_of[store.insert(entry)] = family._table_bits(entry.key_input)
+            bits_of[store.insert(entry)] = family.prepare(entry.key_input).bits
             store.evict(needed_entries=store.capacity_entries - len(store) + evictions)
             q = family.prepare(_POOL_10[j] + mix * _POOL_10[i])
             hit = sum(bits ^ mask in table for table, bits in zip(store._tables, q.bits)
@@ -661,8 +666,8 @@ def test_gathers_are_exact_on_both_sides_of_the_set_crossover():
             expected = [entry_id for entry_id in sorted(store._entries)
                         if any((a ^ b).bit_count() <= radius
                                for a, b in zip(bits_of[entry_id], q.bits))]
-            ids, sims = store._score(q)
-            assert ids.tolist() == expected
+            rows, sims = store._score(q)
+            assert store._ids[rows].tolist() == expected
             if expected:
                 assert sims.tobytes() == _stacked_scores(store, expected, q).tobytes()
             else:
@@ -674,11 +679,15 @@ def test_gathers_are_exact_on_both_sides_of_the_set_crossover():
 
 
 def _first_of_the_best(store, q, threshold, service, stage):
-    # The selection rule, spelled out: score every candidate in one pass,
-    # keep those the filter passes, take the highest score, the smallest id
-    # among equal ones, and hit only if it clears the threshold.
-    ids, sims = store._score(q)
-    kept = [(sim, entry_id) for entry_id, sim in sorted(zip(ids.tolist(), sims.tolist()))
+    # The selection rule, spelled out: score every candidate in one pass of
+    # its stacked keys, apply the score rule to every score, keep those the
+    # filter passes, take the highest score, the smallest id among equal
+    # ones, and hit only if it clears the threshold.
+    rows, sims = store._score(q)
+    ids = store._ids[rows].tolist()
+    raw = _stacked_scores(store, ids, q) if ids else np.empty(0)
+    assert raw.tobytes() == sims.tobytes()
+    kept = [(_score_rule(sim), entry_id) for entry_id, sim in zip(ids, raw.tolist())
             if (service is None or store.get(entry_id).service_id == service)
             and (stage is None or stage in store.get(entry_id).stage_outputs)]
     if not kept:
@@ -718,3 +727,118 @@ def test_best_first_lookup_matches_the_selection_rule(inserts, lookups, radius):
         out = store.lookup(q, threshold, now=len(inserts) + step, service=service, stage=stage)
         assert (out.hit, out.entry_id, out.similarity) == expected
     store.audit()
+
+
+def _split_duplicates(services, scales=(1.0, 3.0, 5.0, 7.0)):
+    # A key v stored once per service, scaled by 1, 3, 5, ... in that order,
+    # and v's query, drawn so that the raw scores all snap to 1.0 and rise
+    # with entry id in their last bits, the first below 1.0: the raw argmax
+    # is the last entry, and the score rule answers with the first.
+    family = LshFamily(8, k=4, tables=1, seed=1)
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        v = rng.standard_normal(8)
+        store = ReuseStore(family, 16, BIG, probe_radius=family.k)
+        for scale, service in zip(scales, services):
+            store.insert(make_entry(scale * v, service_id=service))
+        q = family.prepare(v)
+        raw = store._score(q)[1].tolist()
+        if (len(raw) == len(services) and 1.0 - SELF_SIMILARITY_SNAP < raw[0] < 1.0
+                and all(a < b for a, b in zip(raw, raw[1:]))):
+            return store, q
+    raise AssertionError("no draw splits the raw scores of duplicate keys")
+
+
+class TestAnswerRule:
+    """Each branch of the score rule that lookup applies to its answer,
+    checked against the rule applied to every score of the stacked
+    candidates (_first_of_the_best)."""
+
+    FAMILY = LshFamily(8, k=4, tables=1, seed=1)
+
+    def _store(self, *keys):
+        # probe_radius == k: every entry is a candidate of every query.
+        store = ReuseStore(self.FAMILY, 16, BIG, probe_radius=self.FAMILY.k)
+        for key in keys:
+            store.insert(make_entry(key))
+        return store
+
+    @staticmethod
+    def _lookup(store, q, threshold, service=None):
+        out = store.lookup(q, threshold, service=service)
+        assert (out.hit, out.entry_id, out.similarity) == _first_of_the_best(
+            store, q, threshold, service, None)
+        return out
+
+    def test_duplicates_answer_with_the_smallest_id_at_one(self):
+        # An exact duplicate and a scaled one: the scaled one's raw score is
+        # the larger, but both snap to 1.0, so the smallest id answers.
+        store, q = _split_duplicates(["svc"] * 2)
+        out = self._lookup(store, q, 1.0)
+        assert (out.hit, out.entry_id, out.similarity) == (True, 0, 1.0)
+
+    def test_a_score_at_the_snap_bound_is_not_snapped(self):
+        # Key e0 against a unit query whose first coordinate is the bound
+        # itself: the raw score is exactly 1 - SELF_SIMILARITY_SNAP, which
+        # the rule keeps, not being above it. A duplicate of the query,
+        # stored second, is above the bound and answers at 1.0.
+        bound = 1.0 - SELF_SIMILARITY_SNAP
+        v = np.array([bound, math.sqrt(1.0 - bound * bound)] + [0.0] * 6)
+        store = self._store([1.0] + [0.0] * 7)
+        q = self.FAMILY.prepare(v)
+        assert q.norm == 1.0 and store._score(q)[1].tolist() == [bound]
+        out = self._lookup(store, q, bound)
+        assert (out.hit, out.entry_id, out.similarity) == (True, 0, bound)
+        assert not self._lookup(store, q, 1.0).hit
+        store.insert(make_entry(v))
+        assert store._score(q)[1][1] > bound
+        out = self._lookup(store, q, bound)
+        assert (out.hit, out.entry_id, out.similarity) == (True, 1, 1.0)
+
+    @pytest.mark.parametrize("keys", [
+        # Raw scores -1, 0 and about -0.89: the raw best is exactly 0.
+        [[-1.0] + [0.0] * 7, [0.0, 1.0] + [0.0] * 6, [-1.0, 0.5] + [0.0] * 6],
+        # Raw scores -1 and about -0.71: every one below 0.
+        [[-1.0] + [0.0] * 7, [-1.0, 1.0] + [0.0] * 6],
+    ], ids=["best-is-zero", "all-negative"])
+    def test_no_positive_score_answers_with_the_smallest_id_at_zero(self, keys):
+        store = self._store(*keys)
+        q = self.FAMILY.prepare([1.0] + [0.0] * 7)
+        rows, raw = store._score(q)
+        assert raw.max() <= 0.0 and raw.argmax() != 0
+        out = self._lookup(store, q, 0.0)
+        assert (out.hit, out.entry_id, out.similarity) == (True, 0, 0.0)
+        assert not self._lookup(store, q, 5e-324).hit
+
+    def test_nan_score_reads_as_zero_and_never_hits(self):
+        # Both norms near 1e200: the key's dot product with the query and
+        # the product of their norms overflow, so the raw score is NaN, and
+        # lookup scores it without a warning. The raw argmax stops at the
+        # NaN; the rule reads it as 0 and answers with the next key.
+        huge = [1e200] + [0.0] * 7
+        store = self._store(huge, [0.6, 0.8] + [0.0] * 6)
+        q = self.FAMILY.prepare(huge)
+        assert q.norm == 1e200
+        rows, raw = store._score(q)
+        assert math.isnan(raw[0]) and raw.argmax() == 0
+        snapped = [_score_rule(s) for s in raw.tolist()]
+        assert snapped[0] == 0.0 and snapped[1] == pytest.approx(0.6)
+        out = store.lookup(q, 0.5)
+        assert (out.hit, out.entry_id, out.similarity) == (True, 1, snapped[1])
+        assert not store.lookup(q, 0.7).hit
+        alone = self._store(huge)
+        assert math.isnan(alone._score(q)[1][0])
+        for threshold in (5e-324, 0.5, 1.0):
+            assert not alone.lookup(q, threshold).hit
+        alone.audit()
+
+    def test_filtered_lookup_walks_the_snapped_scores(self):
+        # Raw scores rise with id, so the raw best is entry 3 (svc-b); the
+        # rule's answer, entry 0, is svc-b too. Walking the snapped scores
+        # reaches entry 1, the first svc-a entry at 1.0, where walking the
+        # raw scores would reach entry 2.
+        store, q = _split_duplicates(["svc-b", "svc-a", "svc-a", "svc-b"])
+        out = self._lookup(store, q, 1.0, service="svc-a")
+        assert (out.hit, out.entry_id, out.similarity) == (True, 1, 1.0)
+        out = self._lookup(store, q, 1.0, service="svc-b")
+        assert (out.hit, out.entry_id, out.similarity) == (True, 0, 1.0)
