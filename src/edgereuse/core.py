@@ -106,9 +106,15 @@ def check_threshold(value: float) -> float:
     """Validate a similarity threshold: a number (not a bool, str or bytes) in [0, 1]."""
     t = value
     if type(t) is not float:
-        if isinstance(t, _NOT_THRESHOLDS):
-            raise TypeError(f"similarity threshold must be a number, got {value!r}")
-        t = float(t)
+        try:
+            if isinstance(t, _NOT_THRESHOLDS):
+                raise TypeError
+            t = float(t)
+        except TypeError:
+            raise TypeError(f"similarity threshold must be a number, got {value!r}") from None
+        except OverflowError:
+            raise ValueError("similarity threshold must be in [0, 1], got a number beyond "
+                             "the float range") from None
     # A NaN fails the comparison too.
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"similarity threshold must be in [0, 1], got {value}")

@@ -5,7 +5,8 @@ most signature bits (per-bit agreement probability is 1 - angle/pi). The
 table-0 signature with k=16 doubles as the forwarding hash that routers
 partition among servers, so its value range is [0, 65535]. LshFamily.prepare
 fingerprints an input once for every table; the PreparedQuery it returns
-carries the vector, its norm and the signatures to every later use.
+carries the vector, its norm and the signatures to every later use. One
+rule, _measured_rows', measures a vector whose sum of squares overflows.
 
 Every signer (prepare, signature_bits, batch_signature_bits, forwarding_hash
 and the replay's batched pass) runs one kernel, one (k, dim) gemv per table
@@ -88,8 +89,8 @@ class LshFamily:
     def prepare(self, v) -> PreparedQuery:
         """Validate, measure and sign one vector under every table, once.
 
-        Rejects the inputs a store cannot score: wrong dim, NaN or Inf, and
-        what input_norm rejects.
+        Rejects the inputs a store cannot score: wrong dim, NaN or Inf, an
+        all-zero vector, and a norm that underflows to 0 or overflows float64.
         """
         v = as_feature_vector(v, self.dim)
         norm, bits = self._norm_and_bits(v)
@@ -97,7 +98,7 @@ class LshFamily:
 
     def _prepare_rows(self, m: np.ndarray, rows: list[int]) -> list[PreparedQuery]:
         # prepare's queries for rows ``rows`` of a read-only, C-contiguous
-        # (n, dim) float64 matrix with no unsignable row (a checked bundle),
+        # (n, dim) float64 matrix that check_signable_rows passes (a bundle),
         # in one batched pass, but query j keeps the row view m[rows[j]], not
         # a copy. A row's norm and bits do not depend on the rows beside it.
         norms, signed = _measured_rows(m[rows])
@@ -108,7 +109,7 @@ class LshFamily:
 
     def _norm_and_bits(self, v: np.ndarray) -> tuple[float, list[int]]:
         # The norm and every table's bits of one validated vector, or
-        # input_norm's error.
+        # _measured's error.
         norm, signed = _measured(v)
         return norm, self._signatures(self.hyperplanes, signed).tolist()
 
@@ -129,28 +130,12 @@ class LshFamily:
         m = np.ascontiguousarray(vectors, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {m.shape}")
-        check_signable_rows(m)
-        return self._signatures(self.hyperplanes[table], _measured_rows(m)[1][:, :, None])
-
-
-def input_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a validated (so contiguous) vector that can be
-    fingerprinted and scored: rejects an all-zero vector, a norm that
-    underflows to 0 and a norm that overflows float64.
-
-    When the sum of squares overflows, the norm is taken of the vector
-    scaled by its largest magnitude, then scaled back; so a vector with
-    coordinates above about 1.3e154 has its finite norm, and every other
-    vector keeps the plain norm's exact bits.
-    """
-    return _measured(v)[0]
+        return self._signatures(self.hyperplanes[table], check_signable_rows(m)[:, :, None])
 
 
 def _measured(v: np.ndarray) -> tuple[float, np.ndarray]:
-    # input_norm's norm, and the vector to sign: v itself, or v scaled by
-    # its largest magnitude when its sum of squares overflows. Sign bits do
-    # not change under positive scaling, and the scaled dot products cannot
-    # overflow to inf or NaN.
+    # prepare's norm of a validated (so contiguous) vector, and the vector to
+    # sign: v itself, or _measured_rows' when its sum of squares overflows.
     # On a contiguous vector np.vdot sums as np.linalg.norm does, bit for
     # bit, but an overflow reaches the check below without a RuntimeWarning.
     norm = math.sqrt(np.vdot(v, v))
@@ -158,41 +143,35 @@ def _measured(v: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError(_NORM_UNDERFLOW if v.any() else "cannot fingerprint an all-zero vector")
     if math.isfinite(norm):
         return norm, v
-    peak = float(np.abs(v).max())
-    v = v / peak
-    # Python floats: a product that overflows is inf, with no warning.
-    norm = peak * math.sqrt(np.vdot(v, v))
+    norms, signed = _measured_rows(v[None])
+    norm = norms.item()
     if not math.isfinite(norm):
         raise ValueError(_NORM_OVERFLOW)
-    return norm, v
+    return norm, signed[0]
 
 
-def unsignable_rows(m: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows of a C-contiguous (n, dim) float64
-    matrix that prepare rejects as not finite or for their norm (see
-    input_norm)."""
-    norms = _measured_rows(m)[0]
-    return np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
-
-
-def check_signable_rows(m: np.ndarray) -> None:
-    """Raise prepare's own ValueError for the first row of a C-contiguous
-    (n, dim) float64 matrix that unsignable_rows flags, with that row's
-    index as the error's ``row``; return when no row is flagged."""
-    for i in unsignable_rows(m)[:1].tolist():
+def check_signable_rows(m: np.ndarray) -> np.ndarray:
+    """The matrix to sign for a C-contiguous (n, dim) float64 matrix whose
+    every row prepare accepts (see _measured_rows). Otherwise raise
+    prepare's own ValueError for the first row it rejects, with that row's
+    index as the error's ``row``."""
+    norms, signed = _measured_rows(m)
+    for i in np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))[:1].tolist():
         try:
-            input_norm(as_feature_vector(m[i]))
+            _measured(as_feature_vector(m[i]))
         except ValueError as exc:
             exc.row = i
             raise
         raise RuntimeError(f"row {i} is flagged unsignable, but prepare accepts it")
+    return signed
 
 
 def _measured_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _measured row by row, bit for bit, for a C-contiguous (n, dim) float64
-    # matrix: every row's norm (0, inf or NaN where input_norm rejects the
-    # row), and the matrix to sign, m itself or a copy whose rows with
-    # overflowing squares are scaled by their largest magnitudes.
+    # The one overflow rule, for a C-contiguous (n, dim) float64 matrix:
+    # every row's norm (0, inf or NaN where prepare rejects the row), and
+    # the matrix to sign, m itself or a copy whose rows with overflowing
+    # squares are scaled by their largest magnitudes. Sign bits do not
+    # change under positive scaling, and scaled dot products cannot overflow.
     squares = _row_squares(m)
     norms = np.sqrt(squares)
     over = np.flatnonzero(squares == np.inf)
@@ -207,7 +186,7 @@ def _measured_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_squares(m: np.ndarray) -> np.ndarray:
     # Every row's m[i] @ m[i], in one stacked product. On a unit-stride row
-    # it runs the one dot product that input_norm's np.vdot runs, so its
+    # it runs the one dot product that _measured's np.vdot runs, so its
     # squares, their roots and the verdicts on them are bit for bit the same.
     with np.errstate(over="ignore", invalid="ignore"):
         return (m[:, None, :] @ m[:, :, None]).ravel()

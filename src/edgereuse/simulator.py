@@ -388,11 +388,10 @@ class Simulation:
                                         f"window:v{self.table.version}", 0))
             yield now
             self._sample_window(now)
-            if control.rebalance and len(self.servers) >= 2:
+            if control.rebalance:
+                # rebalance hands back the very table when nothing moves.
                 report = LoadReport({s.node_id: s.executed_count for s in self.servers.values()})
-                new_table = rebalance(self.table, report, control.step_fraction)
-                if new_table.version != self.table.version:
-                    self.table = new_table
+                self.table = rebalance(self.table, report, control.step_fraction)
             if len(self.records) == len(self.trace):
                 return
             now += control.window_us

@@ -67,7 +67,7 @@ def length_bytes(n: int) -> int:
 def _snapped(sims: np.ndarray) -> np.ndarray:
     """A copy of raw scores under the score rule: above 1 -
     SELF_SIMILARITY_SNAP is 1.0, and below 0 or NaN is 0."""
-    # Unlike clip, fmax also maps a score that overflowed to NaN to 0.
+    # Unlike clip, fmax also maps a NaN to 0.
     snapped = np.fmax(sims, 0.0)
     snapped[snapped > _SNAP_BOUND] = 1.0
     return snapped
@@ -342,7 +342,8 @@ class ReuseStore:
 
         The candidates are the entries in q's probed buckets of every table,
         each once. Their keys are stacked in id order and scored in one
-        gemv, ``(keys @ q.vector) / (norms * q.norm)``. The scores are raw:
+        gemv, ``(keys @ q.vector) / (norms * q.norm)``; only a row whose
+        products overflow is scored again, at a safe scale. The scores are raw:
         lookup applies the score rule (above 1 - SELF_SIMILARITY_SNAP is
         1.0, below 0 or NaN is 0) and its tie rule itself. A gemv may round
         a row's dot product differently with other rows stacked around it,
@@ -381,10 +382,18 @@ class ReuseStore:
             if q.norm * self._norm_peak < _SCORE_SAFE:
                 sims = (keys @ q.vector) / (norms * q.norm)
             else:
-                # Norms whose product passes the largest float64: a score whose
-                # products overflow is NaN or 0, which the rule reads as 0.
+                # Norms whose product may pass the largest float64: a row whose
+                # products overflow is scored again from its key and q each
+                # divided by its largest magnitude, norms taken at that scale.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    sims = (keys @ q.vector) / (norms * q.norm)
+                    dots = keys @ q.vector
+                    products = norms * q.norm
+                    sims = dots / products
+                over = ~(np.isfinite(dots) & np.isfinite(products))
+                if over.any():
+                    k = keys[over] / np.abs(keys[over]).max(axis=1, keepdims=True)
+                    v = q.vector / np.abs(q.vector).max()
+                    sims[over] = (k @ v) / (np.linalg.norm(k, axis=1) * np.linalg.norm(v))
         self._last_score = (q, rows, sims)
         return rows, sims
 

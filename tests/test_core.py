@@ -122,13 +122,15 @@ class Testthreshold:
     def test_valid(self, t):
         assert check_threshold(t) == t
 
-    @pytest.mark.parametrize("t", [-0.01, 1.01, float("nan")])
+    @pytest.mark.parametrize("t", [-0.01, 1.01, float("nan"), pytest.param(10**400, id="10**400")])
     def test_invalid(self, t):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
             check_threshold(t)
 
     @pytest.mark.parametrize("t", [True, False, np.True_, pytest.param("0.5", id="str"),
-                                   pytest.param(b"0.5", id="bytes")])
+                                   pytest.param(b"0.5", id="bytes"), None,
+                                   pytest.param([0.5], id="list"), 1 + 0j,
+                                   pytest.param(np.array([0.5]), id="array")])
     def test_bool_is_not_a_threshold(self, t):
         with pytest.raises(TypeError, match="threshold"):
             check_threshold(t)

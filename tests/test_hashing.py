@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import edgereuse.hashing
-from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, check_signable_rows,
-                               feature_hash, forwarding_hash, input_norm, probe_masks,
-                               unsignable_rows)
+from edgereuse.hashing import (FORWARDING_BITS, FORWARDING_SPACE, LshFamily, _measured_rows,
+                               check_signable_rows, feature_hash, forwarding_hash, probe_masks)
 
 
 class TestLshFamily:
@@ -173,9 +172,10 @@ def _near_plane_rows(fam, table, data, seed):
     return m
 
 
-# Row norms from the smallest whose square stays above 0 to the largest
-# whose square stays finite; rows past either edge are dropped.
-_ROW_NORMS = [3e-162, 1e-100, 1.0, 1e100, 1.3407807929942596e154]
+# Row norms from the smallest whose square stays above 0, past the largest
+# whose square stays finite, to ones whose squares overflow; rows whose norm
+# underflows to 0 are dropped.
+_ROW_NORMS = [3e-162, 1e-100, 1.0, 1e100, 1.3407807929942596e154, 1e200, 1e300]
 
 
 class TestOneSigningKernel:
@@ -223,8 +223,10 @@ class TestOneSigningKernel:
         fam = LshFamily(dim, k=16, tables=tables, seed=seed)
         m = _near_plane_rows(fam, data.draw(st.integers(0, tables - 1)), data, seed)
         norms = np.random.default_rng(seed).choice(_ROW_NORMS, size=len(m))
-        m *= (norms / np.linalg.norm(m, axis=1))[:, None]
-        m = np.delete(m, unsignable_rows(m), axis=0)
+        m /= np.linalg.norm(m, axis=1)[:, None]
+        m *= norms[:, None]
+        measured = _measured_rows(m)[0]
+        m = m[(measured > 0.0) & np.isfinite(measured)]
         m.setflags(write=False)
         subset = data.draw(st.lists(st.integers(0, max(len(m) - 1, 0)), max_size=2 * len(m)))
         for rows in (list(range(len(m))), subset):
@@ -244,7 +246,7 @@ class TestOneSigningKernel:
                 if not math.isfinite(plain):
                     peak = np.abs(row).max()
                     plain = float(peak * np.linalg.norm(row / peak))
-                assert input_norm(row) == plain
+                assert single.norm == plain
 
 
 @pytest.mark.parametrize("sign", [
@@ -283,13 +285,13 @@ def test_finite_norm_whose_squares_overflow_is_signed(v):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q = fam.prepare(v)
-        assert q.norm == peak * math.sqrt(np.vdot(scaled, scaled)) == input_norm(v)
+        assert q.norm == peak * math.sqrt(np.vdot(scaled, scaled)) == _measured_rows(v[None])[0][0]
         assert q.norm == pytest.approx(math.hypot(*v), rel=1e-15)
         assert q.bits == fam.prepare(scaled).bits
         assert q.bits == tuple(_oracle_bits(fam, scaled, t) for t in range(fam.tables))
         m = np.vstack([np.ones(8), v])
-        assert not unsignable_rows(m).size
-        check_signable_rows(m)
+        signed = check_signable_rows(m)
+        assert signed[0].tobytes() == m[0].tobytes() and signed[1].tobytes() == scaled.tobytes()
         for t in range(fam.tables):
             assert fam.batch_signature_bits(m, t).tolist() == [fam.prepare(np.ones(8)).bits[t],
                                                                q.bits[t]]
@@ -318,7 +320,7 @@ def test_signable_rows_check_names_the_first_flagged_row(monkeypatch):
     check_signable_rows(m[[0, 2]])
     # A row the batch flags but the per-vector rule accepts is a bug in one
     # of the two, not an input to sign.
-    monkeypatch.setattr(edgereuse.hashing, "input_norm", lambda v: 1.0)
+    monkeypatch.setattr(edgereuse.hashing, "_measured", lambda v: (1.0, v))
     with pytest.raises(RuntimeError, match="row 1 is flagged unsignable"):
         check_signable_rows(m)
 

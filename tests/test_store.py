@@ -810,27 +810,28 @@ class TestAnswerRule:
         assert (out.hit, out.entry_id, out.similarity) == (True, 0, 0.0)
         assert not self._lookup(store, q, 5e-324).hit
 
-    def test_nan_score_reads_as_zero_and_never_hits(self):
+    def test_overflowing_score_is_rescored_and_a_repeat_hits(self):
         # Both norms near 1e200: the key's dot product with the query and
-        # the product of their norms overflow, so the raw score is NaN, and
-        # lookup scores it without a warning. The raw argmax stops at the
-        # NaN; the rule reads it as 0 and answers with the next key.
+        # the product of their norms overflow, so the store scores that row
+        # again from the key and the query each scaled by its largest
+        # magnitude, without a warning, and the exact repeat answers at 1.0.
+        # The [0.6, 0.8] row's products stay finite: it keeps the gemv's
+        # raw score, bit for bit.
         huge = [1e200] + [0.0] * 7
         store = self._store(huge, [0.6, 0.8] + [0.0] * 6)
         q = self.FAMILY.prepare(huge)
         assert q.norm == 1e200
         rows, raw = store._score(q)
-        assert math.isnan(raw[0]) and raw.argmax() == 0
-        snapped = [_score_rule(s) for s in raw.tolist()]
-        assert snapped[0] == 0.0 and snapped[1] == pytest.approx(0.6)
-        out = store.lookup(q, 0.5)
-        assert (out.hit, out.entry_id, out.similarity) == (True, 1, snapped[1])
-        assert not store.lookup(q, 0.7).hit
-        alone = self._store(huge)
-        assert math.isnan(alone._score(q)[1][0])
-        for threshold in (5e-324, 0.5, 1.0):
-            assert not alone.lookup(q, threshold).hit
-        alone.audit()
+        assert store._ids[rows].tolist() == [0, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = (store._keys[rows] @ q.vector) / (store._norms[rows] * q.norm)
+        assert math.isnan(plain[0])
+        assert raw[0] == 1.0 and raw[1:].tobytes() == plain[1:].tobytes()
+        assert raw[1] == pytest.approx(0.6)
+        for threshold in (5e-324, 0.7, 1.0):
+            out = store.lookup(huge, threshold)
+            assert (out.hit, out.entry_id, out.similarity) == (True, 0, 1.0)
+        store.audit()
 
     def test_filtered_lookup_walks_the_snapped_scores(self):
         # Raw scores rise with id, so the raw best is entry 3 (svc-b); the
